@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
     const auto mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
     const auto elements =
-        static_cast<std::size_t>(flags.get_int("elements", 192));
-    const int reps = static_cast<int>(flags.get_int("reps", 2));
+        static_cast<std::size_t>(flags.get_int_in("elements", 192, 0));
+    const int reps = flags.get_positive_int("reps", 2);
     const int jobs = exec::jobs_flag(flags);
     for (const std::string& name : flags.unconsumed()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());

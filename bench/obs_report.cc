@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
                    "[--sample-us=U] [--jobs=J]\n");
       return 2;
     }
-    if (elements < 1 || reps < 1 || warmup < 0 || sample_us <= 0.0) {
+    if (elements < 1 || reps < 1 || warmup < 0 || sample_us <= 0.0 ||
+        !scc::SimTime::representable_us(sample_us)) {
       std::fprintf(stderr, "invalid run parameters\n");
       return 2;
     }

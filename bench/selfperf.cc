@@ -45,7 +45,6 @@
 #include "exec/executor.hpp"
 #include "harness/pdes_scenario.hpp"
 #include "harness/sweep.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_heap.hpp"
 
@@ -84,7 +83,7 @@ struct Row {
 /// The queue-structure microbench: the engine_hot_loop event pattern (64
 /// interleaved self-rescheduling chains, jittered increments) run directly
 /// against a priority-queue implementation -- no engine, no callables, so
-/// the rows isolate the data structure itself (MoveHeap vs CalendarQueue).
+/// the row isolates the data structure itself.
 struct QItem {
   std::uint64_t key = 0;
   std::uint64_t seq = 0;
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
     const auto from = flags.get_int("from", 500);
     const auto to = flags.get_int("to", 700);
     const auto step = flags.get_int("step", 25);
-    const int reps = static_cast<int>(flags.get_int("reps", 1));
+    const int reps = flags.get_positive_int("reps", 1);
     const auto pdes_steps = flags.get_int("pdes-steps", 200);
     const int jobs = scc::exec::jobs_flag(flags);
     for (const std::string& name : flags.unconsumed()) {
@@ -218,12 +217,8 @@ int main(int argc, char** argv) {
                          result.events, ms_since(t0), /*gated=*/false});
     }
 
-    // Scenarios 7/8: the queue-structure microbench. Identical event
-    // streams; same pop order by the total-order contract (the
-    // differential tests pin that down) -- the checksum comparison below
-    // is a cheap cross-check.
+    // Scenario 7: the queue-structure microbench.
     const auto queue_pops = static_cast<std::uint64_t>(events_target);
-    std::uint64_t heap_checksum = 0, calendar_checksum = 0;
     {
       struct QGreater {
         bool operator()(const QItem& a, const QItem& b) const {
@@ -233,36 +228,14 @@ int main(int argc, char** argv) {
       };
       scc::sim::MoveHeap<QItem, QGreater> heap;
       const auto t0 = Clock::now();
-      heap_checksum = drive_queue(heap, queue_pops);
+      // The volatile sink keeps the pops observable to the optimizer.
+      [[maybe_unused]] volatile std::uint64_t checksum =
+          drive_queue(heap, queue_pops);
       rows.push_back(
           Row{"queue_moveheap", queue_pops, ms_since(t0), /*gated=*/true});
     }
-    {
-      struct QLess {
-        bool operator()(const QItem& a, const QItem& b) const {
-          if (a.key != b.key) return a.key < b.key;
-          return a.seq < b.seq;
-        }
-      };
-      struct QKey {
-        std::uint64_t operator()(const QItem& a) const { return a.key; }
-      };
-      scc::sim::CalendarQueue<QItem, QLess, QKey> calendar;
-      const auto t0 = Clock::now();
-      calendar_checksum = drive_queue(calendar, queue_pops);
-      rows.push_back(
-          Row{"queue_calendar", queue_pops, ms_since(t0), /*gated=*/true});
-    }
-    if (heap_checksum != calendar_checksum) {
-      std::fprintf(stderr,
-                   "queue microbench checksum mismatch (heap %llx vs "
-                   "calendar %llx): pop orders diverged\n",
-                   static_cast<unsigned long long>(heap_checksum),
-                   static_cast<unsigned long long>(calendar_checksum));
-      return 2;
-    }
 
-    // Scenarios 9-11: the full collective workload on the PARTITIONED
+    // Scenarios 8-10: the full collective workload on the PARTITIONED
     // machine -- the same spotlight Allreduce as scenario 2, but with the
     // machine sharded into column slabs and drained by the
     // conservative-PDES engine. The workers1 row is the pure partitioning

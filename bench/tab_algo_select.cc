@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
         parse_variant(flags.get("variant", "lightweight"));
     const std::vector<std::size_t> sizes =
         parse_sizes(flags.get("sizes", "8,48,192,552"));
-    const int reps = static_cast<int>(flags.get_int("reps", 2));
+    const int reps = flags.get_positive_int("reps", 2);
     const int jobs = exec::jobs_flag(flags);
     for (const std::string& name : flags.unconsumed()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());

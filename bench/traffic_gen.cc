@@ -56,24 +56,23 @@ int main(int argc, char** argv) {
   try {
     const auto flags = scc::CliFlags::parse(argc, argv);
     scc::harness::TrafficSpec base;
-    base.streams = static_cast<int>(flags.get_int("streams", 4));
-    base.requests_per_stream =
-        static_cast<int>(flags.get_int("requests", 12));
-    base.elements = static_cast<std::size_t>(flags.get_int("elements", 96));
-    base.mean_interarrival =
-        scc::SimTime::from_us(flags.get_double("mean-us", 60.0));
+    base.streams = flags.get_positive_int("streams", 4);
+    base.requests_per_stream = flags.get_positive_int("requests", 12);
+    base.elements =
+        static_cast<std::size_t>(flags.get_positive_int("elements", 96));
+    const double mean_us = flags.get_double("mean-us", 60.0);
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     const double sample_us = flags.get_double("sample-interval-us", 0.0);
-    base.sample_interval = scc::SimTime::from_us(sample_us);
     const int jobs = scc::exec::jobs_flag(flags);
     base.pdes_workers = scc::exec::workers_flag(flags);
     for (const std::string& name : flags.unconsumed()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
       return 2;
     }
-    if (base.streams < 1 || base.requests_per_stream < 1 ||
-        base.elements < 1 ||
-        base.mean_interarrival <= scc::SimTime::zero() || sample_us < 0.0) {
+    // Check before converting: SimTime cannot hold a negative or huge
+    // duration (get_double has already rejected NaN and infinities).
+    if (mean_us <= 0.0 || !scc::SimTime::representable_us(mean_us) ||
+        !scc::SimTime::representable_us(sample_us)) {
       std::fprintf(stderr,
                    "usage: traffic_gen [--streams=N>=1] [--requests=N>=1] "
                    "[--elements=N>=1] [--mean-us=F>0] [--seed=N] "
@@ -81,6 +80,8 @@ int main(int argc, char** argv) {
                    "[--sample-interval-us=F>=0]\n");
       return 2;
     }
+    base.mean_interarrival = scc::SimTime::from_us(mean_us);
+    base.sample_interval = scc::SimTime::from_us(sample_us);
 
     // The serialized blocking drain is the baseline every overlap claim is
     // measured against; the lanes sweep shows what each level of engine

@@ -207,10 +207,10 @@ int main(int argc, char** argv) {
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
     SolveConfig config;
-    config.rows_per_core =
-        static_cast<std::size_t>(flags.get_int("rows-per-core", 16));
+    config.rows_per_core = static_cast<std::size_t>(
+        flags.get_int_in("rows-per-core", 16, 0));
     config.tolerance = flags.get_double("tol", 1e-10);
-    config.max_iterations = static_cast<int>(flags.get_int("max-iters", 2000));
+    config.max_iterations = flags.get_int_in("max-iters", 2000, 0);
 
     if (flags.get_bool("compare", false)) {
       Table table({"variant", "iterations", "runtime", "speedup", "max error"});

@@ -114,8 +114,9 @@ int main(int argc, char** argv) {
       if (!algo) throw std::runtime_error("unknown algorithm: " + algo_flag);
       spec.algo = *algo;
     }
-    spec.elements = static_cast<std::size_t>(flags.get_int("elements", 552));
-    spec.repetitions = static_cast<int>(flags.get_int("reps", 4));
+    spec.elements =
+        static_cast<std::size_t>(flags.get_int_in("elements", 552, 0));
+    spec.repetitions = flags.get_positive_int("reps", 4);
     spec.collect_profiles = flags.get_bool("profile", false);
     const auto mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
@@ -141,7 +142,8 @@ int main(int argc, char** argv) {
     const double sample_us = flags.get_double("sample", 0.0);
     const std::string sample_out = flags.get("sample-out", "timeseries");
     const bool hist = flags.get_bool("hist", false);
-    if (sample_us < 0.0) throw std::runtime_error("--sample must be >= 0");
+    if (!SimTime::representable_us(sample_us))
+      throw std::runtime_error("--sample must be >= 0 and below 1.8e10 us");
     if (sample_us > 0.0) spec.sample_interval = SimTime::from_us(sample_us);
     spec.collect_metrics = !metrics_path.empty();
 

@@ -36,11 +36,10 @@ int main(int argc, char** argv) {
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
     gcmc::AppParams params;
-    params.model.kmaxvecs = static_cast<int>(flags.get_int("kmaxvecs", 276));
-    params.particles_total = static_cast<int>(flags.get_int("particles", 240));
-    params.max_local_particles =
-        static_cast<int>(flags.get_int("capacity", 12));
-    params.cycles = static_cast<int>(flags.get_int("cycles", 10));
+    params.model.kmaxvecs = flags.get_int_in("kmaxvecs", 276, 0);
+    params.particles_total = flags.get_int_in("particles", 240, 0);
+    params.max_local_particles = flags.get_int_in("capacity", 12, 0);
+    params.cycles = flags.get_int_in("cycles", 10, 0);
     params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2012));
 
     if (flags.get_bool("compare", false)) {

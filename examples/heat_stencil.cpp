@@ -133,9 +133,9 @@ int main(int argc, char** argv) {
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
     StencilConfig config;
-    config.cells_per_core =
-        static_cast<std::size_t>(flags.get_int("cells-per-core", 64));
-    config.steps = static_cast<int>(flags.get_int("steps", 200));
+    config.cells_per_core = static_cast<std::size_t>(
+        flags.get_int_in("cells-per-core", 64, 0));
+    config.steps = flags.get_int_in("steps", 200, 0);
 
     if (flags.get_bool("compare", false)) {
       Table table({"variant", "runtime", "speedup", "total heat"});

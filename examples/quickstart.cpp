@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
     const CliFlags flags = CliFlags::parse(argc, argv);
     harness::RunSpec spec;
     spec.elements =
-        static_cast<std::size_t>(flags.get_int("elements", 552));
-    spec.repetitions = static_cast<int>(flags.get_int("reps", 4));
+        static_cast<std::size_t>(flags.get_int_in("elements", 552, 0));
+    spec.repetitions = flags.get_positive_int("reps", 4);
     if (flags.get_bool("no-bug", false)) {
       spec.config = machine::SccConfig::bug_fixed();
     }

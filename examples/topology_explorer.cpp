@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     mem::HwCostModel hw;
     hw.mpb_bug_workaround = !flags.get_bool("no-bug", false);
     const mem::LatencyCalculator calc(hw, topo);
-    const int origin = static_cast<int>(flags.get_int("from-core", 0));
+    const int origin = flags.get_int_in("from-core", 0, 0);
 
     std::printf("SCC mesh: %dx%d tiles, %d cores, MPB arbiter-bug "
                 "workaround %s\n\n",

@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -51,13 +53,32 @@ std::int64_t CliFlags::get_int(const std::string& name,
   it->second.second = true;
   char* end = nullptr;
   const char* s = it->second.first.c_str();
+  errno = 0;
   const long long v = std::strtoll(s, &end, 10);
   // end == s catches the empty value of "--n=" (strtoll consumes nothing
   // but still leaves *end == '\0', which the trailing-junk check accepts).
   if (end == nullptr || end == s || *end != '\0')
     throw std::runtime_error("flag --" + name + " expects an integer, got '" +
                              it->second.first + "'");
+  // Out of range: strtoll saturates at LLONG_MIN/MAX and sets ERANGE.
+  if (errno == ERANGE)
+    throw std::runtime_error("flag --" + name + " is out of range, got '" +
+                             it->second.first + "'");
   return v;
+}
+
+int CliFlags::get_int_in(const std::string& name, int fallback,
+                         int lo) const {
+  if (!has(name)) return fallback;
+  const std::int64_t v = get_int(name, 0);
+  constexpr int kHi = std::numeric_limits<int>::max();
+  if (v < lo || v > kHi)
+    throw std::runtime_error("--" + name + " must be " +
+                             (lo == 1 ? "a positive integer" : "an integer") +
+                             " in [" + std::to_string(lo) + ", " +
+                             std::to_string(kHi) + "], got " +
+                             std::to_string(v));
+  return static_cast<int>(v);
 }
 
 double CliFlags::get_double(const std::string& name, double fallback) const {
@@ -70,17 +91,17 @@ double CliFlags::get_double(const std::string& name, double fallback) const {
   if (end == nullptr || end == s || *end != '\0')
     throw std::runtime_error("flag --" + name + " expects a number, got '" +
                              it->second.first + "'");
+  // "nan", "inf" and overflowing literals such as "1e999" parse, but no
+  // flag means anything by them.
+  if (!std::isfinite(v))
+    throw std::runtime_error("flag --" + name +
+                             " expects a finite number, got '" +
+                             it->second.first + "'");
   return v;
 }
 
 int CliFlags::get_positive_int(const std::string& name, int fallback) const {
-  if (!has(name)) return fallback;
-  const std::int64_t v = get_int(name, 0);
-  if (v < 1 || v > std::numeric_limits<int>::max())
-    throw std::runtime_error("--" + name +
-                             " must be a positive integer, got " +
-                             std::to_string(v));
-  return static_cast<int>(v);
+  return get_int_in(name, fallback, 1);
 }
 
 bool CliFlags::get_bool(const std::string& name, bool fallback) const {

@@ -27,15 +27,22 @@ class CliFlags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// Integer flag; rejects garbage and values outside int64 (ERANGE).
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// Range-checked integer flag for values narrowed to int or size_t:
+  /// absent -> `fallback`; present -> must lie in [lo, INT_MAX], else
+  /// "--name must be an integer in [lo, INT_MAX], got V" ("a positive
+  /// integer" when lo is 1) or get_int's errors.
+  [[nodiscard]] int get_int_in(const std::string& name, int fallback,
+                               int lo) const;
+  /// Floating-point flag; rejects garbage and non-finite values.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-  /// Strict positive-integer flag shared by thread-count flags (--jobs,
-  /// --workers): absent -> `fallback`; present -> must be an integer >= 1.
-  /// Rejects 0, negatives and garbage with "--name must be a positive
-  /// integer, got V" / get_int's "expects an integer" error.
+  /// get_int_in(name, fallback, 1): thread-count flags (--jobs, --workers)
+  /// and counts. Rejects 0, negatives and garbage with "--name must be a
+  /// positive integer in [1, INT_MAX], got V" / get_int's errors.
   [[nodiscard]] int get_positive_int(const std::string& name,
                                      int fallback) const;
 

@@ -25,10 +25,21 @@ class SimTime {
   static constexpr SimTime max() {
     return SimTime{std::numeric_limits<std::uint64_t>::max()};
   }
+  /// Whether from_ns/from_us can represent the value: finite, >= 0 and
+  /// below 2^64 fs once scaled (converting anything else to uint64_t is
+  /// undefined behaviour). NaN fails the >= 0 test.
+  static constexpr bool representable_ns(double ns) {
+    return ns >= 0.0 && ns * 1e6 < 0x1p64;
+  }
+  static constexpr bool representable_us(double us) {
+    return us >= 0.0 && us * 1e9 < 0x1p64;
+  }
   static constexpr SimTime from_ns(double ns) {
+    SCC_EXPECTS(representable_ns(ns));
     return SimTime{static_cast<std::uint64_t>(ns * 1e6)};
   }
   static constexpr SimTime from_us(double us) {
+    SCC_EXPECTS(representable_us(us));
     return SimTime{static_cast<std::uint64_t>(us * 1e9)};
   }
 

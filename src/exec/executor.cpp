@@ -42,6 +42,20 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
+/// Polls `ready()`, yielding the core between polls, until it holds or
+/// about 50 us have passed; the caller then re-checks its condition under
+/// the lock and parks if it still fails. PDES windows follow each other
+/// within microseconds, sooner than a futex park/wake round trip, so a
+/// brief poll lets a helper catch the next round, and the caller the
+/// round's end, without a context switch.
+template <typename Ready>
+void poll_until(const Ready& ready) {
+  constexpr auto kPollBudget = std::chrono::microseconds(50);
+  const auto deadline = std::chrono::steady_clock::now() + kPollBudget;
+  while (!ready() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
 }  // namespace
 
 int default_jobs() {
@@ -115,10 +129,11 @@ void WorkerPool::helper_loop(std::size_t worker) {
   std::uint64_t seen = 0;
   for (;;) {
     Round* round = nullptr;
+    const auto park0 = instrument_ ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point{};
+    poll_until([&] { return epoch_.load(std::memory_order_acquire) != seen; });
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      const auto park0 = instrument_ ? std::chrono::steady_clock::now()
-                                     : std::chrono::steady_clock::time_point{};
       cv_work_.wait(lock, [&] { return stop_ || epoch_ != seen; });
       // park_ns_ accumulates under the lock the wait reacquired -- the
       // instrumentation adds no synchronization the pool didn't already do.
@@ -176,10 +191,14 @@ void WorkerPool::run_round(std::size_t count,
   }
   cv_work_.notify_all();  // one batched wakeup for the whole round
   const std::uint64_t caller_busy = work(round);  // the caller is a worker too
+  const auto wait0 = instrument_ ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point{};
+  poll_until([&] {
+    return round.completed.load(std::memory_order_acquire) == count &&
+           active_.load(std::memory_order_acquire) == 0;
+  });
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto wait0 = instrument_ ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
     cv_done_.wait(lock, [&] {
       return round.completed.load(std::memory_order_acquire) == count &&
              active_ == 0;

@@ -77,8 +77,8 @@ struct WorkerPoolStats {
   std::uint64_t tasks = 0;   // indices executed across all rounds
   bool instrumented = false;
   std::uint64_t busy_ns = 0;          // total time inside fn across workers
-  std::uint64_t park_ns = 0;          // helpers blocked between rounds
-  std::uint64_t barrier_wait_ns = 0;  // caller blocked on round completion
+  std::uint64_t park_ns = 0;          // helpers waiting between rounds
+  std::uint64_t barrier_wait_ns = 0;  // caller waiting on round completion
   /// Per-worker busy time; helpers 0..n-2 first, the calling thread last.
   std::vector<std::uint64_t> worker_busy_ns;
 };
@@ -92,7 +92,9 @@ struct WorkerPoolStats {
 /// helpers parked on one condition variable across rounds, and park/notify
 /// is batched per ROUND, not per task: run_round() publishes the whole round
 /// and issues a single notify_all; helpers then self-serve indices from an
-/// atomic counter, and only the last finisher signals completion.
+/// atomic counter, and only the last finisher signals completion. Helpers
+/// and the caller poll for about 50 us before they park, so back-to-back
+/// rounds (PDES windows) usually skip the futex wake-up entirely.
 ///
 /// run_round(count, fn) runs fn(0..count-1) across the pool (the calling
 /// thread participates as worker 0) and returns when every index completed.
@@ -140,8 +142,10 @@ class WorkerPool {
   std::condition_variable cv_work_;   // helpers park here between rounds
   std::condition_variable cv_done_;   // run_round parks here for the tail
   Round* round_ = nullptr;            // published under mutex_
-  std::uint64_t epoch_ = 0;           // bumped per round (helper wake predicate)
-  int active_ = 0;                    // helpers inside the current round
+  // Both change only under mutex_; atomic so the waits can poll them
+  // before they park.
+  std::atomic<std::uint64_t> epoch_{0};  // bumped per round (helper wake)
+  std::atomic<int> active_{0};           // helpers inside the current round
   bool stop_ = false;
   bool in_round_ = false;
   bool instrument_ = false;

@@ -144,7 +144,7 @@ FaultModel::FaultModel(FaultSpec spec, const Topology& topo)
   for (const SlowLink& f : spec_.slow_links) {
     // Both directions of the physical channel degrade; repeated clauses on
     // the same link compose multiplicatively.
-    for (const Key key :
+    for (const Key& key :
          {key_of(f.link.a, f.link.b), key_of(f.link.b, f.link.a)}) {
       auto [it, inserted] = link_factor_.emplace(key, f.factor);
       if (!inserted) it->second *= f.factor;

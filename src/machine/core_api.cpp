@@ -1,6 +1,7 @@
 #include "machine/core_api.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -29,37 +30,36 @@ bool CoreApi::cross_partition(int core) const {
   return machine_->partition_of_core(core) != partition_;
 }
 
-sim::Task<> CoreApi::charge_impl(Phase phase, SimTime duration,
-                                 std::string detail) {
+sim::Engine::Sleep CoreApi::charge_impl(Phase phase, SimTime duration,
+                                        std::string_view detail) {
   profile_.add(phase, duration);
   if (auto* trace = machine_->trace_of(partition_)) {
     const SimTime start = now();
     trace->interval(rank_, phase_name(phase), start, start + duration,
-                    std::move(detail));
+                    std::string(detail));
   }
-  co_await engine_->sleep_for(duration);
+  return engine_->sleep_for(duration);
 }
 
-sim::Task<> CoreApi::compute(std::uint64_t core_cycles) {
+Charge CoreApi::compute(std::uint64_t core_cycles) {
   return charge_impl(Phase::kCompute,
                      machine_->latency().core_cycles(core_cycles, rank_));
 }
 
-sim::Task<> CoreApi::overhead(std::uint64_t core_cycles) {
+Charge CoreApi::overhead(std::uint64_t core_cycles) {
   return charge_impl(Phase::kSwOverhead,
                      machine_->latency().core_cycles(core_cycles, rank_));
 }
 
-sim::Task<> CoreApi::wait_poll(std::uint64_t core_cycles,
-                               std::uint64_t after_cycles) {
+Charge CoreApi::wait_poll(std::uint64_t core_cycles,
+                          std::uint64_t after_cycles) {
   const auto& latency = machine_->latency();
-  return charge_impl(
-      Phase::kFlagWait,
-      latency.core_cycles(after_cycles + core_cycles, rank_) -
-          latency.core_cycles(after_cycles, rank_));
+  return charge_impl(Phase::kFlagWait,
+                     latency.core_cycles(after_cycles + core_cycles, rank_) -
+                         latency.core_cycles(after_cycles, rank_));
 }
 
-sim::Task<> CoreApi::charge(Phase phase, SimTime duration) {
+Charge CoreApi::charge(Phase phase, SimTime duration) {
   return charge_impl(phase, duration);
 }
 
@@ -69,15 +69,22 @@ SimTime CoreApi::contention_delay(int from, int to, std::size_t bytes) {
                                      engine_->now(), partition_);
 }
 
-sim::Task<> CoreApi::mpb_put(mem::MpbAddr dst,
-                             std::span<const std::byte> src) {
-  SimTime t =
-      machine_->latency().mpb_bulk(rank_, dst.core, src.size(), /*is_read=*/false);
-  if (dst.core != rank_) {
-    machine_->traffic_of(partition_).record_transfer(rank_, dst.core,
-                                                     mem::lines_for(src.size()));
-    t += contention_delay(rank_, dst.core, src.size());
-  }
+SimTime CoreApi::with_transfer(SimTime t, int mpb_owner, std::size_t bytes,
+                               bool is_read) {
+  if (mpb_owner == rank_) return t;
+  const int from = is_read ? mpb_owner : rank_;
+  const int to = is_read ? rank_ : mpb_owner;
+  machine_->traffic_of(partition_).record_transfer(from, to,
+                                                   mem::lines_for(bytes));
+  return t + contention_delay(from, to, bytes);
+}
+
+MpbStoreCharge CoreApi::mpb_put(mem::MpbAddr dst,
+                                std::span<const std::byte> src) {
+  const SimTime t = with_transfer(
+      machine_->latency().mpb_bulk(rank_, dst.core, src.size(),
+                                   /*is_read=*/false),
+      dst.core, src.size(), /*is_read=*/false);
   if (cross_partition(dst.core)) {
     // The functional store lands on the owner's partition exactly at this
     // charge's completion. The bytes are staged NOW (the caller is blocked
@@ -92,21 +99,13 @@ sim::Task<> CoreApi::mpb_put(mem::MpbAddr dst,
             [m = machine_, dst, staged = std::move(staged)] {
               m->mpb().write(dst, staged);
             }));
-    co_await charge_impl(Phase::kMpbTransfer, t);
-    co_return;
+    return {charge_impl(Phase::kMpbTransfer, t), {nullptr, dst, src}};
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
-  machine_->mpb().write(dst, src);
+  return {charge_impl(Phase::kMpbTransfer, t), {&machine_->mpb(), dst, src}};
 }
 
-sim::Task<> CoreApi::mpb_get(mem::MpbAddr src, std::span<std::byte> dst) {
-  SimTime t =
-      machine_->latency().mpb_bulk(rank_, src.core, dst.size(), /*is_read=*/true);
-  if (src.core != rank_) {
-    machine_->traffic_of(partition_).record_transfer(src.core, rank_,
-                                                     mem::lines_for(dst.size()));
-    t += contention_delay(src.core, rank_, dst.size());
-  }
+MpbLoadCharge CoreApi::load_from(mem::MpbAddr src, std::span<std::byte> dst,
+                                 SimTime t) {
   if (cross_partition(src.core)) {
     // Remote read: the owner's partition copies the bytes out at
     // (completion - lookahead). A read charge pays the boundary twice
@@ -121,75 +120,53 @@ sim::Task<> CoreApi::mpb_get(mem::MpbAddr src, std::span<std::byte> dst) {
         partition_, machine_->partition_of_core(src.core),
         now() + t - lookahead,
         sim::SmallCallable([m = machine_, src, dst] { m->mpb().read(src, dst); }));
-    co_await charge_impl(Phase::kMpbTransfer, t);
-    co_return;
+    return {charge_impl(Phase::kMpbTransfer, t), {nullptr, src, dst}};
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
-  machine_->mpb().read(src, dst);
+  return {charge_impl(Phase::kMpbTransfer, t), {&machine_->mpb(), src, dst}};
 }
 
-sim::Task<> CoreApi::mpb_charge(int mpb_owner, std::size_t bytes,
+MpbLoadCharge CoreApi::mpb_get(mem::MpbAddr src, std::span<std::byte> dst) {
+  return load_from(
+      src, dst,
+      with_transfer(machine_->latency().mpb_bulk(rank_, src.core, dst.size(),
+                                                 /*is_read=*/true),
+                    src.core, dst.size(), /*is_read=*/true));
+}
+
+Charge CoreApi::mpb_charge(int mpb_owner, std::size_t bytes, bool is_read) {
+  const SimTime t = with_transfer(
+      machine_->latency().mpb_bulk(rank_, mpb_owner, bytes, is_read),
+      mpb_owner, bytes, is_read);
+  return charge_impl(Phase::kMpbTransfer, t);
+}
+
+Charge CoreApi::mpb_word_charge(int mpb_owner, std::size_t bytes,
                                 bool is_read) {
-  SimTime t = machine_->latency().mpb_bulk(rank_, mpb_owner, bytes, is_read);
-  if (mpb_owner != rank_) {
-    const int from = is_read ? mpb_owner : rank_;
-    const int to = is_read ? rank_ : mpb_owner;
-    machine_->traffic_of(partition_).record_transfer(from, to,
-                                                     mem::lines_for(bytes));
-    t += contention_delay(from, to, bytes);
-  }
-  co_await charge_impl(Phase::kMpbTransfer, t);
+  const SimTime t = with_transfer(
+      machine_->latency().mpb_word_stream(rank_, mpb_owner, bytes, is_read),
+      mpb_owner, bytes, is_read);
+  return charge_impl(Phase::kMpbTransfer, t);
 }
 
-sim::Task<> CoreApi::mpb_word_charge(int mpb_owner, std::size_t bytes,
-                                     bool is_read) {
-  SimTime t =
-      machine_->latency().mpb_word_stream(rank_, mpb_owner, bytes, is_read);
-  if (mpb_owner != rank_) {
-    const int from = is_read ? mpb_owner : rank_;
-    const int to = is_read ? rank_ : mpb_owner;
-    machine_->traffic_of(partition_).record_transfer(from, to,
-                                                     mem::lines_for(bytes));
-    t += contention_delay(from, to, bytes);
-  }
-  co_await charge_impl(Phase::kMpbTransfer, t);
-}
-
-sim::Task<> CoreApi::mpb_word_get(mem::MpbAddr src, std::span<std::byte> dst) {
-  SimTime t = machine_->latency().mpb_word_stream(rank_, src.core, dst.size(),
-                                                  /*is_read=*/true);
-  if (src.core != rank_) {
-    machine_->traffic_of(partition_).record_transfer(src.core, rank_,
-                                                     mem::lines_for(dst.size()));
-    t += contention_delay(src.core, rank_, dst.size());
-  }
-  if (cross_partition(src.core)) {
-    // Same owner-side copy-out protocol as the cross-partition mpb_get;
-    // word-stream reads also pay the boundary both ways, so the half-
-    // weighted lookahead derivation covers this charge too.
-    const SimTime lookahead = machine_->pdes().lookahead();
-    SCC_EXPECTS(t >= lookahead + lookahead);
-    machine_->pdes().post(
-        partition_, machine_->partition_of_core(src.core),
-        now() + t - lookahead,
-        sim::SmallCallable([m = machine_, src, dst] { m->mpb().read(src, dst); }));
-    co_await charge_impl(Phase::kMpbTransfer, t);
-    co_return;
-  }
-  co_await charge_impl(Phase::kMpbTransfer, t);
-  machine_->mpb().read(src, dst);
+MpbLoadCharge CoreApi::mpb_word_get(mem::MpbAddr src,
+                                    std::span<std::byte> dst) {
+  // Word-stream reads also pay the boundary both ways, so the half-weighted
+  // lookahead derivation covers the cross-partition copy-out too.
+  return load_from(
+      src, dst,
+      with_transfer(
+          machine_->latency().mpb_word_stream(rank_, src.core, dst.size(),
+                                              /*is_read=*/true),
+          src.core, dst.size(), /*is_read=*/true));
 }
 
 sim::Task<> CoreApi::mpb_apply_write(int mpb_owner, std::size_t bytes,
                                      sim::SmallCallable apply) {
   SCC_EXPECTS(static_cast<bool>(apply));
-  SimTime t = machine_->latency().mpb_bulk(rank_, mpb_owner, bytes,
-                                           /*is_read=*/false);
-  if (mpb_owner != rank_) {
-    machine_->traffic_of(partition_).record_transfer(rank_, mpb_owner,
-                                                     mem::lines_for(bytes));
-    t += contention_delay(rank_, mpb_owner, bytes);
-  }
+  const SimTime t = with_transfer(
+      machine_->latency().mpb_bulk(rank_, mpb_owner, bytes,
+                                   /*is_read=*/false),
+      mpb_owner, bytes, /*is_read=*/false);
   if (cross_partition(mpb_owner)) {
     SCC_EXPECTS(t >= machine_->pdes().lookahead());
     machine_->pdes().post(partition_, machine_->partition_of_core(mpb_owner),
@@ -221,21 +198,21 @@ std::size_t norm_bytes(std::size_t bytes) {
 }
 }  // namespace
 
-sim::Task<> CoreApi::priv_read(const void* p, std::size_t bytes) {
+Charge CoreApi::priv_read(const void* p, std::size_t bytes) {
   const auto result =
       machine_->cache(rank_).touch_read(norm_base(p), norm_bytes(bytes));
-  co_await charge_impl(Phase::kPrivMem,
-                       machine_->latency().priv_access(rank_, result));
+  return charge_impl(Phase::kPrivMem,
+                     machine_->latency().priv_access(rank_, result));
 }
 
-sim::Task<> CoreApi::priv_write(void* p, std::size_t bytes) {
+Charge CoreApi::priv_write(void* p, std::size_t bytes) {
   const auto result =
       machine_->cache(rank_).touch_write(norm_base(p), norm_bytes(bytes));
-  co_await charge_impl(Phase::kPrivMem,
-                       machine_->latency().priv_access(rank_, result));
+  return charge_impl(Phase::kPrivMem,
+                     machine_->latency().priv_access(rank_, result));
 }
 
-sim::Task<> CoreApi::flag_set(FlagRef ref, FlagValue value) {
+FlagSetCharge CoreApi::flag_set(FlagRef ref, FlagValue value) {
   SimTime t =
       machine_->latency().mpb_line_access(rank_, ref.owner_core,
                                           /*is_read=*/false) +
@@ -244,9 +221,10 @@ sim::Task<> CoreApi::flag_set(FlagRef ref, FlagValue value) {
   // The deposit lands at the END of this charge; the "set c:i" detail lets
   // the blame engine pair a waiter's wakeup with the setting core (the
   // waiter's wait interval ends exactly when this interval does).
-  std::string detail;
+  char detail[32] = "";
   if (machine_->trace_of(partition_) != nullptr) {
-    detail = strprintf("set %d:%d", ref.owner_core, ref.index);
+    std::snprintf(detail, sizeof detail, "set %d:%d", ref.owner_core,
+                  ref.index);
   }
   if (cross_partition(ref.owner_core)) {
     // The deposit is the flag's functional effect: it must execute on the
@@ -257,11 +235,10 @@ sim::Task<> CoreApi::flag_set(FlagRef ref, FlagValue value) {
         partition_, machine_->partition_of_core(ref.owner_core), now() + t,
         sim::SmallCallable(
             [m = machine_, ref, value] { m->flags().deposit(ref, value); }));
-    co_await charge_impl(Phase::kFlagOp, t, std::move(detail));
-    co_return;
+    return {charge_impl(Phase::kFlagOp, t, detail), {nullptr, ref, value}};
   }
-  co_await charge_impl(Phase::kFlagOp, t, std::move(detail));
-  machine_->flags().deposit(ref, value);
+  return {charge_impl(Phase::kFlagOp, t, detail),
+          {&machine_->flags(), ref, value}};
 }
 
 sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
@@ -309,12 +286,11 @@ sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
   co_return machine_->flags().value(ref);
 }
 
-sim::Task<FlagValue> CoreApi::flag_read(FlagRef ref) {
+FlagReadCharge CoreApi::flag_read(FlagRef ref) {
   SCC_EXPECTS(!cross_partition(ref.owner_core));
   const SimTime t = machine_->latency().mpb_line_access(rank_, ref.owner_core,
                                                         /*is_read=*/true);
-  co_await charge_impl(Phase::kFlagOp, t);
-  co_return machine_->flags().value(ref);
+  return {charge_impl(Phase::kFlagOp, t), {&machine_->flags(), ref}};
 }
 
 FlagValue CoreApi::flag_peek(FlagRef ref) const {

@@ -15,9 +15,11 @@
 // before flag writes on the real chip for the same reason).
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
 #include <span>
-#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "common/time.hpp"
 #include "machine/flags.hpp"
@@ -27,15 +29,75 @@
 #include "mem/latency.hpp"
 #include "mem/mpb.hpp"
 #include "sim/callable.hpp"
+#include "sim/engine.hpp"
 #include "sim/task.hpp"
-
-namespace scc::sim {
-class Engine;
-}
 
 namespace scc::machine {
 
 class SccMachine;
+
+/// Awaiter returned by the leaf CoreApi ops with a completion effect: it
+/// sleeps the calling coroutine for the op's charge, then runs `Effect` on
+/// resume and returns its result. The op computes the charge and records it (profile, trace)
+/// when called; callers co_await the op in the same full expression, so
+/// that is the instant the charge issues. No frame, no allocation; the
+/// awaiter and every effect are trivially copyable, so a co_await
+/// temporary cannot own anything (DESIGN.md §16).
+template <typename Effect>
+struct [[nodiscard]] ChargeAwaiter {
+  sim::Engine::Sleep sleep;
+  Effect effect;
+
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    sleep.await_suspend(h);
+  }
+  auto await_resume() const { return effect(); }
+};
+
+/// Completion effects. A null storage pointer means the effect was posted
+/// to the owner's partition instead (cross-partition access).
+struct MpbStore {
+  mem::MpbStorage* mpb;
+  mem::MpbAddr dst;
+  std::span<const std::byte> src;
+  void operator()() const {
+    if (mpb != nullptr) mpb->write(dst, src);
+  }
+};
+struct MpbLoad {
+  const mem::MpbStorage* mpb;
+  mem::MpbAddr src;
+  std::span<std::byte> dst;
+  void operator()() const {
+    if (mpb != nullptr) mpb->read(src, dst);
+  }
+};
+struct FlagDeposit {
+  FlagFile* flags;
+  FlagRef ref;
+  FlagValue value;
+  void operator()() const {
+    if (flags != nullptr) flags->deposit(ref, value);
+  }
+};
+struct FlagLoad {
+  const FlagFile* flags;
+  FlagRef ref;
+  [[nodiscard]] FlagValue operator()() const { return flags->value(ref); }
+};
+
+/// A charge with no completion effect is the bare sleep.
+using Charge = sim::Engine::Sleep;
+using MpbStoreCharge = ChargeAwaiter<MpbStore>;
+using MpbLoadCharge = ChargeAwaiter<MpbLoad>;
+using FlagSetCharge = ChargeAwaiter<FlagDeposit>;
+using FlagReadCharge = ChargeAwaiter<FlagLoad>;
+static_assert(std::is_trivially_copyable_v<Charge>);
+static_assert(std::is_trivially_copyable_v<MpbStoreCharge>);
+static_assert(std::is_trivially_copyable_v<MpbLoadCharge>);
+static_assert(std::is_trivially_copyable_v<FlagSetCharge>);
+static_assert(std::is_trivially_copyable_v<FlagReadCharge>);
 
 class CoreApi {
  public:
@@ -55,34 +117,29 @@ class CoreApi {
 
   // --- time-only operations -------------------------------------------
   /// Application arithmetic: n core cycles of compute.
-  [[nodiscard]] sim::Task<> compute(std::uint64_t core_cycles);
+  Charge compute(std::uint64_t core_cycles);
   /// Library instruction-path overhead: n core cycles.
-  [[nodiscard]] sim::Task<> overhead(std::uint64_t core_cycles);
+  Charge overhead(std::uint64_t core_cycles);
   /// Busy poll-loop cycles inside rcce_wait_until-style spin waits, charged
   /// to Phase::kFlagWait: a function-level profiler attributes them to the
   /// wait primitive even when the flag is already up (paper Section IV-A).
   /// `after_cycles` names the preceding same-site charge: the poll duration
   /// is computed as cycles(after + poll) - cycles(after) so a split charge
   /// pair sums bit-exactly to the unsplit total (Clock::cycles rounds).
-  [[nodiscard]] sim::Task<> wait_poll(std::uint64_t core_cycles,
-                                      std::uint64_t after_cycles = 0);
+  Charge wait_poll(std::uint64_t core_cycles, std::uint64_t after_cycles = 0);
   /// Raw charge attributed to an explicit phase.
-  [[nodiscard]] sim::Task<> charge(Phase phase, SimTime duration);
+  Charge charge(Phase phase, SimTime duration);
 
   // --- MPB data movement ----------------------------------------------
   /// Copies bytes from this core's private buffer into an MPB.
-  [[nodiscard]] sim::Task<> mpb_put(mem::MpbAddr dst,
-                                    std::span<const std::byte> src);
+  MpbStoreCharge mpb_put(mem::MpbAddr dst, std::span<const std::byte> src);
   /// Copies bytes from an MPB into this core's private buffer.
-  [[nodiscard]] sim::Task<> mpb_get(mem::MpbAddr src,
-                                    std::span<std::byte> dst);
+  MpbLoadCharge mpb_get(mem::MpbAddr src, std::span<std::byte> dst);
   /// Timing-only MPB access charge (fused kernels apply their own effect).
-  [[nodiscard]] sim::Task<> mpb_charge(int mpb_owner, std::size_t bytes,
-                                       bool is_read);
+  Charge mpb_charge(int mpb_owner, std::size_t bytes, bool is_read);
   /// Timing-only charge for word-granular uncached MPB streaming (the
   /// direct-reduction data path of Section IV-D).
-  [[nodiscard]] sim::Task<> mpb_word_charge(int mpb_owner, std::size_t bytes,
-                                            bool is_read);
+  Charge mpb_word_charge(int mpb_owner, std::size_t bytes, bool is_read);
   /// Fused word-granular MPB read: charges mpb_word_stream for dst.size()
   /// bytes (traffic/contention included, like mpb_word_charge) and copies
   /// them from `src` into the caller's private buffer at completion. On a
@@ -91,8 +148,7 @@ class CoreApi {
   /// copy is performed by the MPB owner's partition at
   /// (completion - lookahead), which the read charge provably clears
   /// (charge >= 2 x lookahead, audited).
-  [[nodiscard]] sim::Task<> mpb_word_get(mem::MpbAddr src,
-                                         std::span<std::byte> dst);
+  MpbLoadCharge mpb_word_get(mem::MpbAddr src, std::span<std::byte> dst);
 
   /// Fused bulk MPB write: charges mpb_bulk(write) for `bytes` (traffic/
   /// contention included, like mpb_charge), then runs `apply` -- which must
@@ -114,12 +170,12 @@ class CoreApi {
                                                 std::size_t bytes);
 
   // --- private (cacheable, off-chip) memory ----------------------------
-  [[nodiscard]] sim::Task<> priv_read(const void* p, std::size_t bytes);
-  [[nodiscard]] sim::Task<> priv_write(void* p, std::size_t bytes);
+  Charge priv_read(const void* p, std::size_t bytes);
+  Charge priv_write(void* p, std::size_t bytes);
 
   // --- synchronization flags -------------------------------------------
   /// Writes a flag value (local or remote MPB write + fence).
-  [[nodiscard]] sim::Task<> flag_set(FlagRef ref, FlagValue value);
+  FlagSetCharge flag_set(FlagRef ref, FlagValue value);
   /// Blocks until the flag equals `value`; charges the detecting read (the
   /// final poll iteration). Wait time and the detecting read are both
   /// attributed to Phase::kFlagWait (rcce_wait_until).
@@ -131,7 +187,7 @@ class CoreApi {
   [[nodiscard]] sim::Task<FlagValue> flag_wait_change(FlagRef ref,
                                                       FlagValue last_seen);
   /// Non-blocking probe: charges one flag read, returns current value.
-  [[nodiscard]] sim::Task<FlagValue> flag_read(FlagRef ref);
+  FlagReadCharge flag_read(FlagRef ref);
   /// Zero-cost peek for simulator-internal decisions (not charged).
   [[nodiscard]] FlagValue flag_peek(FlagRef ref) const;
 
@@ -141,11 +197,21 @@ class CoreApi {
   [[nodiscard]] sim::Task<> sync_barrier();
 
  private:
-  /// `detail` annotates the traced interval (e.g. "set 3:7" on the flag-set
-  /// charge so the blame engine can match waiters to their setter); empty
-  /// detail keeps the old behaviour.
-  [[nodiscard]] sim::Task<> charge_impl(Phase phase, SimTime duration,
-                                        std::string detail = {});
+  /// Records a charge (profile, and the traced interval when a recorder is
+  /// attached) and returns the sleep that pays it. `detail` annotates the
+  /// traced interval (e.g. "set 3:7" on the flag-set charge so the blame
+  /// engine can match waiters to their setter); it is copied only when
+  /// tracing.
+  [[nodiscard]] sim::Engine::Sleep charge_impl(Phase phase, SimTime duration,
+                                               std::string_view detail = {});
+  /// The MPB read `src` -> `dst` paying `t`: applied at completion, or
+  /// posted to the owner's partition as a copy-out when it is remote.
+  [[nodiscard]] MpbLoadCharge load_from(mem::MpbAddr src,
+                                        std::span<std::byte> dst, SimTime t);
+  /// Traffic and contention for a bulk or word-stream MPB access by this
+  /// core to `mpb_owner`'s MPB, added to its latency `t`.
+  [[nodiscard]] SimTime with_transfer(SimTime t, int mpb_owner,
+                                      std::size_t bytes, bool is_read);
   /// Extra queueing delay from the optional link-contention model.
   [[nodiscard]] SimTime contention_delay(int from, int to, std::size_t bytes);
   /// True when `core` lives on another event-loop partition (always false

@@ -17,11 +17,17 @@
 //
 // The model is a timing filter only: it classifies each touched line as
 // hit or miss. Data lives in ordinary host memory.
+//
+// Storage is flat and grows on demand: resident lines are nodes in one
+// vector, LRU-linked by index, found through an open-addressing (linear
+// probing, backward-shift deletion) table of node indices. A miss on a full
+// cache reuses the evicted line's node, so a warm cache allocates nothing,
+// and a core that touches few lines never pays for the capacity it does
+// not use.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "mem/cost_model.hpp"
@@ -70,23 +76,41 @@ class CacheModel {
   /// the flush: they count accesses, not contents.
   void flush_all();
 
-  [[nodiscard]] std::uint64_t resident_lines() const { return map_.size(); }
+  [[nodiscard]] std::uint64_t resident_lines() const { return nodes_.size(); }
   [[nodiscard]] std::uint64_t capacity_lines() const { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    std::list<std::uintptr_t>::iterator lru_pos;
-    bool dirty = false;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct Node {
+    std::uintptr_t line;
+    std::uint32_t prev;  // toward the most recently used end
+    std::uint32_t next;  // toward the least recently used end
+    bool dirty;
   };
 
-  /// Inserts `line` as most-recently-used; evicts LRU on overflow.
+  [[nodiscard]] std::size_t home(std::uintptr_t line) const;
+  /// Table position holding `line`'s node, or the empty position where the
+  /// probe for it stops.
+  [[nodiscard]] std::size_t probe(std::uintptr_t line) const;
+  /// The node holding `line`, or kNil when it is not resident.
+  [[nodiscard]] std::uint32_t find(std::uintptr_t line) const;
+  void make_mru(std::uint32_t node);
+  /// Inserts `line` as most-recently-used, evicting the LRU line when full.
   /// Returns true when the eviction wrote back a dirty line.
   bool insert(std::uintptr_t line);
+  void unlink(std::uint32_t node);
+  void push_front(std::uint32_t node);
+  void erase_slot(std::size_t pos);
+  void grow_table();
 
   std::uint64_t capacity_;
-  std::list<std::uintptr_t> lru_;  // front = most recently used
-  std::unordered_map<std::uintptr_t, Entry> map_;
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> table_;  // node index per position, or kNil
+  unsigned shift_ = 64;               // 64 - log2(table_.size())
+  std::uint32_t mru_ = kNil;
+  std::uint32_t lru_ = kNil;
   CacheStats stats_;
 };
 

@@ -12,8 +12,7 @@ void Engine::enable_perturbation(PerturbConfig config) {
   perturb_rng_ = Xoshiro256(config.seed);
 }
 
-void Engine::push_event(SimTime when, std::coroutine_handle<> h,
-                        SmallCallable fn) {
+void Engine::push_event(SimTime when, std::uintptr_t payload) {
   std::uint64_t tie = 0;
   if (perturb_) {
     tie = perturb_rng_();
@@ -41,19 +40,33 @@ void Engine::push_event(SimTime when, std::coroutine_handle<> h,
       }
     }
   }
-  queue_.push(Event{when, tie, next_seq_++, h, std::move(fn)});
+  queue_.push(Event{when, tie, next_seq_++, payload});
 }
 
 void Engine::schedule_resume(SimTime when, std::coroutine_handle<> h) {
   SCC_EXPECTS(when >= now_);
   SCC_EXPECTS(h != nullptr);
-  push_event(when, h, {});
+  const auto address = reinterpret_cast<std::uintptr_t>(h.address());
+  SCC_ASSERT((address & 1) == 0);
+  push_event(when, address);
 }
 
 void Engine::schedule_call(SimTime when, SmallCallable fn) {
   SCC_EXPECTS(when >= now_);
   SCC_EXPECTS(static_cast<bool>(fn));
-  push_event(when, nullptr, std::move(fn));
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(calls_.size());
+    calls_.push_back(std::move(fn));
+    // Every slot can be free at once: with room reserved here, dispatch's
+    // push_back never allocates.
+    free_slots_.reserve(calls_.capacity());
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    calls_[slot] = std::move(fn);
+  }
+  push_event(when, (std::uintptr_t{slot} << 1) | 1);
 }
 
 void Engine::spawn(Task<> task, std::string name) {
@@ -72,7 +85,7 @@ void Engine::spawn(Task<> task, std::string name) {
   // Task is lazy; kick it off at the current time through the queue so
   // spawn order equals first-run order (under perturbation the start order
   // is permuted like any other equal-time batch).
-  push_event(now_, roots_.back().task.native_handle(), {});
+  schedule_resume(now_, roots_.back().task.native_handle());
 }
 
 void Engine::set_probe(SimTime interval, std::function<void(SimTime)> fn) {
@@ -114,19 +127,26 @@ void Engine::dispatch(Event ev) {
   if (ev.when >= probe_due_) fire_probe(ev.when);
   now_ = ev.when;
   ++events_processed_;
-  if (ev.handle) {
-    ev.handle.resume();
-  } else {
-    ev.call();
+  if ((ev.payload & 1) == 0) {
+    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.payload))
+        .resume();
+    return;
   }
+  // Move the callable out and free its slot before invoking it: the call
+  // may schedule further callables, which can reuse the slot or grow (and
+  // so relocate) the slab. A throwing call then leaves no slot behind.
+  const auto slot = static_cast<std::uint32_t>(ev.payload >> 1);
+  SmallCallable call = std::move(calls_[slot]);
+  free_slots_.push_back(slot);
+  call();
 }
 
 void Engine::drain() {
   SCC_EXPECTS(!running_);
   const RunningGuard guard{&running_};
   while (!queue_.empty()) {
-    // pop_min moves the event (and its callable) out of the heap: the hot
-    // loop neither copies events nor touches the allocator.
+    // Events are 32-byte trivially copyable keys; a callable stays in its
+    // slab slot until dispatch, so the hot loop never relocates one.
     dispatch(queue_.pop_min());
   }
 }

@@ -20,6 +20,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -126,17 +127,22 @@ class Engine {
   /// Awaitable: suspend the current coroutine for `duration`.
   /// Zero-duration sleeps still round-trip through the queue so two tasks
   /// "running at the same instant" interleave deterministically.
-  [[nodiscard]] auto sleep_for(SimTime duration) {
-    struct Awaiter {
-      Engine& engine;
-      SimTime wake;
-      [[nodiscard]] bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        engine.schedule_resume(wake, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, now_ + duration};
+  /// The awaiter is trivially copyable (an engine pointer and a wake time),
+  /// so leaf awaiters built on it never own state a co_await temporary could
+  /// double-free (DESIGN.md §16). [[nodiscard]]: a CoreApi op records its
+  /// charge when called, so dropping the awaiter would profile time that
+  /// never passed.
+  struct [[nodiscard]] Sleep {
+    Engine* engine;
+    SimTime wake;
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      engine->schedule_resume(wake, h);
+    }
+    void await_resume() const noexcept {}
+  };
+  [[nodiscard]] Sleep sleep_for(SimTime duration) {
+    return Sleep{this, now_ + duration};
   }
 
   /// Registers a root task (e.g. one simulated core's program). The engine
@@ -187,22 +193,23 @@ class Engine {
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
 
  private:
+  /// Heap key: 32 trivially copyable bytes, so every sift step is a plain
+  /// copy. `payload` is a coroutine frame address (resume events; frames
+  /// are at least pointer-aligned, so the low bit is free) or, with the low
+  /// bit set, `(slot << 1) | 1` for a callable parked in `calls_`.
   struct Event {
     SimTime when;
     std::uint64_t tie;  // 0 unperturbed; seeded-random key under perturbation
     std::uint64_t seq;
-    std::coroutine_handle<> handle;    // either handle ...
-    SmallCallable call;                // ... or call is set
-    Event() : when(), tie(0), seq(0), handle(nullptr) {}
-    Event(SimTime w, std::uint64_t t, std::uint64_t s,
-          std::coroutine_handle<> h, SmallCallable c)
-        : when(w), tie(t), seq(s), handle(h), call(std::move(c)) {}
+    std::uintptr_t payload;
     friend bool operator>(const Event& a, const Event& b) {
       if (a.when != b.when) return a.when > b.when;
       if (a.tie != b.tie) return a.tie > b.tie;
       return a.seq > b.seq;
     }
   };
+  static_assert(sizeof(Event) == 32);
+  static_assert(std::is_trivially_copyable_v<Event>);
 
   struct Root {
     Task<> task;
@@ -221,10 +228,15 @@ class Engine {
   };
 
   void dispatch(Event ev);
-  void push_event(SimTime when, std::coroutine_handle<> h, SmallCallable fn);
+  void push_event(SimTime when, std::uintptr_t payload);
   void fire_probe(SimTime limit);
 
   MoveHeap<Event, std::greater<>> queue_;
+  // Callable slab: schedule_call parks its callable here and the event
+  // carries the slot index. Slots are recycled through free_slots_, so the
+  // slab grows to the peak number of pending callables and no further.
+  std::vector<SmallCallable> calls_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<Root> roots_;
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;

@@ -19,6 +19,8 @@ PdesEngine::PdesEngine(PdesConfig config)
     : config_(config),
       outboxes_(static_cast<std::size_t>(config.partitions) *
                 static_cast<std::size_t>(config.partitions)),
+      posted_(static_cast<std::size_t>(config.partitions), 0),
+      next_(static_cast<std::size_t>(config.partitions)),
       pool_(std::min(std::max(config.workers, 1), config.partitions),
             config.instrument_workers) {
   SCC_EXPECTS(config.partitions >= 1);
@@ -43,20 +45,24 @@ void PdesEngine::post(int source, int target, SimTime when, SmallCallable fn) {
                 static_cast<std::size_t>(partitions()) +
             static_cast<std::size_t>(target)]
       .push_back(Pending{when, std::move(fn)});
+  posted_[static_cast<std::size_t>(source)] = 1;
 }
 
 void PdesEngine::flush_outboxes(SimTime floor) {
   // Fixed (target, source, FIFO) order: the target engine's sequence
   // counters advance identically for every worker count -- this is the
   // deterministic merge that keeps the whole drain bit-identical to serial.
+  // Sources that posted nothing this window have empty rows and are
+  // skipped, which leaves the order unchanged.
+  if (std::find(posted_.begin(), posted_.end(), 1) == posted_.end()) return;
+  const auto num = static_cast<std::size_t>(partitions());
   std::uint64_t merged = 0;
-  for (int target = 0; target < partitions(); ++target) {
-    Engine& engine = *engines_[static_cast<std::size_t>(target)];
-    for (int source = 0; source < partitions(); ++source) {
-      std::vector<Pending>& box =
-          outboxes_[static_cast<std::size_t>(source) *
-                        static_cast<std::size_t>(partitions()) +
-                    static_cast<std::size_t>(target)];
+  for (std::size_t target = 0; target < num; ++target) {
+    Engine& engine = *engines_[target];
+    const std::uint64_t merged_before = merged;
+    for (std::size_t source = 0; source < num; ++source) {
+      if (posted_[source] == 0) continue;
+      std::vector<Pending>& box = outboxes_[source * num + target];
       for (Pending& pending : box) {
         // The conservative contract: nothing posted during a window may
         // land before the window's horizon. A violation means the posting
@@ -77,36 +83,60 @@ void PdesEngine::flush_outboxes(SimTime floor) {
       }
       box.clear();
     }
+    if (merged != merged_before) next_[target] = engine.next_event_time();
   }
+  std::fill(posted_.begin(), posted_.end(), 0);
   stats_.max_window_posts = std::max(stats_.max_window_posts, merged);
 }
 
 void PdesEngine::drain_windows() {
   const auto num = static_cast<std::size_t>(partitions());
+  // A window drains only the partitions with an event below its horizon:
+  // any other partition's drain_until would return at once, since nothing
+  // reaches a heap mid-window (cross-partition posts wait in the
+  // outboxes). Each partition's next event time is cached in next_ and
+  // refreshed only where its heap can have changed: by the worker that
+  // drains it and by flush_outboxes for each target it merges into; setup
+  // code, the quiescence hook and a saturated drain are followed by a full
+  // refresh. Touching only the busy partitions' state is what keeps a
+  // window cheap. The round body is built once and reads `horizon` and
+  // `busy` by reference; each call writes only its own partition's slot.
+  SimTime horizon;
+  std::vector<std::size_t> busy;
+  busy.reserve(num);
+  const std::function<void(std::size_t)> drain_busy = [&](std::size_t i) {
+    Engine& engine = *engines_[busy[i]];
+    engine.drain_until(horizon);
+    next_[busy[i]] = engine.next_event_time();
+  };
+  const auto refresh_all = [&] {
+    for (std::size_t p = 0; p < num; ++p)
+      next_[p] = engines_[p]->next_event_time();
+  };
+  refresh_all();
   for (;;) {
     std::optional<SimTime> t_min;
-    for (auto& engine : engines_) {
-      const std::optional<SimTime> t = engine->next_event_time();
-      if (t && (!t_min || *t < *t_min)) t_min = *t;
-    }
+    for (const std::optional<SimTime>& t : next_)
+      if (t && (!t_min || *t < *t_min)) t_min = t;
     if (!t_min) {
       // Heaps are dry. Posts buffered outside a window (setup code calling
       // post() before run()) may still be pending; merge them with no
       // conservative floor -- nothing is executing -- and keep going.
-      bool any = false;
-      for (const auto& box : outboxes_) any = any || !box.empty();
-      if (any) {
+      if (std::find(posted_.begin(), posted_.end(), 1) != posted_.end()) {
         flush_outboxes(SimTime::zero());
         continue;
       }
       // Fully quiescent. Machine-level coordination with no mesh latency of
       // its own (the harness barrier) gets one chance to release waiters;
       // if it schedules anything the window loop keeps going.
-      if (quiescence_hook_ && quiescence_hook_()) continue;
+      if (quiescence_hook_ && quiescence_hook_()) {
+        refresh_all();
+        continue;
+      }
       break;
     }
 
-    const SimTime horizon = saturating_add(*t_min, config_.lookahead);
+    horizon = saturating_add(*t_min, config_.lookahead);
     const std::uint64_t before = events_processed();
     ++stats_.windows;
     if (horizon == SimTime::max()) {
@@ -114,9 +144,12 @@ void PdesEngine::drain_windows() {
       // clamped exactly at SimTime::max(); the unbounded drain takes them.
       ++stats_.saturated_windows;
       pool_.run_round(num, [&](std::size_t p) { engines_[p]->drain(); });
+      refresh_all();
     } else {
-      pool_.run_round(
-          num, [&](std::size_t p) { engines_[p]->drain_until(horizon); });
+      busy.clear();
+      for (std::size_t p = 0; p < num; ++p)
+        if (next_[p] && *next_[p] < horizon) busy.push_back(p);
+      pool_.run_round(busy.size(), drain_busy);
     }
     stats_.max_window_events =
         std::max(stats_.max_window_events, events_processed() - before);

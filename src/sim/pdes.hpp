@@ -199,6 +199,13 @@ class PdesEngine {
   /// draining `source` during a window, drained only by the coordinator at
   /// the barrier (the pool round is the synchronization point).
   std::vector<std::vector<Pending>> outboxes_;
+  /// posted_[source] != 0 when `source`'s outbox row is non-empty (same
+  /// single-writer rule), so a window without posts skips the merge scan.
+  std::vector<std::uint8_t> posted_;
+  /// Each partition's next event time as of its last change (see
+  /// drain_windows); written by the partition's drain worker or by the
+  /// coordinator between rounds.
+  std::vector<std::optional<SimTime>> next_;
   exec::WorkerPool pool_;
   PdesStats stats_;
   std::function<void(SimTime)> window_probe_;

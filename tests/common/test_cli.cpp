@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace scc {
 namespace {
 
@@ -136,6 +140,70 @@ TEST(Cli, GetPositiveIntErrorNamesTheFlag) {
     EXPECT_NE(std::string(e.what()).find("positive integer"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Cli, GetIntRejectsOutOfRange) {
+  // strtoll saturates at the int64 limits and flags ERANGE; the saturated
+  // value used to pass as if the user had typed it.
+  for (const char* arg : {"--n=9223372036854775808", "--n=-9223372036854775809",
+                          "--n=18446744073709551617"}) {
+    EXPECT_THROW(static_cast<void>(parse({arg}).get_int("n", 0)),
+                 std::runtime_error)
+        << arg;
+  }
+  EXPECT_EQ(parse({"--n=9223372036854775807"}).get_int("n", 0),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(parse({"--n=-9223372036854775808"}).get_int("n", 0),
+            std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(Cli, GetDoubleRejectsNonFinite) {
+  // "nan" reached SimTime::from_us in traffic_gen and collective_playground
+  // (undefined behaviour), and "1e999" parses to +inf.
+  for (const char* arg : {"--d=nan", "--d=-nan", "--d=NAN", "--d=inf",
+                          "--d=-inf", "--d=infinity", "--d=1e999",
+                          "--d=-1e999"}) {
+    EXPECT_THROW(static_cast<void>(parse({arg}).get_double("d", 0.0)),
+                 std::runtime_error)
+        << arg;
+  }
+  EXPECT_DOUBLE_EQ(parse({"--d=-5"}).get_double("d", 0.0), -5.0);
+  EXPECT_DOUBLE_EQ(parse({"--d=1e300"}).get_double("d", 0.0), 1e300);
+}
+
+TEST(Cli, GetIntInFallsBackWhenAbsentAndAcceptsBounds) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  EXPECT_EQ(parse({}).get_int_in("n", 4, 0), 4);
+  EXPECT_EQ(parse({"--n=0"}).get_int_in("n", 4, 0), 0);
+  EXPECT_EQ(parse({"--n=2147483647"}).get_int_in("n", 4, 0), kIntMax);
+  EXPECT_EQ(parse({"--reps=1"}).get_positive_int("reps", 4), 1);
+}
+
+TEST(Cli, GetIntInRejectsValuesThatDoNotNarrow) {
+  // --streams=4294967297 and --reps=4294967297 used to run with 1 after
+  // static_cast<int>; --elements=-1 became a huge size_t.
+  for (const char* arg : {"--v=4294967297", "--v=2147483648", "--v=-1",
+                          "--v=18446744073709551617", "--v=abc"}) {
+    EXPECT_THROW(static_cast<void>(parse({arg}).get_int_in("v", 1, 0)),
+                 std::runtime_error)
+        << arg;
+    EXPECT_THROW(static_cast<void>(parse({arg}).get_positive_int("v", 1)),
+                 std::runtime_error)
+        << arg;
+  }
+}
+
+TEST(Cli, GetIntInErrorNamesTheFlagAndRange) {
+  try {
+    static_cast<void>(
+        parse({"--streams=4294967297"}).get_positive_int("streams", 4));
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--streams"), std::string::npos) << what;
+    EXPECT_NE(what.find("[1, 2147483647]"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967297"), std::string::npos) << what;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace scc {
 namespace {
 
@@ -47,6 +49,32 @@ TEST(SimTime, CompoundAssignment) {
 TEST(SimTimeDeath, UnderflowAborts) {
   SimTime t{1};
   EXPECT_DEATH(t -= SimTime{2}, "invariant");
+}
+
+TEST(SimTime, RepresentableRange) {
+  EXPECT_TRUE(SimTime::representable_us(0.0));
+  EXPECT_TRUE(SimTime::representable_us(1.8e10));
+  EXPECT_FALSE(SimTime::representable_us(1.9e10));  // > 2^64 fs
+  EXPECT_FALSE(SimTime::representable_us(-5.0));
+  EXPECT_FALSE(
+      SimTime::representable_us(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(
+      SimTime::representable_ns(std::numeric_limits<double>::infinity()));
+  EXPECT_TRUE(SimTime::representable_ns(1.8e13));
+  EXPECT_FALSE(SimTime::representable_ns(1.9e13));
+}
+
+TEST(SimTimeDeath, ConversionRejectsNegativeNonFiniteAndHuge) {
+  // Converting these to uint64_t is undefined behaviour; the contract
+  // check turns it into a diagnosable abort.
+  EXPECT_DEATH(static_cast<void>(SimTime::from_us(-5.0)), "precondition");
+  EXPECT_DEATH(static_cast<void>(SimTime::from_us(
+                   std::numeric_limits<double>::quiet_NaN())),
+               "precondition");
+  EXPECT_DEATH(static_cast<void>(SimTime::from_ns(
+                   std::numeric_limits<double>::infinity())),
+               "precondition");
+  EXPECT_DEATH(static_cast<void>(SimTime::from_us(1e20)), "precondition");
 }
 
 TEST(Clock, CoreClockCycleDuration) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+
+#include "common/rng.hpp"
+
 namespace scc::mem {
 namespace {
 
@@ -116,6 +121,143 @@ TEST(Cache, DeterministicForShiftedAddresses) {
     return misses;
   };
   EXPECT_EQ(classify(0x10000), classify(0x73420));
+}
+
+// The list + map LRU that CacheModel's flat storage replaced, kept as the
+// reference the differential test below holds it to.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(const HwCostModel& hw)
+      : capacity_(hw.cache_bytes / kCacheLineBytes) {}
+
+  CacheAccessResult touch_read(std::uintptr_t addr, std::size_t bytes) {
+    CacheAccessResult result;
+    if (bytes == 0) return result;
+    for (std::uintptr_t line = addr / kCacheLineBytes;
+         line <= (addr + bytes - 1) / kCacheLineBytes; ++line) {
+      const auto it = map_.find(line);
+      if (it != map_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        ++result.hits;
+        continue;
+      }
+      ++result.misses;
+      lru_.push_front(line);
+      map_.emplace(line, Entry{lru_.begin(), false});
+      if (map_.size() > capacity_) {
+        const auto victim = map_.find(lru_.back());
+        if (victim->second.dirty) ++result.writebacks;
+        map_.erase(victim);
+        lru_.pop_back();
+      }
+    }
+    stats_ += result;
+    return result;
+  }
+
+  CacheAccessResult touch_write(std::uintptr_t addr, std::size_t bytes) {
+    CacheAccessResult result;
+    if (bytes == 0) return result;
+    for (std::uintptr_t line = addr / kCacheLineBytes;
+         line <= (addr + bytes - 1) / kCacheLineBytes; ++line) {
+      const auto it = map_.find(line);
+      if (it != map_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        it->second.dirty = true;
+        ++result.hits;
+        continue;
+      }
+      ++result.uncached_writes;
+    }
+    stats_ += result;
+    return result;
+  }
+
+  void flush_all() {
+    lru_.clear();
+    map_.clear();
+  }
+
+  [[nodiscard]] std::uint64_t resident_lines() const { return map_.size(); }
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    std::list<std::uintptr_t>::iterator lru_pos;
+    bool dirty;
+  };
+  std::uint64_t capacity_;
+  std::list<std::uintptr_t> lru_;  // front = most recently used
+  std::unordered_map<std::uintptr_t, Entry> map_;
+  CacheStats stats_;
+};
+
+void expect_same(const CacheAccessResult& got, const CacheAccessResult& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.writebacks, want.writebacks);
+  EXPECT_EQ(got.uncached_writes, want.uncached_writes);
+}
+
+// Seeded random traces over a working set three times the capacity: reads
+// and writes, sub-line, line-straddling and multi-line extents, and a
+// flush_all half-way and about every 4 x capacity accesses, so the cache
+// fills, evicts and refills. Every call must classify exactly as the reference.
+void run_differential(const HwCostModel& hw, std::uint64_t seed,
+                      int accesses) {
+  CacheModel cache{hw};
+  ReferenceLru reference{hw};
+  Xoshiro256 rng(seed);
+  const std::uint64_t lines = hw.cache_bytes / kCacheLineBytes;
+  const std::uint64_t span_bytes = 3 * lines * kCacheLineBytes;
+  int flushes = 0;
+  bool filled = false;
+  for (int i = 0; i < accesses; ++i) {
+    if (rng.below(4 * lines) == 0 || i == accesses / 2) {
+      cache.flush_all();
+      reference.flush_all();
+      ++flushes;
+    } else {
+      const bool read = rng.below(5) < 3;
+      // Mostly short extents (partial or straddling one boundary), some
+      // long runs of whole lines.
+      const std::size_t bytes =
+          rng.below(8) == 0
+              ? static_cast<std::size_t>(rng.below(16 * kCacheLineBytes + 1))
+              : static_cast<std::size_t>(1 + rng.below(kCacheLineBytes));
+      const std::uintptr_t addr = 0x40000 + rng.below(span_bytes);
+      if (read) {
+        expect_same(cache.touch_read(addr, bytes),
+                    reference.touch_read(addr, bytes));
+      } else {
+        expect_same(cache.touch_write(addr, bytes),
+                    reference.touch_write(addr, bytes));
+      }
+    }
+    ASSERT_EQ(cache.resident_lines(), reference.resident_lines()) << i;
+    ASSERT_EQ(cache.stats().hits, reference.stats().hits) << i;
+    ASSERT_EQ(cache.stats().misses, reference.stats().misses) << i;
+    ASSERT_EQ(cache.stats().writebacks, reference.stats().writebacks) << i;
+    ASSERT_EQ(cache.stats().uncached_writes,
+              reference.stats().uncached_writes)
+        << i;
+    filled = filled || cache.resident_lines() == lines;
+  }
+  // The trace exercised what it claims to: full-cache eviction (of dirty
+  // lines too) and flushes mid-trace.
+  EXPECT_TRUE(filled);
+  EXPECT_GT(cache.stats().writebacks, 0u);
+  EXPECT_GT(flushes, 0);
+}
+
+TEST(Cache, MatchesReferenceLruOnTinyCache) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    run_differential(tiny_cache(), seed, 4000);
+}
+
+TEST(Cache, MatchesReferenceLruOnDefaultCache) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    run_differential(HwCostModel{}, seed, 80000);
 }
 
 }  // namespace

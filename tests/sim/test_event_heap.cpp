@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/callable.hpp"
 
 namespace scc::sim {
@@ -146,103 +145,6 @@ TEST(MoveHeap, MinPeeksWithoutPopping) {
   EXPECT_EQ(heap.size(), 3u);  // peek must not consume
   EXPECT_EQ(heap.pop_min(), 2);
   EXPECT_EQ(heap.min(), 7);
-}
-
-struct KeyedItem {
-  std::uint64_t key = 0;
-  std::uint64_t seq = 0;
-};
-struct KeyedLess {
-  bool operator()(const KeyedItem& a, const KeyedItem& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq < b.seq;
-  }
-};
-struct KeyedKey {
-  std::uint64_t operator()(const KeyedItem& a) const { return a.key; }
-};
-
-TEST(CalendarQueue, PopsAscendingWithSeqTieBreak) {
-  CalendarQueue<KeyedItem, KeyedLess, KeyedKey> calendar;
-  Xoshiro256 rng(23);
-  for (std::uint64_t seq = 0; seq < 2000; ++seq)
-    calendar.push(KeyedItem{rng.below(64), seq});  // heavy key collisions
-  KeyedItem prev{0, 0};
-  bool first = true;
-  std::size_t popped = 0;
-  while (!calendar.empty()) {
-    const KeyedItem got = calendar.pop_min();
-    if (!first) EXPECT_TRUE(KeyedLess{}(prev, got));
-    prev = got;
-    first = false;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 2000u);
-}
-
-TEST(CalendarQueue, DifferentialAgainstMoveHeapUnderChurn) {
-  // The calendar must agree with the engine's MoveHeap on EVERY pop across
-  // randomized interleaved schedules -- including same-key ties resolved
-  // by seq, advancing key fronts (a simulation's usual pattern), and the
-  // occasional far-future outlier that forces the sparse direct-scan path.
-  struct Greater {
-    bool operator()(const KeyedItem& a, const KeyedItem& b) const {
-      return KeyedLess{}(b, a);
-    }
-  };
-  for (const std::uint64_t seed : {5u, 29u, 71u}) {
-    CalendarQueue<KeyedItem, KeyedLess, KeyedKey> calendar;
-    MoveHeap<KeyedItem, Greater> heap;
-    Xoshiro256 rng(seed);
-    std::uint64_t seq = 0;
-    std::uint64_t front = 0;  // keys mostly advance, like virtual time
-    for (int round = 0; round < 6000; ++round) {
-      if (heap.empty() || rng.below(5) < 3) {
-        front += rng.below(3);
-        const std::uint64_t key =
-            rng.below(50) == 0 ? front + 100000 + rng.below(1000)  // outlier
-                               : front + rng.below(16);
-        calendar.push(KeyedItem{key, seq});
-        heap.push(KeyedItem{key, seq});
-        ++seq;
-      } else {
-        const KeyedItem want = heap.pop_min();
-        const KeyedItem got = calendar.pop_min();
-        ASSERT_EQ(got.key, want.key) << "seed " << seed;
-        ASSERT_EQ(got.seq, want.seq) << "seed " << seed;
-      }
-      ASSERT_EQ(calendar.size(), heap.size());
-    }
-    while (!heap.empty()) {
-      const KeyedItem want = heap.pop_min();
-      const KeyedItem got = calendar.pop_min();
-      ASSERT_EQ(got.key, want.key) << "seed " << seed;
-      ASSERT_EQ(got.seq, want.seq) << "seed " << seed;
-    }
-    EXPECT_TRUE(calendar.empty());
-  }
-}
-
-TEST(CalendarQueue, MovesElementsInsteadOfCopying) {
-  struct Box {
-    std::uint64_t key = 0;
-    std::unique_ptr<std::uint64_t> payload;
-  };
-  struct BoxLess {
-    bool operator()(const Box& a, const Box& b) const { return a.key < b.key; }
-  };
-  struct BoxKey {
-    std::uint64_t operator()(const Box& a) const { return a.key; }
-  };
-  CalendarQueue<Box, BoxLess, BoxKey> calendar;
-  for (const std::uint64_t k : {5u, 1u, 4u, 2u, 3u})
-    calendar.push(Box{k, std::make_unique<std::uint64_t>(k * 10)});
-  for (std::uint64_t want = 1; want <= 5; ++want) {
-    const Box got = calendar.pop_min();
-    EXPECT_EQ(got.key, want);
-    ASSERT_TRUE(got.payload);
-    EXPECT_EQ(*got.payload, want * 10);
-  }
 }
 
 TEST(SmallCallable, InvokesInlineCapture) {

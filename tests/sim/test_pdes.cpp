@@ -100,8 +100,10 @@ TEST(PdesEngine, SamePartitionPostDegeneratesToScheduleCall) {
 
 TEST(PdesEngine, SetupPostsBeforeRunAreDelivered) {
   // post() before run(), with every heap still empty: the stray-post merge
-  // must seed the heaps rather than losing the events.
-  PdesEngine pdes(two_partitions());
+  // must seed the heaps rather than losing the events. The lookahead puts
+  // the two events in separate windows: in one window the two partitions
+  // would run concurrently, racing on `order`.
+  PdesEngine pdes(two_partitions(SimTime{10}));
   std::vector<int> order;
   pdes.post(0, 1, SimTime{50}, [&] { order.push_back(1); });
   pdes.post(1, 0, SimTime{20}, [&] { order.push_back(0); });
