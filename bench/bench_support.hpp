@@ -28,12 +28,6 @@
 //                       registration order, so every output byte -- tables,
 //                       CSV, JSON, metrics -- is identical to --jobs=1.
 //                       --blame shares one trace recorder and forces serial.
-//   --workers=N      -- conservative-PDES drain threads INSIDE each point's
-//                       simulated machine (harness::RunSpec::pdes_workers;
-//                       N >= 1; default: serial machines). Orthogonal to
-//                       --jobs, and every (jobs, workers) combination
-//                       produces byte-identical CSV/JSON/metrics artifacts
-//                       -- only host wall-clock changes.
 //   --algo=<name|auto> -- run the swept collective under this algorithm
 //                       (coll/algos.hpp) on the Stack-based variants;
 //                       RCKMPI and MPB keep their own schedule, so the
@@ -124,7 +118,6 @@ struct BenchOptions {
   bool blame = false;
   bool hist = false;  // --hist: per-variant latency histograms in the JSON
   int jobs = 0;  // 0: exec::default_jobs() (hardware concurrency)
-  int workers = 0;  // --workers: PDES threads per machine; 0 = serial
   std::optional<coll::Algo> algo;  // --algo: unset = paper algorithm
 };
 
@@ -169,14 +162,14 @@ inline std::string histogram_members() {
   return ss.str();
 }
 
-/// Strict thread-count value parse shared by the bench CLIs' --jobs and
-/// --workers: one positive decimal integer; 0, signs, garbage or overflow
-/// abort with exit code 2 (the hardened get_int discipline -- a mistyped
-/// --jobs=1O must not silently serialize or fork wildly).
-inline int parse_thread_count_value(const char* flag, std::string_view value) {
+/// Strict --jobs value parse: one positive decimal integer; 0, signs,
+/// garbage or overflow abort with exit code 2 (the hardened get_int
+/// discipline -- a mistyped --jobs=1O must not silently serialize or fork
+/// wildly).
+inline int parse_jobs_value(std::string_view value) {
   const std::string v(value);
   const auto fail = [&] {
-    std::fprintf(stderr, "error: %s='%s' is not a positive integer\n", flag,
+    std::fprintf(stderr, "error: --jobs='%s' is not a positive integer\n",
                  v.c_str());
     std::exit(2);
   };
@@ -190,10 +183,6 @@ inline int parse_thread_count_value(const char* flag, std::string_view value) {
     fail();
   }
   return static_cast<int>(parsed);
-}
-
-inline int parse_jobs_value(std::string_view value) {
-  return parse_thread_count_value("--jobs", value);
 }
 
 /// Strips --metrics=<path>, --blame and --jobs=N from argv
@@ -220,10 +209,6 @@ inline void parse_instrumentation_flags(int& argc, char** argv) {
     }
     if (arg.rfind("--jobs=", 0) == 0) {
       options().jobs = parse_jobs_value(arg.substr(7));
-      continue;
-    }
-    if (arg.rfind("--workers=", 0) == 0) {
-      options().workers = parse_thread_count_value("--workers", arg.substr(10));
       continue;
     }
     if (arg.rfind("--algo=", 0) == 0) {
@@ -324,7 +309,6 @@ inline harness::RunSpec point_spec(harness::Collective coll,
   spec.warmup = 1;
   spec.verify = false;
   spec.collect_metrics = !options().metrics_path.empty();
-  spec.pdes_workers = options().workers;
   // --algo targets the Stack-based variants; RCKMPI and the MPB-direct
   // path have no algorithm dimension and keep their own schedule.
   if (options().algo && variant != harness::PaperVariant::kRckmpi &&
@@ -463,6 +447,9 @@ inline int figure_main(int argc, char** argv, const char* figure,
                        harness::Collective coll) {
   parse_instrumentation_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
+  // Anything neither we nor google-benchmark consumed is a typo: fail
+  // before the sweep runs instead of silently ignoring it.
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   precompute_points();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

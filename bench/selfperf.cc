@@ -1,5 +1,5 @@
 // Simulator self-performance benchmark: host wall-clock throughput of the
-// simulator itself, not virtual latencies. Three scenarios:
+// simulator itself, not virtual latencies. Five scenarios:
 //
 //   engine_hot_loop  -- a raw sim::Engine draining K self-rescheduling
 //                       callables (pure push/pop/invoke: the MoveHeap +
@@ -10,19 +10,11 @@
 //   sweep_serial /   -- a Fig. 9f-style (size x variant) sweep, first with
 //   sweep_jobs          jobs=1 and then fanned out over --jobs host
 //                       threads; the ratio is the host-parallel speedup.
-//   pdes_mesh_serial -- the big-mesh halo-exchange scenario (48x24 tiles,
-//   pdes_mesh_workers   8 column-slab partitions) drained by the
-//                       conservative-PDES engine with 1 worker and then
-//                       with --jobs workers; the ratio is the intra-run
-//                       parallel speedup (same virtual run, same bytes).
-//   coll_allreduce_* -- the spotlight Allreduce on the serial machine, on
-//                       the partitioned machine with 1 PDES worker (the
-//                       pure partitioning overhead, gated <= 1.5x serial
-//                       by selfperf_smoke.cmake), and with --jobs workers
-//                       (the collective-workload intra-run speedup).
+//   queue_moveheap   -- the engine_hot_loop event pattern run directly
+//                       against the event heap (no engine, no callables).
 //
 //   selfperf [--events=N] [--from=A] [--to=B] [--step=S] [--reps=K]
-//            [--jobs=N] [--pdes-steps=N]
+//            [--jobs=N]
 //
 // Prints a table (events, wall ms, ns/event, Mevents/s, speedup) and
 // writes bench_results/selfperf.csv with the full data. The scc-bench-v1
@@ -43,7 +35,6 @@
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "exec/executor.hpp"
-#include "harness/pdes_scenario.hpp"
 #include "harness/sweep.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_heap.hpp"
@@ -115,18 +106,15 @@ int main(int argc, char** argv) {
     const auto to = flags.get_int("to", 700);
     const auto step = flags.get_int("step", 25);
     const int reps = flags.get_positive_int("reps", 1);
-    const auto pdes_steps = flags.get_int("pdes-steps", 200);
     const int jobs = scc::exec::jobs_flag(flags);
     for (const std::string& name : flags.unconsumed()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
       return 2;
     }
-    if (events_target < 1 || from < 1 || to < from || step < 1 || reps < 1 ||
-        pdes_steps < 1) {
+    if (events_target < 1 || from < 1 || to < from || step < 1 || reps < 1) {
       std::fprintf(stderr,
                    "usage: selfperf [--events=N>=1] [--from=A] [--to=B>=A] "
-                   "[--step=S>=1] [--reps=K>=1] [--jobs=N>=1] "
-                   "[--pdes-steps=N>=1]\n");
+                   "[--step=S>=1] [--reps=K>=1] [--jobs=N>=1]\n");
       return 2;
     }
 
@@ -191,33 +179,7 @@ int main(int argc, char** argv) {
                          ms_since(t0), /*gated=*/false});
     }
 
-    // Scenarios 5/6: the conservative-PDES big mesh, serial and parallel.
-    // Same virtual run both times (the drain is bit-identical for any
-    // worker count); only the host wall-clock differs. The serial row is
-    // gated; the workers row depends on host core count, so it is reported
-    // but not gated -- selfperf_smoke.cmake separately checks it beats the
-    // committed serial baseline ("intra-run parallelism actually pays").
-    scc::harness::PdesScenarioSpec mesh;
-    mesh.tiles_x = 48;
-    mesh.tiles_y = 24;
-    mesh.partitions = 8;
-    mesh.steps = static_cast<int>(pdes_steps);
-    {
-      mesh.workers = 1;
-      const auto t0 = Clock::now();
-      const auto result = scc::harness::run_pdes_mesh(mesh);
-      rows.push_back(Row{"pdes_mesh_serial", result.events, ms_since(t0),
-                         /*gated=*/true});
-    }
-    {
-      mesh.workers = resolved_jobs;
-      const auto t0 = Clock::now();
-      const auto result = scc::harness::run_pdes_mesh(mesh);
-      rows.push_back(Row{scc::strprintf("pdes_mesh_workers%d", resolved_jobs),
-                         result.events, ms_since(t0), /*gated=*/false});
-    }
-
-    // Scenario 7: the queue-structure microbench.
+    // Scenario 5: the queue-structure microbench.
     const auto queue_pops = static_cast<std::uint64_t>(events_target);
     {
       struct QGreater {
@@ -233,52 +195,6 @@ int main(int argc, char** argv) {
           drive_queue(heap, queue_pops);
       rows.push_back(
           Row{"queue_moveheap", queue_pops, ms_since(t0), /*gated=*/true});
-    }
-
-    // Scenarios 8-10: the full collective workload on the PARTITIONED
-    // machine -- the same spotlight Allreduce as scenario 2, but with the
-    // machine sharded into column slabs and drained by the
-    // conservative-PDES engine. The workers1 row is the pure partitioning
-    // overhead (cross-posts, window barriers, merged shards) with no
-    // parallelism to pay for it; it is gated against the serial row by
-    // selfperf_smoke.cmake (<= 1.5x) and against its committed baseline.
-    // The workersN row is the host-dependent intra-run speedup (reported,
-    // not gated; recorded in EXPERIMENTS.md).
-    scc::harness::RunSpec coll;
-    coll.collective = scc::harness::Collective::kAllreduce;
-    coll.variant = scc::harness::PaperVariant::kLwBalanced;
-    coll.elements = 552;
-    coll.repetitions = reps;
-    coll.warmup = 0;
-    coll.verify = false;
-    double coll_serial_ms = 0.0;
-    double coll_workers_ms = 0.0;
-    {
-      coll.pdes_workers = 0;
-      const auto t0 = Clock::now();
-      const scc::harness::RunResult result =
-          scc::harness::run_collective(coll);
-      coll_serial_ms = ms_since(t0);
-      rows.push_back(Row{"coll_allreduce_serial", result.events,
-                         coll_serial_ms, /*gated=*/true});
-    }
-    {
-      coll.pdes_workers = 1;
-      const auto t0 = Clock::now();
-      const scc::harness::RunResult result =
-          scc::harness::run_collective(coll);
-      rows.push_back(Row{"coll_allreduce_workers1", result.events,
-                         ms_since(t0), /*gated=*/true});
-    }
-    {
-      coll.pdes_workers = resolved_jobs;
-      const auto t0 = Clock::now();
-      const scc::harness::RunResult result =
-          scc::harness::run_collective(coll);
-      coll_workers_ms = ms_since(t0);
-      rows.push_back(
-          Row{scc::strprintf("coll_allreduce_workers%d", resolved_jobs),
-              result.events, coll_workers_ms, /*gated=*/false});
     }
 
     scc::Table table(
@@ -306,19 +222,6 @@ int main(int argc, char** argv) {
         "(%.0f ms -> %.0f ms)\n",
         resolved_jobs, jobs_ms > 0.0 ? serial_ms / jobs_ms : 0.0, serial_ms,
         jobs_ms);
-    const double pdes_serial_ms = rows[4].wall_ms;
-    const double pdes_workers_ms = rows[5].wall_ms;
-    std::cout << scc::strprintf(
-        "pdes speedup with %d worker(s): %.2fx (%.0f ms -> %.0f ms)\n",
-        resolved_jobs,
-        pdes_workers_ms > 0.0 ? pdes_serial_ms / pdes_workers_ms : 0.0,
-        pdes_serial_ms, pdes_workers_ms);
-    std::cout << scc::strprintf(
-        "collective pdes speedup with %d worker(s): %.2fx "
-        "(%.0f ms serial machine -> %.0f ms partitioned)\n",
-        resolved_jobs,
-        coll_workers_ms > 0.0 ? coll_serial_ms / coll_workers_ms : 0.0,
-        coll_serial_ms, coll_workers_ms);
 
     std::filesystem::create_directories("bench_results");
     table.write_csv_file("bench_results/selfperf.csv");

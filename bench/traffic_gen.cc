@@ -5,18 +5,16 @@
 // p50/p99/p999 tail plus the drain makespan are reported per scenario.
 //
 //   traffic_gen [--streams=N] [--requests=N] [--elements=N] [--mean-us=F]
-//               [--seed=N] [--jobs=N] [--workers=N]
-//               [--sample-interval-us=F]
+//               [--seed=N] [--jobs=N] [--sample-interval-us=F]
 //
 // The scenario matrix compares the serialized blocking drain against the
 // non-blocking ProgressEngine at 1, 2 and 4 lanes on the same offered
 // load. Every reported number is SIMULATED time: the whole table is a
-// deterministic artifact, byte-identical for every --jobs (host threads
-// across scenarios) and --workers (PDES drain threads inside each machine)
-// combination, and gated two-sided against a committed baseline by
-// traffic_gen_smoke.cmake -- a tail quantile drifting LOW is as suspicious
-// as one drifting high (it usually means requests stopped overlapping or
-// the schedule changed).
+// deterministic artifact, byte-identical for every --jobs value (host
+// threads across scenarios), and gated two-sided against a committed
+// baseline by traffic_gen_smoke.cmake -- a tail quantile drifting LOW is
+// as suspicious as one drifting high (it usually means requests stopped
+// overlapping or the schedule changed).
 //
 // Writes bench_results/traffic_gen.csv (full table) and the gated
 // scc-bench-v1 JSON bench_results/traffic_gen.json. When
@@ -64,7 +62,6 @@ int main(int argc, char** argv) {
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     const double sample_us = flags.get_double("sample-interval-us", 0.0);
     const int jobs = scc::exec::jobs_flag(flags);
-    base.pdes_workers = scc::exec::workers_flag(flags);
     for (const std::string& name : flags.unconsumed()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
       return 2;
@@ -76,8 +73,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: traffic_gen [--streams=N>=1] [--requests=N>=1] "
                    "[--elements=N>=1] [--mean-us=F>0] [--seed=N] "
-                   "[--jobs=N>=1] [--workers=N>=1] "
-                   "[--sample-interval-us=F>=0]\n");
+                   "[--jobs=N>=1] [--sample-interval-us=F>=0]\n");
       return 2;
     }
     base.mean_interarrival = scc::SimTime::from_us(mean_us);

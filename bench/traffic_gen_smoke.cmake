@@ -2,9 +2,8 @@
 # nbc"). Three checks:
 #
 #   1. Host-parallelism byte-identity: the full artifact (gated JSON and
-#      CSV table) must be identical for every (--jobs, --workers)
-#      combination -- the fan-out over scenarios and the PDES drain inside
-#      each machine are execution strategies, not model inputs.
+#      CSV table) must be identical for every --jobs value -- the fan-out
+#      over scenarios is an execution strategy, not a model input.
 #   2. Overlap win: the non-blocking 2-lane drain must finish the offered
 #      load strictly sooner than the serialized blocking drain (the
 #      makespan column of the CSV) -- the headline claim of the open-loop
@@ -23,39 +22,29 @@ foreach(var TRAFFIC_GEN COMPARE BASELINE WORK_DIR)
   endif()
 endforeach()
 
-set(combos "1,1" "2,2" "8,8")
-foreach(combo IN LISTS combos)
-  string(REPLACE "," ";" pair "${combo}")
-  list(GET pair 0 jobs)
-  list(GET pair 1 workers)
-  set(dir "${WORK_DIR}/j${jobs}w${workers}")
+foreach(jobs 1 2 8)
+  set(dir "${WORK_DIR}/j${jobs}")
   file(MAKE_DIRECTORY "${dir}")
   execute_process(
-    COMMAND "${TRAFFIC_GEN}" --jobs=${jobs} --workers=${workers}
+    COMMAND "${TRAFFIC_GEN}" --jobs=${jobs}
     WORKING_DIRECTORY "${dir}"
     RESULT_VARIABLE bench_rc)
   if(NOT bench_rc EQUAL 0)
-    message(FATAL_ERROR
-      "traffic_gen --jobs=${jobs} --workers=${workers} failed "
-      "(exit ${bench_rc})")
+    message(FATAL_ERROR "traffic_gen --jobs=${jobs} failed (exit ${bench_rc})")
   endif()
 endforeach()
 
 foreach(artifact traffic_gen.json traffic_gen.csv)
-  foreach(combo "2,2" "8,8")
-    string(REPLACE "," ";" pair "${combo}")
-    list(GET pair 0 jobs)
-    list(GET pair 1 workers)
+  foreach(jobs 2 8)
     execute_process(
       COMMAND ${CMAKE_COMMAND} -E compare_files
-        "${WORK_DIR}/j1w1/bench_results/${artifact}"
-        "${WORK_DIR}/j${jobs}w${workers}/bench_results/${artifact}"
+        "${WORK_DIR}/j1/bench_results/${artifact}"
+        "${WORK_DIR}/j${jobs}/bench_results/${artifact}"
       RESULT_VARIABLE diff_rc)
     if(NOT diff_rc EQUAL 0)
       message(FATAL_ERROR
-        "${artifact} differs between --jobs=1/--workers=1 and "
-        "--jobs=${jobs}/--workers=${workers}: host parallelism leaked into "
-        "a simulated artifact")
+        "${artifact} differs between --jobs=1 and --jobs=${jobs}: host "
+        "parallelism leaked into a simulated artifact")
     endif()
   endforeach()
 endforeach()
@@ -64,7 +53,7 @@ endforeach()
 # serialized drain, read from the deterministic CSV. Compared in integer
 # nanoseconds (CMake math() has no floats; the column is printed in us
 # with 3 decimals, so stripping the dot yields exact ns).
-file(STRINGS "${WORK_DIR}/j1w1/bench_results/traffic_gen.csv" traffic_rows)
+file(STRINGS "${WORK_DIR}/j1/bench_results/traffic_gen.csv" traffic_rows)
 set(serialized_makespan "")
 set(nbc2_makespan "")
 foreach(row IN LISTS traffic_rows)
@@ -89,7 +78,7 @@ endif()
 execute_process(
   COMMAND "${COMPARE}"
     "--baseline=${BASELINE}"
-    "--current=${WORK_DIR}/j1w1/bench_results/traffic_gen.json"
+    "--current=${WORK_DIR}/j1/bench_results/traffic_gen.json"
     "--key=scenario"
     "--rel-tol=0.01"
     "--two-sided"
@@ -99,5 +88,5 @@ if(NOT compare_rc EQUAL 0)
     "traffic_gen gate failed (exit ${compare_rc}); these are simulated "
     "latencies, so any drift is a model/schedule change -- if intentional, "
     "re-commit bench_results/baselines/traffic_gen.json from the fresh "
-    "${WORK_DIR}/j1w1/bench_results/traffic_gen.json")
+    "${WORK_DIR}/j1/bench_results/traffic_gen.json")
 endif()

@@ -10,7 +10,7 @@
 //                         [--algo=ring|bruck|recursive-doubling|
 //                           recursive-halving|ring-rs|pairwise|auto]
 //                         [--elements=N] [--reps=K] [--mesh=6x4] [--no-bug]
-//                         [--faults=SPEC] [--jobs=N] [--workers=N] [--profile]
+//                         [--faults=SPEC] [--jobs=N] [--profile]
 //                         [--trace=out.json] [--metrics=out.json] [--blame]
 //                         [--sample=INTERVAL_US] [--sample-out=PREFIX]
 //                         [--hist]
@@ -49,10 +49,7 @@
 // --blame, --profile) and --algo target a single run and are rejected in
 // this mode.
 //
-// --workers=N drains each simulated machine itself on N conservative-PDES
-// threads (harness::RunSpec::pdes_workers; default: serial machine).
-// Allowed in both single-run and --variant=all mode, composes with --jobs,
-// and every simulated result is identical for every N >= 1.
+// Unknown flags and bad values exit with status 2.
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
     const std::string variant_flag = flags.get("variant", "lw-balanced");
     const bool all_variants = variant_flag == "all";
     const int jobs = exec::jobs_flag(flags);
-    spec.pdes_workers = exec::workers_flag(flags);
     if (!all_variants) spec.variant = parse_variant(variant_flag);
     const std::string algo_flag = flags.get("algo", "");
     if (!algo_flag.empty()) {
@@ -146,6 +142,9 @@ int main(int argc, char** argv) {
       throw std::runtime_error("--sample must be >= 0 and below 1.8e10 us");
     if (sample_us > 0.0) spec.sample_interval = SimTime::from_us(sample_us);
     spec.collect_metrics = !metrics_path.empty();
+    for (const std::string& name : flags.unconsumed()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
 
     if (all_variants) {
       if (!trace_path.empty() || !metrics_path.empty() || blame ||
@@ -341,6 +340,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
 }

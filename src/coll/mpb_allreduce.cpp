@@ -102,9 +102,6 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
     co_await acquire_local_buffer(cur);
     // Operand 1 streams straight from the left neighbour's MPB, word by
     // word into the FP pipeline (no optimized burst memcpy on this path).
-    // The fused read routes the copy through the neighbour's partition
-    // when the ring crosses a slab boundary (serial: bit-identical to the
-    // old word-charge + window idiom).
     co_await api.mpb_word_get(
         buf_addr(left, prev, g),
         std::as_writable_bytes(std::span<double>(scratch.data(), b.count)));

@@ -40,8 +40,8 @@ class CliFlags {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-  /// get_int_in(name, fallback, 1): thread-count flags (--jobs, --workers)
-  /// and counts. Rejects 0, negatives and garbage with "--name must be a
+  /// get_int_in(name, fallback, 1): thread-count flags (--jobs) and
+  /// counts. Rejects 0, negatives and garbage with "--name must be a
   /// positive integer in [1, INT_MAX], got V" / get_int's errors.
   [[nodiscard]] int get_positive_int(const std::string& name,
                                      int fallback) const;

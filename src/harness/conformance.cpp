@@ -58,7 +58,6 @@ RunSpec base_run_spec(const ConformanceSpec& spec, coll::Prims prims,
   run.config.cores_per_tile = spec.cores_per_tile;
   run.config.cost.hw.model_link_contention = spec.model_contention;
   run.config.faults = spec.faults;
-  run.pdes_workers = spec.pdes_workers;
   return run;
 }
 

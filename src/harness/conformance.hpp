@@ -86,10 +86,6 @@ struct ConformanceSpec {
   /// order, so the report (runs, failures, summary) is identical for every
   /// jobs value. A non-null `trace` recorder forces serial execution.
   int jobs = 1;
-  /// PDES drain threads inside every run's machine (RunSpec::pdes_workers).
-  /// 0 = serial machines (historical behavior). Orthogonal to `jobs`; the
-  /// report is byte-identical for every (jobs, workers) combination.
-  int pdes_workers = 0;
   /// Adds the RCKMPI baseline as a fourth conformance cell whenever the
   /// collective has an MPI counterpart and no algorithm override is set
   /// (RCKMPI runs MPICH's own schedules, so per-algorithm cells make no

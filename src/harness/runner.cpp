@@ -474,7 +474,6 @@ RunResult run_collective(const RunSpec& spec) {
   SCC_EXPECTS(spec.repetitions >= 1);
 
   machine::SccConfig config = spec.config;
-  if (spec.pdes_workers > 0) config.pdes_workers = spec.pdes_workers;
   const int p = config.num_cores();
   rcce::Layout layout(p);
   int flags_needed = layout.flags_needed();
@@ -498,23 +497,10 @@ RunResult run_collective(const RunSpec& spec) {
   }
   std::optional<metrics::Sampler> sampler;
   if (spec.sample_interval > SimTime::zero()) {
-    if (machine.partitions() > 1) {
-      // Partitioned machine: no single engine owns the clock, so the
-      // sampler is ticked externally at PDES window barriers (the only
-      // globally consistent instants). The window schedule is a pure
-      // function of (config, lookahead) -- worker-count-invariant, so the
-      // timeseries artifact is too.
-      sampler.emplace(SimTime::zero());
-      sampler->set_label(run_label(spec));
-      metrics::add_machine_columns(machine, *sampler);
-      machine.pdes().set_window_probe(
-          [&s = *sampler](SimTime t) { s.tick(t); });
-    } else {
-      sampler.emplace(spec.sample_interval);
-      sampler->set_label(run_label(spec));
-      metrics::add_machine_columns(machine, *sampler);
-      sampler->attach(machine.engine());
-    }
+    sampler.emplace(spec.sample_interval);
+    sampler->set_label(run_label(spec));
+    metrics::add_machine_columns(machine, *sampler);
+    sampler->attach(machine.engine());
   }
 
   const Buffers sizes = buffer_sizes(spec.collective, spec.elements, p);
@@ -565,18 +551,13 @@ RunResult run_collective(const RunSpec& spec) {
   result.min_latency = min_s;
   result.max_latency = max_s;
   result.verified = spec.verify;
-  result.events = machine.events_processed();
-  const noc::TrafficMatrix traffic = machine.merged_traffic();
-  result.lines_sent = traffic.total_lines_sent();
-  result.line_hops = traffic.total_line_hops();
+  result.events = machine.engine().events_processed();
+  result.lines_sent = machine.traffic().total_lines_sent();
+  result.line_hops = machine.traffic().total_line_hops();
   result.sample_windows = data[0].windows;
   result.latencies = samples;
   if (sampler) {
-    if (machine.partitions() > 1) {
-      machine.pdes().set_window_probe({});
-    } else {
-      machine.engine().clear_probe();
-    }
+    machine.engine().clear_probe();
     result.timeseries = sampler->take();
   }
   if (spec.capture_outputs) {
@@ -598,12 +579,6 @@ RunResult run_collective(const RunSpec& spec) {
     result.metrics.emplace();
     result.metrics->set_label(run_label(spec));
     metrics::collect_machine(machine, *result.metrics);
-    if (machine.partitions() > 1) {
-      // Real-workload PDES introspection (pdes/windows, posts, slack...):
-      // only meaningful -- and only emitted -- when the machine actually
-      // ran partitioned, so serial metrics artifacts are unchanged.
-      metrics::collect_pdes(machine.pdes(), *result.metrics);
-    }
     if (mpi_layout) {
       metrics::collect_channel(mpi_layout->stats(), *result.metrics);
     }

@@ -133,15 +133,6 @@ struct RunSpec {
   /// partitioning (and need a non-blocking stack). flags_per_core is raised
   /// automatically to cover the widest lane.
   int nbc_lanes = 1;
-  /// Conservative-PDES drain threads for the machine (--workers=N). 0 keeps
-  /// the serial single-engine machine (bit-identical to the pre-PDES path);
-  /// N >= 1 shards the machine into tiles_x partitions drained by
-  /// min(N, tiles_x) host threads. The partition count -- and therefore
-  /// every simulated result and artifact byte -- is the same for EVERY
-  /// N >= 1; only host wall-clock changes. Composes freely with the
-  /// sweep/conformance --jobs executor. When > 0, overrides
-  /// config.pdes_workers.
-  int pdes_workers = 0;
   machine::SccConfig config = machine::SccConfig::paper_default();
 };
 

@@ -91,7 +91,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
     run.trace = spec.trace;
     run.config = spec.config;
     run.collect_metrics = spec.collect_metrics;
-    run.pdes_workers = spec.pdes_workers;
     return run;
   };
 

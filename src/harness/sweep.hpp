@@ -36,11 +36,6 @@ struct SweepSpec {
   /// absorbed metrics -- is identical for every jobs value. A non-null
   /// `trace` recorder is shared mutable state and forces serial execution.
   int jobs = 1;
-  /// PDES drain threads *inside* each grid cell's machine (--workers=N;
-  /// RunSpec::pdes_workers). 0 = serial machines. Orthogonal to `jobs`:
-  /// jobs parallelizes across cells, workers within one, and every
-  /// (jobs, workers) combination produces byte-identical output.
-  int pdes_workers = 0;
 };
 
 struct SweepPoint {

@@ -318,7 +318,6 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   machine::SccConfig config = machine::SccConfig::paper_default();
   config.tiles_x = spec.tiles_x;
   config.tiles_y = spec.tiles_y;
-  if (spec.pdes_workers > 0) config.pdes_workers = spec.pdes_workers;
   const int p = config.num_cores();
   rcce::Layout layout(p);
   int flags_needed = layout.flags_needed();
@@ -346,18 +345,10 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
                 spec.serialize ? " serialized" : "",
                 spec.serialize ? 1 : spec.lanes, spec.streams);
   if (spec.sample_interval > SimTime::zero()) {
-    if (machine.partitions() > 1) {
-      sampler.emplace(SimTime::zero());
-      sampler->set_label(label);
-      metrics::add_machine_columns(machine, *sampler);
-      machine.pdes().set_window_probe(
-          [&s = *sampler](SimTime t) { s.tick(t); });
-    } else {
-      sampler.emplace(spec.sample_interval);
-      sampler->set_label(label);
-      metrics::add_machine_columns(machine, *sampler);
-      sampler->attach(machine.engine());
-    }
+    sampler.emplace(spec.sample_interval);
+    sampler->set_label(label);
+    metrics::add_machine_columns(machine, *sampler);
+    sampler->attach(machine.engine());
   }
 
   const std::vector<TrafficRequest> schedule = traffic_schedule(spec, p);
@@ -408,16 +399,11 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   result.latencies = std::move(probe.latency);
   result.makespan = probe.makespan;
   result.requests = schedule.size();
-  result.events = machine.events_processed();
-  const noc::TrafficMatrix traffic = machine.merged_traffic();
-  result.lines_sent = traffic.total_lines_sent();
-  result.line_hops = traffic.total_line_hops();
+  result.events = machine.engine().events_processed();
+  result.lines_sent = machine.traffic().total_lines_sent();
+  result.line_hops = machine.traffic().total_line_hops();
   if (sampler) {
-    if (machine.partitions() > 1) {
-      machine.pdes().set_window_probe({});
-    } else {
-      machine.engine().clear_probe();
-    }
+    machine.engine().clear_probe();
     result.timeseries = sampler->take();
   }
   return result;

@@ -29,8 +29,7 @@
 // `serialize = true` runs the identical schedule through the blocking API
 // instead (requests drain strictly in order): the baseline every overlap
 // claim in EXPERIMENTS.md is gated against. Everything simulated is
-// bit-identical for every --jobs / --workers combination, like the rest
-// of the harness.
+// bit-identical for every --jobs value, like the rest of the harness.
 #pragma once
 
 #include <cstdint>
@@ -92,9 +91,6 @@ struct TrafficSpec {
   bool verify = true;
   int tiles_x = 2;  // mesh shape; cores = tiles_x * tiles_y * 2
   int tiles_y = 2;
-  /// Conservative-PDES drain threads inside the machine (--workers=N);
-  /// 0 = serial engine. Never changes a simulated byte.
-  int pdes_workers = 0;
   /// When nonzero, attaches the metrics::Sampler flight recorder at this
   /// simulated-time cadence (TrafficResult::timeseries).
   SimTime sample_interval = SimTime::zero();
@@ -119,7 +115,7 @@ struct TrafficResult {
   /// order. merge() this across scenario repeats for tail tables.
   metrics::Histogram latency;
   /// Same latencies indexed by request position in the schedule (tests
-  /// diff these across jobs/workers/modes without histogram bucketing).
+  /// diff these across jobs values and modes without histogram bucketing).
   std::vector<SimTime> latencies;
   /// Post-setup barrier to all-streams-drained barrier, on rank 0.
   SimTime makespan;

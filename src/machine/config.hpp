@@ -38,13 +38,6 @@ struct SccConfig {
   /// With perturb_seed set and this nonzero, every event is additionally
   /// delayed by a uniform random duration in [0, perturb_max_delay_fs] fs.
   std::uint64_t perturb_max_delay_fs = 0;
-  /// Conservative-PDES drain (--workers): 0 keeps the single serial engine
-  /// (bit-identical to every pre-PDES build). N >= 1 partitions the machine
-  /// into tiles_x column slabs driven by min(N, tiles_x) host threads --
-  /// the partition COUNT is fixed at tiles_x regardless of N, so every
-  /// worker count produces the identical event schedule and artifact bytes
-  /// (only wall-clock changes). See DESIGN.md §16.
-  int pdes_workers = 0;
 
   [[nodiscard]] int num_cores() const {
     return tiles_x * tiles_y * cores_per_tile;

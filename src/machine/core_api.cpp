@@ -1,9 +1,6 @@
 #include "machine/core_api.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <vector>
 
 #include "common/string_util.hpp"
 #include "machine/scc_machine.hpp"
@@ -11,10 +8,7 @@
 namespace scc::machine {
 
 CoreApi::CoreApi(SccMachine& machine, int rank)
-    : machine_(&machine),
-      rank_(rank),
-      partition_(machine.partition_of_core(rank)),
-      engine_(&machine.engine_of_core(rank)) {
+    : machine_(&machine), rank_(rank), engine_(&machine.engine()) {
   SCC_EXPECTS(rank >= 0 && rank < machine.num_cores());
 }
 
@@ -26,14 +20,10 @@ const mem::CostModel& CoreApi::cost() const {
   return machine_->config().cost;
 }
 
-bool CoreApi::cross_partition(int core) const {
-  return machine_->partition_of_core(core) != partition_;
-}
-
 sim::Engine::Sleep CoreApi::charge_impl(Phase phase, SimTime duration,
                                         std::string_view detail) {
   profile_.add(phase, duration);
-  if (auto* trace = machine_->trace_of(partition_)) {
+  if (auto* trace = machine_->trace()) {
     const SimTime start = now();
     trace->interval(rank_, phase_name(phase), start, start + duration,
                     std::string(detail));
@@ -65,8 +55,8 @@ Charge CoreApi::charge(Phase phase, SimTime duration) {
 
 SimTime CoreApi::contention_delay(int from, int to, std::size_t bytes) {
   if (!cost().hw.model_link_contention || from == to) return SimTime::zero();
-  return machine_->charge_contention(from, to, mem::lines_for(bytes),
-                                     engine_->now(), partition_);
+  return machine_->contention().occupy(from, to, mem::lines_for(bytes),
+                                       engine_->now());
 }
 
 SimTime CoreApi::with_transfer(SimTime t, int mpb_owner, std::size_t bytes,
@@ -74,8 +64,7 @@ SimTime CoreApi::with_transfer(SimTime t, int mpb_owner, std::size_t bytes,
   if (mpb_owner == rank_) return t;
   const int from = is_read ? mpb_owner : rank_;
   const int to = is_read ? rank_ : mpb_owner;
-  machine_->traffic_of(partition_).record_transfer(from, to,
-                                                   mem::lines_for(bytes));
+  machine_->traffic().record_transfer(from, to, mem::lines_for(bytes));
   return t + contention_delay(from, to, bytes);
 }
 
@@ -85,52 +74,15 @@ MpbStoreCharge CoreApi::mpb_put(mem::MpbAddr dst,
       machine_->latency().mpb_bulk(rank_, dst.core, src.size(),
                                    /*is_read=*/false),
       dst.core, src.size(), /*is_read=*/false);
-  if (cross_partition(dst.core)) {
-    // The functional store lands on the owner's partition exactly at this
-    // charge's completion. The bytes are staged NOW (the caller is blocked
-    // for the whole charge, so issue-time and completion-time contents are
-    // the same core-visible value) because the source span may point at
-    // stack memory the posted callable would outlive.
-    SCC_EXPECTS(t >= machine_->pdes().lookahead());
-    std::vector<std::byte> staged(src.begin(), src.end());
-    machine_->pdes().post(
-        partition_, machine_->partition_of_core(dst.core), now() + t,
-        sim::SmallCallable(
-            [m = machine_, dst, staged = std::move(staged)] {
-              m->mpb().write(dst, staged);
-            }));
-    return {charge_impl(Phase::kMpbTransfer, t), {nullptr, dst, src}};
-  }
   return {charge_impl(Phase::kMpbTransfer, t), {&machine_->mpb(), dst, src}};
 }
 
-MpbLoadCharge CoreApi::load_from(mem::MpbAddr src, std::span<std::byte> dst,
-                                 SimTime t) {
-  if (cross_partition(src.core)) {
-    // Remote read: the owner's partition copies the bytes out at
-    // (completion - lookahead). A read charge pays the boundary twice
-    // (request + reply), so completion - lookahead is itself >= lookahead
-    // ahead of now -- the copy-post honours the conservative contract
-    // (audited) -- and the window barrier between the copy and this core's
-    // resume at completion is the happens-before edge that makes the dst
-    // buffer safely visible.
-    const SimTime lookahead = machine_->pdes().lookahead();
-    SCC_EXPECTS(t >= lookahead + lookahead);
-    machine_->pdes().post(
-        partition_, machine_->partition_of_core(src.core),
-        now() + t - lookahead,
-        sim::SmallCallable([m = machine_, src, dst] { m->mpb().read(src, dst); }));
-    return {charge_impl(Phase::kMpbTransfer, t), {nullptr, src, dst}};
-  }
-  return {charge_impl(Phase::kMpbTransfer, t), {&machine_->mpb(), src, dst}};
-}
-
 MpbLoadCharge CoreApi::mpb_get(mem::MpbAddr src, std::span<std::byte> dst) {
-  return load_from(
-      src, dst,
-      with_transfer(machine_->latency().mpb_bulk(rank_, src.core, dst.size(),
-                                                 /*is_read=*/true),
-                    src.core, dst.size(), /*is_read=*/true));
+  const SimTime t = with_transfer(
+      machine_->latency().mpb_bulk(rank_, src.core, dst.size(),
+                                   /*is_read=*/true),
+      src.core, dst.size(), /*is_read=*/true);
+  return {charge_impl(Phase::kMpbTransfer, t), {&machine_->mpb(), src, dst}};
 }
 
 Charge CoreApi::mpb_charge(int mpb_owner, std::size_t bytes, bool is_read) {
@@ -150,39 +102,15 @@ Charge CoreApi::mpb_word_charge(int mpb_owner, std::size_t bytes,
 
 MpbLoadCharge CoreApi::mpb_word_get(mem::MpbAddr src,
                                     std::span<std::byte> dst) {
-  // Word-stream reads also pay the boundary both ways, so the half-weighted
-  // lookahead derivation covers the cross-partition copy-out too.
-  return load_from(
-      src, dst,
-      with_transfer(
-          machine_->latency().mpb_word_stream(rank_, src.core, dst.size(),
-                                              /*is_read=*/true),
-          src.core, dst.size(), /*is_read=*/true));
-}
-
-sim::Task<> CoreApi::mpb_apply_write(int mpb_owner, std::size_t bytes,
-                                     sim::SmallCallable apply) {
-  SCC_EXPECTS(static_cast<bool>(apply));
   const SimTime t = with_transfer(
-      machine_->latency().mpb_bulk(rank_, mpb_owner, bytes,
-                                   /*is_read=*/false),
-      mpb_owner, bytes, /*is_read=*/false);
-  if (cross_partition(mpb_owner)) {
-    SCC_EXPECTS(t >= machine_->pdes().lookahead());
-    machine_->pdes().post(partition_, machine_->partition_of_core(mpb_owner),
-                          now() + t, std::move(apply));
-    co_await charge_impl(Phase::kMpbTransfer, t);
-    co_return;
-  }
-  co_await charge_impl(Phase::kMpbTransfer, t);
-  apply();
+      machine_->latency().mpb_word_stream(rank_, src.core, dst.size(),
+                                          /*is_read=*/true),
+      src.core, dst.size(), /*is_read=*/true);
+  return {charge_impl(Phase::kMpbTransfer, t), {&machine_->mpb(), src, dst}};
 }
 
 std::span<std::byte> CoreApi::mpb_window(mem::MpbAddr addr,
                                          std::size_t bytes) {
-  // Partition locality: a window is raw shared storage, so on a
-  // partitioned machine only the owning slab may touch it.
-  SCC_EXPECTS(!cross_partition(addr.core));
   return machine_->mpb().range(addr, bytes);
 }
 
@@ -222,37 +150,22 @@ FlagSetCharge CoreApi::flag_set(FlagRef ref, FlagValue value) {
   // the blame engine pair a waiter's wakeup with the setting core (the
   // waiter's wait interval ends exactly when this interval does).
   char detail[32] = "";
-  if (machine_->trace_of(partition_) != nullptr) {
+  if (machine_->trace() != nullptr) {
     std::snprintf(detail, sizeof detail, "set %d:%d", ref.owner_core,
                   ref.index);
-  }
-  if (cross_partition(ref.owner_core)) {
-    // The deposit is the flag's functional effect: it must execute on the
-    // owner's partition (whose engine the flag's wait queue is bound to).
-    // Its remote-line-write charge clears the lookahead contract (audited).
-    SCC_EXPECTS(t >= machine_->pdes().lookahead());
-    machine_->pdes().post(
-        partition_, machine_->partition_of_core(ref.owner_core), now() + t,
-        sim::SmallCallable(
-            [m = machine_, ref, value] { m->flags().deposit(ref, value); }));
-    return {charge_impl(Phase::kFlagOp, t, detail), {nullptr, ref, value}};
   }
   return {charge_impl(Phase::kFlagOp, t, detail),
           {&machine_->flags(), ref, value}};
 }
 
 sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
-  // Waits are partition-local by protocol design: every stack waits only
-  // on flags in its OWN MPB (the RCCE discipline). A cross-partition wait
-  // would read remote state without paying the mesh -- forbidden.
-  SCC_EXPECTS(!cross_partition(ref.owner_core));
   auto& flags = machine_->flags();
   const SimTime start = now();
   while (flags.value(ref) != value) {
     co_await flags.waiters(ref).wait();
   }
   profile_.add(Phase::kFlagWait, now() - start);
-  if (auto* trace = machine_->trace_of(partition_)) {
+  if (auto* trace = machine_->trace()) {
     trace->interval(rank_, phase_name(Phase::kFlagWait), start, now(),
                     strprintf("flag %d:%d", ref.owner_core, ref.index));
   }
@@ -267,14 +180,13 @@ sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
 
 sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
                                                FlagValue last_seen) {
-  SCC_EXPECTS(!cross_partition(ref.owner_core));
   auto& flags = machine_->flags();
   const SimTime start = now();
   while (flags.value(ref) == last_seen) {
     co_await flags.waiters(ref).wait();
   }
   profile_.add(Phase::kFlagWait, now() - start);
-  if (auto* trace = machine_->trace_of(partition_)) {
+  if (auto* trace = machine_->trace()) {
     trace->interval(rank_, phase_name(Phase::kFlagWait), start, now(),
                     strprintf("flag %d:%d", ref.owner_core, ref.index));
   }
@@ -287,43 +199,25 @@ sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
 }
 
 FlagReadCharge CoreApi::flag_read(FlagRef ref) {
-  SCC_EXPECTS(!cross_partition(ref.owner_core));
   const SimTime t = machine_->latency().mpb_line_access(rank_, ref.owner_core,
                                                         /*is_read=*/true);
   return {charge_impl(Phase::kFlagOp, t), {&machine_->flags(), ref}};
 }
 
 FlagValue CoreApi::flag_peek(FlagRef ref) const {
-  SCC_EXPECTS(!cross_partition(ref.owner_core));
   return machine_->flags().value(ref);
 }
 
 sim::Task<> CoreApi::sync_barrier() {
-  auto& barrier = machine_->harness_barrier(partition_);
-  if (machine_->partitions() == 1) {
-    // Serial machine: the exact pre-PDES inline-release path (the last
-    // arriver releases everyone at its own arrival instant).
-    const std::uint64_t my_generation = barrier.generation;
-    if (++barrier.arrived == num_cores()) {
-      barrier.arrived = 0;
-      ++barrier.generation;
-      barrier.queue.notify_all();
-      co_return;
-    }
-    while (barrier.generation == my_generation) {
-      co_await barrier.queue.wait();
-    }
+  // The last arriver releases everyone at its own arrival instant.
+  auto& barrier = machine_->harness_barrier();
+  const std::uint64_t my_generation = barrier.generation;
+  if (++barrier.arrived == num_cores()) {
+    barrier.arrived = 0;
+    ++barrier.generation;
+    barrier.queue.notify_all();
     co_return;
   }
-  // Partitioned: every arriver parks on its own shard. The barrier has no
-  // mesh latency of its own, so it cannot be expressed as lookahead-
-  // respecting posts; instead the PDES quiescence hook releases every
-  // shard at the deterministic global release instant once all cores have
-  // arrived and the mesh has drained
-  // (SccMachine::release_harness_barrier).
-  const std::uint64_t my_generation = barrier.generation;
-  ++barrier.arrived;
-  barrier.last_arrival = std::max(barrier.last_arrival, now());
   while (barrier.generation == my_generation) {
     co_await barrier.queue.wait();
   }

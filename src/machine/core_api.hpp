@@ -28,7 +28,6 @@
 #include "mem/cost_model.hpp"
 #include "mem/latency.hpp"
 #include "mem/mpb.hpp"
-#include "sim/callable.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
@@ -55,31 +54,24 @@ struct [[nodiscard]] ChargeAwaiter {
   auto await_resume() const { return effect(); }
 };
 
-/// Completion effects. A null storage pointer means the effect was posted
-/// to the owner's partition instead (cross-partition access).
+/// Completion effects.
 struct MpbStore {
   mem::MpbStorage* mpb;
   mem::MpbAddr dst;
   std::span<const std::byte> src;
-  void operator()() const {
-    if (mpb != nullptr) mpb->write(dst, src);
-  }
+  void operator()() const { mpb->write(dst, src); }
 };
 struct MpbLoad {
   const mem::MpbStorage* mpb;
   mem::MpbAddr src;
   std::span<std::byte> dst;
-  void operator()() const {
-    if (mpb != nullptr) mpb->read(src, dst);
-  }
+  void operator()() const { mpb->read(src, dst); }
 };
 struct FlagDeposit {
   FlagFile* flags;
   FlagRef ref;
   FlagValue value;
-  void operator()() const {
-    if (flags != nullptr) flags->deposit(ref, value);
-  }
+  void operator()() const { flags->deposit(ref, value); }
 };
 struct FlagLoad {
   const FlagFile* flags;
@@ -108,8 +100,6 @@ class CoreApi {
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int num_cores() const;
-  /// The core's event-loop partition (0 on a serial machine).
-  [[nodiscard]] int partition() const { return partition_; }
   [[nodiscard]] SimTime now() const;
   [[nodiscard]] const mem::CostModel& cost() const;
   [[nodiscard]] CoreProfile& profile() { return profile_; }
@@ -142,30 +132,12 @@ class CoreApi {
   Charge mpb_word_charge(int mpb_owner, std::size_t bytes, bool is_read);
   /// Fused word-granular MPB read: charges mpb_word_stream for dst.size()
   /// bytes (traffic/contention included, like mpb_word_charge) and copies
-  /// them from `src` into the caller's private buffer at completion. On a
-  /// serial machine this is bit-identical to the old
-  /// mpb_word_charge-then-mpb_window idiom; on a partitioned machine the
-  /// copy is performed by the MPB owner's partition at
-  /// (completion - lookahead), which the read charge provably clears
-  /// (charge >= 2 x lookahead, audited).
+  /// them from `src` into the caller's private buffer at completion --
+  /// the mpb_word_charge-then-mpb_window idiom as one awaiter.
   MpbLoadCharge mpb_word_get(mem::MpbAddr src, std::span<std::byte> dst);
 
-  /// Fused bulk MPB write: charges mpb_bulk(write) for `bytes` (traffic/
-  /// contention included, like mpb_charge), then runs `apply` -- which must
-  /// perform the actual MPB stores from state it OWNS (staged copies, not
-  /// borrowed pointers) -- at completion. Serial: charge then apply()
-  /// inline, bit-identical to the old mpb_charge-then-mpb_window idiom.
-  /// Partitioned: `apply` is posted to the MPB owner's partition at the
-  /// charge's completion (>= lookahead ahead, audited).
-  [[nodiscard]] sim::Task<> mpb_apply_write(int mpb_owner, std::size_t bytes,
-                                            sim::SmallCallable apply);
-
   /// Direct functional access to MPB storage (no charge): used by fused
-  /// kernels together with mpb_charge, and by tests. Partition-local on a
-  /// partitioned machine (audited): remote windows cannot be touched from
-  /// another partition's event handler -- use mpb_put/mpb_get/
-  /// mpb_word_get/mpb_apply_write, which route the effect through the
-  /// owner's partition.
+  /// kernels together with mpb_charge, and by tests.
   [[nodiscard]] std::span<std::byte> mpb_window(mem::MpbAddr addr,
                                                 std::size_t bytes);
 
@@ -204,24 +176,16 @@ class CoreApi {
   /// tracing.
   [[nodiscard]] sim::Engine::Sleep charge_impl(Phase phase, SimTime duration,
                                                std::string_view detail = {});
-  /// The MPB read `src` -> `dst` paying `t`: applied at completion, or
-  /// posted to the owner's partition as a copy-out when it is remote.
-  [[nodiscard]] MpbLoadCharge load_from(mem::MpbAddr src,
-                                        std::span<std::byte> dst, SimTime t);
   /// Traffic and contention for a bulk or word-stream MPB access by this
   /// core to `mpb_owner`'s MPB, added to its latency `t`.
   [[nodiscard]] SimTime with_transfer(SimTime t, int mpb_owner,
                                       std::size_t bytes, bool is_read);
   /// Extra queueing delay from the optional link-contention model.
   [[nodiscard]] SimTime contention_delay(int from, int to, std::size_t bytes);
-  /// True when `core` lives on another event-loop partition (always false
-  /// on a serial machine).
-  [[nodiscard]] bool cross_partition(int core) const;
 
   SccMachine* machine_;
   int rank_;
-  int partition_;
-  sim::Engine* engine_;  // the rank's partition engine (cached)
+  sim::Engine* engine_;  // the machine's engine (cached)
   CoreProfile profile_;
 };
 

@@ -2,36 +2,29 @@
 
 namespace scc::machine {
 
-FlagFile::FlagFile(const EngineResolver& engine_of, int num_cores,
-                   int flags_per_core)
-    : num_cores_(num_cores),
-      flags_per_core_(flags_per_core),
-      stats_(static_cast<std::size_t>(num_cores)) {
+FlagFile::FlagFile(sim::Engine& engine, int num_cores, int flags_per_core)
+    : num_cores_(num_cores), flags_per_core_(flags_per_core) {
   SCC_EXPECTS(num_cores > 0);
   SCC_EXPECTS(flags_per_core > 0);
-  slots_.reserve(static_cast<std::size_t>(num_cores) *
-                 static_cast<std::size_t>(flags_per_core));
-  for (int core = 0; core < num_cores; ++core) {
-    sim::Engine& engine = engine_of(core);
-    for (int i = 0; i < flags_per_core; ++i) slots_.emplace_back(engine);
-  }
+  const std::size_t count = static_cast<std::size_t>(num_cores) *
+                            static_cast<std::size_t>(flags_per_core);
+  slots_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) slots_.emplace_back(engine);
 }
 
 void FlagFile::deposit(FlagRef ref, FlagValue v) {
   Slot& s = slot(ref);
-  FlagStats& stats = stats_[static_cast<std::size_t>(ref.owner_core)];
   s.value = v;
-  ++stats.sets;
-  stats.wakeups += s.queue.waiter_count();
+  ++stats_.sets;
+  stats_.wakeups += s.queue.waiter_count();
   s.queue.notify_all();
 }
 
 FlagValue FlagFile::deposit_add(FlagRef ref, FlagValue delta) {
   Slot& s = slot(ref);
-  FlagStats& stats = stats_[static_cast<std::size_t>(ref.owner_core)];
   s.value = static_cast<FlagValue>(s.value + delta);
-  ++stats.sets;
-  stats.wakeups += s.queue.waiter_count();
+  ++stats_.sets;
+  stats_.wakeups += s.queue.waiter_count();
   s.queue.notify_all();
   return s.value;
 }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -37,23 +36,11 @@ struct FlagStats {
 
 class FlagFile {
  public:
-  /// Maps a core rank to the engine its events run on. On a serial machine
-  /// every core resolves to the one engine; on a partitioned machine each
-  /// flag's wait queue is bound to its OWNER core's partition engine, so a
-  /// deposit (which executes on the owner's partition) wakes waiters on the
-  /// engine they parked on.
-  using EngineResolver = std::function<sim::Engine&(int core)>;
-
-  FlagFile(const EngineResolver& engine_of, int num_cores, int flags_per_core);
-
-  /// Backward-compatible single-engine construction (serial machines,
-  /// tests).
-  FlagFile(sim::Engine& engine, int num_cores, int flags_per_core)
-      : FlagFile([&engine](int) -> sim::Engine& { return engine; }, num_cores,
-                 flags_per_core) {}
+  /// Every flag's wait queue is bound to `engine`.
+  FlagFile(sim::Engine& engine, int num_cores, int flags_per_core);
 
   [[nodiscard]] FlagValue value(FlagRef ref) const {
-    ++stats_[static_cast<std::size_t>(ref.owner_core)].polls;
+    ++stats_.polls;
     return slot(ref).value;
   }
 
@@ -71,20 +58,7 @@ class FlagFile {
 
   [[nodiscard]] int flags_per_core() const { return flags_per_core_; }
 
-  /// Cumulative counters summed over the per-owner-core shards. Sharding by
-  /// owner core keeps the partitioned machine race-free: a flag's counters
-  /// are only ever touched from its owner's partition (value() reads are
-  /// partition-local by the CoreApi locality contract; deposits execute on
-  /// the owner's partition engine).
-  [[nodiscard]] FlagStats stats() const {
-    FlagStats total;
-    for (const FlagStats& s : stats_) {
-      total.sets += s.sets;
-      total.polls += s.polls;
-      total.wakeups += s.wakeups;
-    }
-    return total;
-  }
+  [[nodiscard]] const FlagStats& stats() const { return stats_; }
 
  private:
   struct Slot {
@@ -108,8 +82,8 @@ class FlagFile {
   int flags_per_core_;
   std::vector<Slot> slots_;
   // Mutable: polls are counted on the const read path; purely
-  // observational, never feeds back into timing. One shard per owner core.
-  mutable std::vector<FlagStats> stats_;
+  // observational, never feeds back into timing.
+  mutable FlagStats stats_;
 };
 
 }  // namespace scc::machine

@@ -91,10 +91,6 @@ SimTime LatencyCalculator::mpb_word_stream(int accessor, int mpb_owner,
                                      hops * hw_->mesh_cycles_per_hop);
 }
 
-SimTime LatencyCalculator::min_hop_transit() const {
-  return hw_->mesh_clock().cycles(hw_->mesh_cycles_per_hop);
-}
-
 SimTime LatencyCalculator::mesh_transit(int from, int to) const {
   return fractional_cycles(hw_->mesh_clock(),
                            effective_hops(from, to) *

@@ -61,13 +61,6 @@ class LatencyCalculator {
   /// visibility delay of posted flag writes).
   [[nodiscard]] SimTime mesh_transit(int from, int to) const;
 
-  /// The smallest nonzero cross-router charge in the model: one healthy
-  /// mesh hop (mesh_cycles_per_hop mesh cycles). Fault-model link factors
-  /// are >= 1 and reroutes only lengthen paths, so this is a hard lower
-  /// bound on every inter-tile interaction even on a degraded mesh -- which
-  /// is exactly what a conservative-PDES lookahead must be.
-  [[nodiscard]] SimTime min_hop_transit() const;
-
   /// Cacheable private-memory access, costed from a cache classification.
   [[nodiscard]] SimTime priv_access(int core, const CacheAccessResult& r) const;
 

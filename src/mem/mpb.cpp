@@ -31,13 +31,18 @@ std::span<const std::byte> MpbStorage::range(MpbAddr addr,
   return {storage_.data() + flat_index(addr, bytes), bytes};
 }
 
+// Zero-byte copies still bounds-check and mark the high-water offset, but
+// skip memcpy: an empty span may carry a null data() pointer, and memcpy
+// with a null argument is undefined even for zero bytes.
 void MpbStorage::write(MpbAddr dst, std::span<const std::byte> src) {
   auto out = range(dst, src.size());
+  if (src.empty()) return;
   std::memcpy(out.data(), src.data(), src.size());
 }
 
 void MpbStorage::read(MpbAddr src, std::span<std::byte> dst) const {
   auto in = range(src, dst.size());
+  if (dst.empty()) return;
   std::memcpy(dst.data(), in.data(), dst.size());
 }
 

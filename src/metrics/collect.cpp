@@ -11,11 +11,9 @@ constexpr bool kVariant = false;   // time-type: schedule-dependent
 
 void collect_machine(machine::SccMachine& machine, MetricsRegistry& out) {
   // --- engine (all time-type: counts depend on the interleaving) --------
-  // Machine-level aggregates: on a serial machine exactly the single
-  // engine's counters; on a partitioned machine summed over partitions
-  // (worker-count-invariant, like everything else here).
-  const sim::EngineStats eng = machine.engine_stats();
-  out.set("engine/events_processed", machine.events_processed(),
+  const sim::Engine& engine = machine.engine();
+  const sim::EngineStats& eng = engine.stats();
+  out.set("engine/events_processed", engine.events_processed(),
           Unit::kCount, kVariant);
   out.set("engine/parks", eng.parks, Unit::kCount, kVariant);
   out.set("engine/notifies", eng.notifies, Unit::kCount, kVariant);
@@ -63,7 +61,7 @@ void collect_machine(machine::SccMachine& machine, MetricsRegistry& out) {
   out.set("flags/wakeups", flags.wakeups, Unit::kCount, kVariant);
 
   // --- NoC traffic volume (contention-free accounting) -------------------
-  const noc::TrafficMatrix traffic = machine.merged_traffic();
+  const noc::TrafficMatrix& traffic = machine.traffic();
   out.set("noc/lines_sent", traffic.total_lines_sent(), Unit::kCount,
           kInvariant);
   out.set("noc/line_hops", traffic.total_line_hops(), Unit::kCount,
@@ -72,11 +70,12 @@ void collect_machine(machine::SccMachine& machine, MetricsRegistry& out) {
           kInvariant);
 
   // --- link-contention model (populated only when enabled) ---------------
-  out.set_time("noc/contention/total_delay_fs",
-               machine.contention_total_delay(), kVariant);
-  out.set("noc/contention/delayed_transfers",
-          machine.contention_delayed_transfers(), Unit::kCount, kVariant);
-  for (const auto& [name, link] : machine.merged_link_stats()) {
+  const noc::LinkContention& contention = machine.contention();
+  out.set_time("noc/contention/total_delay_fs", contention.total_delay(),
+               kVariant);
+  out.set("noc/contention/delayed_transfers", contention.delayed_transfers(),
+          Unit::kCount, kVariant);
+  for (const auto& [name, link] : contention.link_stats()) {
     // Window COUNT per link is volume-type (one per crossing); the busy /
     // queueing times shift with the interleaving.
     out.set(strprintf("noc/link/%s/windows", name.c_str()), link.windows,
@@ -90,89 +89,30 @@ void collect_machine(machine::SccMachine& machine, MetricsRegistry& out) {
   }
 }
 
-void collect_pdes(sim::PdesEngine& pdes, MetricsRegistry& out) {
-  const sim::PdesStats& s = pdes.stats();
-  // Config facts are volume-type; the protocol counters are classified
-  // time-type because schedule perturbation moves heap minima and therefore
-  // window boundaries. ALL of them are worker-count-invariant -- that is
-  // the PdesEngine determinism contract, and why "pdes/workers" is
-  // deliberately absent here.
-  out.set("pdes/partitions", static_cast<std::uint64_t>(pdes.partitions()),
-          Unit::kCount, kInvariant);
-  out.set_time("pdes/lookahead_fs", pdes.lookahead(), kInvariant);
-  out.set("pdes/windows", s.windows, Unit::kCount, kVariant);
-  out.set("pdes/saturated_windows", s.saturated_windows, Unit::kCount,
-          kVariant);
-  out.set("pdes/posts_delivered", s.posts_delivered, Unit::kCount, kVariant);
-  out.set("pdes/max_window_events", s.max_window_events, Unit::kCount,
-          kVariant);
-  out.set("pdes/max_window_posts", s.max_window_posts, Unit::kCount,
-          kVariant);
-  out.set("pdes/posts_at_floor", s.posts_at_floor, Unit::kCount, kVariant);
-  if (s.min_post_slack < SimTime::max()) {
-    // Only meaningful once an in-window post merged; the max() sentinel
-    // would read as "5 hours of slack".
-    out.set_time("pdes/min_post_slack_fs", s.min_post_slack, kVariant);
-  }
-  for (int p = 0; p < pdes.partitions(); ++p) {
-    out.set(strprintf("pdes/partition/%d/events", p),
-            pdes.partition(p).events_processed(), Unit::kCount, kVariant);
-  }
-}
-
-void collect_worker_pool(const exec::WorkerPoolStats& stats,
-                         MetricsRegistry& out) {
-  out.set("exec/rounds", stats.rounds, Unit::kCount, kVariant);
-  out.set("exec/tasks", stats.tasks, Unit::kCount, kVariant);
-  if (!stats.instrumented) return;
-  // Host wall-clock nanoseconds, stored as plain counts (Unit::kCount):
-  // kFemtoseconds is reserved for *virtual* time, and these must never be
-  // mistaken for simulated results.
-  out.set("exec/busy_ns", stats.busy_ns, Unit::kCount, kVariant);
-  out.set("exec/park_ns", stats.park_ns, Unit::kCount, kVariant);
-  out.set("exec/barrier_wait_ns", stats.barrier_wait_ns, Unit::kCount,
-          kVariant);
-  for (std::size_t w = 0; w < stats.worker_busy_ns.size(); ++w) {
-    out.set(strprintf("exec/worker/%zu/busy_ns", w), stats.worker_busy_ns[w],
-            Unit::kCount, kVariant);
-  }
-}
-
 void add_machine_columns(machine::SccMachine& machine, Sampler& sampler) {
   machine::SccMachine* m = &machine;
   sampler.add_column("engine/events_processed",
-                     [m] { return m->events_processed(); });
+                     [m] { return m->engine().events_processed(); });
   sampler.add_column("engine/parks",
-                     [m] { return m->engine_stats().parks; });
+                     [m] { return m->engine().stats().parks; });
   // Gauge: coroutines currently parked on a wait queue (every wake-up of a
   // parked waiter decrements; a re-park counts a fresh park).
   sampler.add_column("engine/waiting", [m] {
-    const sim::EngineStats s = m->engine_stats();
+    const sim::EngineStats& s = m->engine().stats();
     return s.parks - s.waiters_woken;
   });
   sampler.add_column("flags/sets", [m] { return m->flags().stats().sets; });
   sampler.add_column("flags/polls", [m] { return m->flags().stats().polls; });
   sampler.add_column("flags/wakeups",
                      [m] { return m->flags().stats().wakeups; });
-  // Shard sums, not merged_traffic(): sampler columns fire every tick and
-  // must not copy a whole matrix each time. Counter sums equal the merged
-  // totals exactly.
-  sampler.add_column("noc/lines_sent", [m] {
-    std::uint64_t total = 0;
-    for (int p = 0; p < m->partitions(); ++p)
-      total += m->traffic_of(p).total_lines_sent();
-    return total;
-  });
-  sampler.add_column("noc/line_hops", [m] {
-    std::uint64_t total = 0;
-    for (int p = 0; p < m->partitions(); ++p)
-      total += m->traffic_of(p).total_line_hops();
-    return total;
-  });
+  sampler.add_column("noc/lines_sent",
+                     [m] { return m->traffic().total_lines_sent(); });
+  sampler.add_column("noc/line_hops",
+                     [m] { return m->traffic().total_line_hops(); });
   sampler.add_column("noc/contention/delayed_transfers",
-                     [m] { return m->contention_delayed_transfers(); });
+                     [m] { return m->contention().delayed_transfers(); });
   sampler.add_column("noc/contention/total_delay_fs", [m] {
-    return m->contention_total_delay().femtoseconds();
+    return m->contention().total_delay().femtoseconds();
   });
   sampler.add_column("cache/hits", [m] {
     std::uint64_t total = 0;

@@ -3,12 +3,10 @@
 // for the path schema and the volume-type/time-type classification.
 #pragma once
 
-#include "exec/executor.hpp"
 #include "machine/scc_machine.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/sampler.hpp"
 #include "rckmpi/channel.hpp"
-#include "sim/pdes.hpp"
 
 namespace scc::metrics {
 
@@ -21,22 +19,6 @@ void collect_machine(machine::SccMachine& machine, MetricsRegistry& out);
 /// Snapshots the RCKMPI transport counters (only meaningful for MPI runs;
 /// harmless zeros otherwise) under "rckmpi/...".
 void collect_channel(const rckmpi::ChannelStats& stats, MetricsRegistry& out);
-
-/// Snapshots the PDES coordinator under "pdes/...": window/merge counters,
-/// conservative-slack introspection, and per-partition drained-event counts.
-/// Deliberately excludes the worker count and every host-time value --
-/// collect_pdes output is byte-identical for any PdesConfig::workers, so it
-/// is safe inside determinism-gated artifacts (the identity tests diff it).
-/// Non-const for the partition accessor, like collect_machine; mutates
-/// nothing.
-void collect_pdes(sim::PdesEngine& pdes, MetricsRegistry& out);
-
-/// Snapshots executor counters under "exec/...": rounds/tasks (work volume,
-/// deterministic) and -- when the pool was instrumented -- HOST wall-clock
-/// busy/park/barrier-wait time, total and per worker. The *_ns entries vary
-/// run to run; never feed them into byte-identity-gated artifacts.
-void collect_worker_pool(const exec::WorkerPoolStats& stats,
-                         MetricsRegistry& out);
 
 /// Registers the standard machine flight-recorder columns on `sampler`
 /// (cumulative counters, same naming as the registry paths): engine event /

@@ -6,8 +6,8 @@
 // time: the engine fires a probe exactly at the virtual tick instants
 // k * Dt (sim::Engine::set_probe), so sample k reflects every event with
 // timestamp < k * Dt and nothing later -- a cadence defined by the virtual
-// clock, not by host wall time, and therefore bit-identical run to run,
-// for every --jobs value and every PDES worker count.
+// clock, not by host wall time, and therefore bit-identical run to run
+// and for every --jobs value.
 //
 // Bounded memory: when the row buffer hits max_rows, every other row is
 // dropped and the accepted cadence doubles (deterministic decimation --
@@ -60,8 +60,8 @@ class Sampler {
   static constexpr std::size_t kDefaultMaxRows = 4096;
 
   /// `interval` is the base cadence for attach(); pass SimTime::zero() for
-  /// a sampler that is only ticked externally (e.g. at PDES window
-  /// barriers). `max_rows` >= 2 bounds memory (see decimation above).
+  /// a sampler that is only ticked externally through tick(). `max_rows`
+  /// >= 2 bounds memory (see decimation above).
   explicit Sampler(SimTime interval, std::size_t max_rows = kDefaultMaxRows);
 
   void set_label(std::string label) { series_.label = std::move(label); }
@@ -78,8 +78,8 @@ class Sampler {
   void attach(sim::Engine& engine);
 
   /// Offers one tick at virtual time `t` (called by the engine probe, or
-  /// directly at PDES window barriers). Ticks are decimated by the current
-  /// stride; accepted ticks snapshot every column.
+  /// directly by the owner). Ticks are decimated by the current stride;
+  /// accepted ticks snapshot every column.
   void tick(SimTime t);
 
   [[nodiscard]] std::size_t rows() const { return series_.rows.size(); }

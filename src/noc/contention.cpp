@@ -21,14 +21,6 @@ SimTime scale_time(SimTime t, double factor) {
 
 SimTime LinkContention::occupy(CoreId a, CoreId b, std::uint64_t lines,
                                SimTime now) {
-  return occupy_split(a, b, lines, now, {}, {});
-}
-
-SimTime LinkContention::occupy_split(
-    CoreId a, CoreId b, std::uint64_t lines, SimTime now,
-    const std::function<bool(const LinkId&)>& owned,
-    const std::function<void(const LinkId&, std::uint64_t, SimTime)>&
-        foreign) {
   if (lines == 0) return SimTime::zero();
   const SimTime service =
       mesh_clock_.cycles(lines * service_cycles_per_line_);
@@ -45,11 +37,6 @@ SimTime LinkContention::occupy_split(
     // The window starts once the head flit arrives (departure + upstream
     // traversal + queueing already accumulated upstream).
     const SimTime arrival = now + delay + head_offset;
-    if (owned && !owned(link)) {
-      foreign(link, lines, arrival);
-      head_offset += scale_time(hop_latency_, factor);
-      continue;
-    }
     const SimTime link_service = scale_time(service, factor);
     SimTime& busy = busy_until_[key_of(link)];
     const SimTime start = std::max(arrival, busy);
@@ -70,25 +57,6 @@ SimTime LinkContention::occupy_split(
     ++delayed_transfers_;
   }
   return delay;
-}
-
-void LinkContention::absorb(const LinkId& link, std::uint64_t lines,
-                            SimTime start) {
-  if (lines == 0) return;
-  const double factor = link_factor_fn_ ? link_factor_fn_(link) : 1.0;
-  const SimTime link_service = scale_time(
-      mesh_clock_.cycles(lines * service_cycles_per_line_), factor);
-  SimTime& busy = busy_until_[key_of(link)];
-  const SimTime begin = std::max(start, busy);
-  busy = begin + link_service;
-  LinkStats& s = stats_[key_of(link)];
-  ++s.windows;
-  s.busy += link_service;
-  s.queue += begin - start;
-  s.max_queue = std::max(s.max_queue, begin - start);
-  if (trace_) {
-    trace_->link_window(link_name(link), begin, busy, begin - start);
-  }
 }
 
 std::string_view LinkContention::link_name(const LinkId& link) {

@@ -76,29 +76,6 @@ class LinkContention {
   /// transfer suffers from earlier traffic still draining on its links.
   SimTime occupy(CoreId a, CoreId b, std::uint64_t lines, SimTime now);
 
-  /// Partitioned-machine variant of occupy(): walks the same route with the
-  /// same head-flit arithmetic, but links for which `owned` returns false
-  /// belong to another partition's shard -- instead of occupying them here,
-  /// `foreign(link, lines, arrival)` is invoked (the machine cross-posts an
-  /// absorb() to the owning shard). Queueing feedback into the returned
-  /// delay comes from owned links only: a remote shard's busy horizon
-  /// cannot be read inside a conservative window, so foreign links are
-  /// accounted (deterministically, at the window barrier) but do not delay
-  /// this transfer. With all links owned this is occupy() exactly.
-  SimTime occupy_split(
-      CoreId a, CoreId b, std::uint64_t lines, SimTime now,
-      const std::function<bool(const LinkId&)>& owned,
-      const std::function<void(const LinkId&, std::uint64_t, SimTime)>&
-          foreign);
-
-  /// Merges one foreign transfer's occupancy of `link` into this shard:
-  /// a busy window of `lines` service starting no earlier than `start`
-  /// (later if the link is still draining). Bookkeeping only -- the sending
-  /// transfer's delay was already fixed on its own shard -- but it keeps
-  /// the busy horizon and per-link stats deterministic for any worker
-  /// count because absorbs are posted through the PDES outbox merge order.
-  void absorb(const LinkId& link, std::uint64_t lines, SimTime start);
-
   /// Total queueing delay handed out so far (for reporting).
   [[nodiscard]] SimTime total_delay() const { return total_delay_; }
   [[nodiscard]] std::uint64_t delayed_transfers() const {

@@ -44,17 +44,6 @@ int Topology::hops_to_mc(CoreId core) const {
   return std::abs(c.x - mc.x) + std::abs(c.y - mc.y);
 }
 
-int Topology::partition_of(CoreId core, int partitions) const {
-  SCC_EXPECTS(partitions >= 1 && partitions <= tiles_x_);
-  // Balanced contiguous slabs; monotone in x, every slab nonempty.
-  return coord_of(core).x * partitions / tiles_x_;
-}
-
-int Topology::min_partition_separation_hops(int partitions) const {
-  SCC_EXPECTS(partitions >= 1 && partitions <= tiles_x_);
-  return partitions > 1 ? 1 : 0;
-}
-
 std::vector<LinkId> Topology::route(CoreId a, CoreId b) const {
   std::vector<LinkId> links;
   TileCoord cur = coord_of(a);

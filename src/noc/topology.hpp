@@ -70,31 +70,6 @@ class Topology {
   /// (empty when both cores share a tile). Used for traffic accounting.
   [[nodiscard]] std::vector<LinkId> route(CoreId a, CoreId b) const;
 
-  /// Conservative-PDES partition map: contiguous column slabs of tiles,
-  /// balanced to within one column ("p = x * partitions / tiles_x").
-  /// Column slabs make the cross-partition latency floor trivial to reason
-  /// about -- any interaction between slabs crosses at least one X link --
-  /// and keep halo traffic on slab boundaries only. Requires
-  /// 1 <= partitions <= tiles_x so every partition owns at least a column.
-  [[nodiscard]] int partition_of(CoreId core, int partitions) const;
-
-  /// Slab owning tile column `x` (the same map partition_of applies to a
-  /// core's column). Boundary links -- X links between two slabs -- are
-  /// owned by their WESTERN endpoint's slab by convention: ownership =
-  /// partition_of_column(min(from.x, to.x)).
-  [[nodiscard]] int partition_of_column(int x, int partitions) const {
-    SCC_EXPECTS(partitions >= 1 && partitions <= tiles_x_);
-    SCC_EXPECTS(x >= 0 && x < tiles_x_);
-    return x * partitions / tiles_x_;
-  }
-
-  /// Minimum router hops between cores in *different* column slabs: 1 for
-  /// any partitions >= 2 (adjacent slabs abut), 0 when there is a single
-  /// partition and therefore no boundary at all. Multiplied by the mesh's
-  /// per-hop transit this lower-bounds every cross-partition interaction
-  /// latency (machine::pdes_lookahead).
-  [[nodiscard]] int min_partition_separation_hops(int partitions) const;
-
  private:
   int tiles_x_;
   int tiles_y_;

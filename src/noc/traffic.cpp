@@ -36,11 +36,6 @@ std::vector<TrafficMatrix::LinkLoad> TrafficMatrix::loads() const {
   return out;
 }
 
-void TrafficMatrix::merge_from(const TrafficMatrix& other) {
-  lines_sent_ += other.lines_sent_;
-  for (const auto& [link, lines] : other.link_lines_) link_lines_[link] += lines;
-}
-
 void TrafficMatrix::reset() {
   link_lines_.clear();
   lines_sent_ = 0;

@@ -46,13 +46,6 @@ class TrafficMatrix {
   /// All links with nonzero traffic, heaviest first.
   [[nodiscard]] std::vector<LinkLoad> loads() const;
 
-  /// Accumulates another matrix's counters into this one (same topology).
-  /// The partitioned machine keeps one matrix per partition -- each core
-  /// records its transfers into its own partition's shard, race-free -- and
-  /// merges them into one matrix for reporting. Pure sums, so the merged
-  /// totals equal the serial machine's single-matrix totals exactly.
-  void merge_from(const TrafficMatrix& other);
-
   void reset();
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "machine/scc_machine.hpp"
 
@@ -14,9 +13,7 @@ constexpr std::uint64_t kDuplexPollCycles = 150;
 }  // namespace
 
 ChannelLayout::ChannelLayout(const rcce::Layout& base)
-    : base_(&base),
-      flag_base_(base.flags_needed()),
-      stats_(static_cast<std::size_t>(base.num_cores())) {
+    : base_(&base), flag_base_(base.flags_needed()) {
   // Divide the payload area into one ring per peer, whole lines each.
   const std::size_t per_peer =
       base.payload_bytes() / static_cast<std::size_t>(base.num_cores());
@@ -36,19 +33,6 @@ mem::MpbAddr ChannelLayout::ring_line(int at_core, int from,
       static_cast<std::size_t>(line_index % ring_lines_) *
       mem::kCacheLineBytes;
   return base_->payload_addr(at_core, region + line_off);
-}
-
-ChannelStats ChannelLayout::stats() const {
-  ChannelStats total;
-  for (const ChannelStats& s : stats_) {
-    total.messages += s.messages;
-    total.header_lines += s.header_lines;
-    total.payload_lines += s.payload_lines;
-    total.credit_updates += s.credit_updates;
-    total.credit_stalls += s.credit_stalls;
-    total.progress_polls += s.progress_polls;
-  }
-  return total;
 }
 
 machine::FlagRef ChannelLayout::filled_flag(int at_core, int from) const {
@@ -126,21 +110,12 @@ sim::Task<> Channel::push_burst(int dest, std::span<const std::byte> payload,
                                last_byte - first_byte);
     }
   }
+  co_await api_->mpb_charge(
+      dest, static_cast<std::size_t>(burst) * mem::kCacheLineBytes,
+      /*is_read=*/false);
   // Functional effect: header and/or payload lines into the (possibly
-  // remote, possibly other-partition) ring. The lines are STAGED here into
-  // storage the apply callable owns -- exactly the bytes the old
-  // charge-then-window idiom wrote, at the same ring addresses -- and the
-  // stores run at the charge's completion via mpb_apply_write (inline on a
-  // serial machine, posted to the ring owner's partition otherwise).
-  ChannelStats& stats = layout_->stats(rank());
-  struct StagedLine {
-    mem::MpbAddr addr;
-    std::size_t len;
-  };
-  std::vector<StagedLine> lines;
-  lines.reserve(burst);
-  std::vector<std::byte> bytes;
-  bytes.reserve(static_cast<std::size_t>(burst) * mem::kCacheLineBytes);
+  // remote) ring, written once the charge has completed.
+  ChannelStats& stats = layout_->stats();
   for (std::uint32_t i = 0; i < burst; ++i) {
     const std::uint32_t msg_line = line_cursor + i;
     const mem::MpbAddr addr =
@@ -151,37 +126,18 @@ sim::Task<> Channel::push_burst(int dest, std::span<const std::byte> payload,
       PacketHeader header;
       header.tag = tag;
       header.bytes = static_cast<std::uint32_t>(payload.size());
-      const auto* p = reinterpret_cast<const std::byte*>(&header);
-      bytes.insert(bytes.end(), p, p + sizeof(header));
-      lines.push_back({addr, sizeof(header)});
+      std::memcpy(api_->mpb_window(addr, sizeof(header)).data(), &header,
+                  sizeof(header));
     } else {
       ++stats.payload_lines;
       const std::size_t off =
           (static_cast<std::size_t>(msg_line) - 1) * mem::kCacheLineBytes;
       const std::size_t len =
           std::min(mem::kCacheLineBytes, payload.size() - off);
-      bytes.insert(bytes.end(), payload.data() + off,
-                   payload.data() + off + len);
-      lines.push_back({addr, len});
+      std::memcpy(api_->mpb_window(addr, len).data(), payload.data() + off,
+                  len);
     }
   }
-  // The callable MUST be a named local, not a temporary inside the
-  // co_await expression: GCC 12 promotes co_await full-expression
-  // temporaries into the coroutine frame by bitwise copy after the move
-  // into the callee's parameter, leaving a stale alias whose destructor
-  // double-frees the staged buffers (GCC PR 99576 family).
-  sim::SmallCallable apply([m = &api_->machine(), lines = std::move(lines),
-                            bytes = std::move(bytes)] {
-    std::size_t off = 0;
-    for (const StagedLine& line : lines) {
-      m->mpb().write(line.addr, std::span<const std::byte>(bytes.data() + off,
-                                                           line.len));
-      off += line.len;
-    }
-  });
-  co_await api_->mpb_apply_write(
-      dest, static_cast<std::size_t>(burst) * mem::kCacheLineBytes,
-      std::move(apply));
   pair.lines_sent += burst;
   line_cursor += burst;
   co_await api_->flag_set(layout_->filled_flag(dest, rank()),
@@ -208,7 +164,7 @@ sim::Task<PacketHeader> Channel::read_header(int src) {
   std::memcpy(&header, window.data(), sizeof(header));
   SCC_ASSERT(header.magic == PacketHeader{}.magic);
   pair.lines_consumed += 1;
-  ++layout_->stats(rank()).credit_updates;
+  ++layout_->stats().credit_updates;
   co_await api_->flag_set(layout_->free_flag(src, rank()),
                           static_cast<std::uint8_t>(pair.lines_consumed));
   co_await api_->overhead(api_->cost().sw.mpi_match_attempt);
@@ -238,7 +194,7 @@ sim::Task<> Channel::drain_burst(int src, std::span<std::byte> data,
     byte_cursor += len;
   }
   pair.lines_consumed += burst;
-  ++layout_->stats(rank()).credit_updates;
+  ++layout_->stats().credit_updates;
   co_await api_->priv_write(data.data() + chunk_begin,
                             byte_cursor - chunk_begin);
   co_await api_->flag_set(layout_->free_flag(src, rank()),
@@ -257,7 +213,7 @@ sim::Task<> Channel::send(std::span<const std::byte> data, int dest,
   while (cursor < total_lines) {
     refresh_tx(dest);
     if (tx_credits(dest) == 0) {
-      ++layout_->stats(rank()).credit_stalls;
+      ++layout_->stats().credit_stalls;
       const auto value = co_await api_->flag_wait_change(
           layout_->free_flag(rank(), dest),
           static_cast<std::uint8_t>(pair.lines_acked));
@@ -329,7 +285,7 @@ sim::Task<> Channel::sendrecv(std::span<const std::byte> sdata, int dest,
       }
     }
     if (!progressed) {
-      ++layout_->stats(rank()).progress_polls;
+      ++layout_->stats().progress_polls;
       co_await api_->charge(
           machine::Phase::kFlagWait,
           api_->cost().hw.core_clock().cycles(kDuplexPollCycles));

@@ -76,21 +76,16 @@ class ChannelLayout {
     return flag_base_ + 2 * num_cores();
   }
 
-  /// Transport counters, sharded per acting core so endpoints on different
-  /// event-loop partitions count race-free. Mutable through the const
-  /// layout reference endpoints hold: counting is purely observational and
-  /// never feeds back into timing.
-  [[nodiscard]] ChannelStats& stats(int rank) const {
-    return stats_[static_cast<std::size_t>(rank)];
-  }
-  /// Chip-wide totals: the per-core shards summed.
-  [[nodiscard]] ChannelStats stats() const;
+  /// Chip-wide transport counters. Mutable through the const layout
+  /// reference endpoints hold: counting is purely observational and never
+  /// feeds back into timing.
+  [[nodiscard]] ChannelStats& stats() const { return stats_; }
 
  private:
   const rcce::Layout* base_;
   int flag_base_;
   std::uint32_t ring_lines_;
-  mutable std::vector<ChannelStats> stats_;
+  mutable ChannelStats stats_;
 };
 
 /// Message header occupying the first ring line of every message.

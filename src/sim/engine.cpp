@@ -151,14 +151,6 @@ void Engine::drain() {
   }
 }
 
-void Engine::drain_until(SimTime horizon) {
-  SCC_EXPECTS(!running_);
-  const RunningGuard guard{&running_};
-  while (!queue_.empty() && queue_.min().when < horizon) {
-    dispatch(queue_.pop_min());
-  }
-}
-
 void Engine::run() {
   drain();
   // Diagnostic strings are assembled only here, after the event loop has

@@ -164,29 +164,6 @@ class Engine {
   /// is the more specific diagnosis.
   [[nodiscard]] bool run_detect_deadlock();
 
-  /// Unbounded drain without root-task bookkeeping: processes every queued
-  /// event (run() is drain() plus deadlock diagnostics and root-exception
-  /// rethrow). The PDES coordinator uses it for the saturated-horizon
-  /// window, where the strict-< bound of drain_until would strand events
-  /// clamped exactly at SimTime::max().
-  void drain();
-
-  /// Bounded drain for partitioned (conservative-PDES) execution: processes
-  /// every event with timestamp strictly before `horizon`, including events
-  /// those events schedule inside the window, then returns with later events
-  /// still queued. now() is left at the last processed event (never advanced
-  /// to the horizon). Serial drains via run() are the special case
-  /// horizon = infinity; see sim::PdesEngine for the window protocol.
-  void drain_until(SimTime horizon);
-
-  /// Timestamp of the earliest pending event, or nullopt when the queue is
-  /// empty. The PDES coordinator min-reduces this across partitions to pick
-  /// each window's base time.
-  [[nodiscard]] std::optional<SimTime> next_event_time() const {
-    if (queue_.empty()) return std::nullopt;
-    return queue_.min().when;
-  }
-
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
   }
@@ -227,6 +204,9 @@ class Engine {
     RunningGuard& operator=(const RunningGuard&) = delete;
   };
 
+  /// Processes every queued event (run() is drain() plus deadlock
+  /// diagnostics and root-exception rethrow).
+  void drain();
   void dispatch(Event ev);
   void push_event(SimTime when, std::uintptr_t payload);
   void fire_probe(SimTime limit);

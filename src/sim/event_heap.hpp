@@ -25,8 +25,6 @@ class MoveHeap {
   [[nodiscard]] bool empty() const { return v_.empty(); }
   [[nodiscard]] std::size_t size() const { return v_.size(); }
   /// The minimum element, without removing it. Precondition: !empty().
-  /// Bounded drains (Engine::drain_until) peek here to decide whether the
-  /// next event is still inside the current window before popping it.
   [[nodiscard]] const T& min() const { return v_.front(); }
   void reserve(std::size_t n) { v_.reserve(n); }
   void clear() { v_.clear(); }

@@ -11,12 +11,10 @@
 // simulation allocates no frame memory at all.
 //
 // Thread model: the lists are thread_local, so concurrent simulations on
-// exec worker threads (or PDES partition workers) never contend or race. A
-// frame may legally be allocated on one thread and freed on another (e.g. a
-// partition task spawned on a worker but destroyed with the engine's roots
-// on the coordinator): the block simply migrates to the freeing thread's
-// list, which is the only list that thread ever touches. Each list frees its
-// remaining blocks at thread exit.
+// exec worker threads never contend or race. A frame may legally be
+// allocated on one thread and freed on another: the block simply migrates
+// to the freeing thread's list, which is the only list that thread ever
+// touches. Each list frees its remaining blocks at thread exit.
 #pragma once
 
 #include <cstddef>

@@ -121,25 +121,6 @@ class Recorder {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Splices another recorder's events into this one, in their recorded
-  /// order: lane/name views are re-interned into this recorder's storage and
-  /// every event is remapped onto THIS recorder's current run scope (the
-  /// partitioned machine records per-partition during a window and splices
-  /// into the caller's recorder, whose begin_run already named the run).
-  /// The capacity cap applies as if the events had been recorded here;
-  /// events the source recorder dropped stay dropped.
-  void append_from(const Recorder& other) {
-    for (const Event& ev : other.events()) {
-      if (!admit()) continue;
-      Event copy = ev;
-      copy.run = current_run();
-      copy.lane = intern(std::string(ev.lane));
-      copy.name = ev.name == ev.lane ? copy.lane : intern(std::string(ev.name));
-      events_.push_back(std::move(copy));
-    }
-    dropped_ += other.dropped();
-  }
-
   /// Drops recorded events and run scopes (interned names are kept -- views
   /// handed out earlier must stay valid).
   void clear() {

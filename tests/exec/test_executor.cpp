@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -98,80 +97,6 @@ TEST(Executor, MoreJobsThanWorkStillCompletes) {
   EXPECT_EQ(calls.load(), 3);
 }
 
-TEST(WorkerPool, RunRoundCoversEveryIndexExactlyOnce) {
-  for (const int threads : {1, 2, 8}) {
-    WorkerPool pool(threads);
-    EXPECT_EQ(pool.threads(), threads);
-    std::vector<std::atomic<int>> hits(97);
-    pool.run_round(hits.size(), [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-  }
-}
-
-TEST(WorkerPool, PersistentThreadsSurviveManyRounds) {
-  // The point of the pool over for_each_index: the same parked helpers
-  // serve round after round (the PDES drain runs thousands of windows).
-  WorkerPool pool(4);
-  std::atomic<std::uint64_t> total{0};
-  for (int round = 0; round < 500; ++round) {
-    pool.run_round(8, [&](std::size_t i) {
-      total.fetch_add(i + 1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(total.load(), 500u * (8u * 9u / 2u));
-}
-
-TEST(WorkerPool, ZeroCountReturnsWithoutInvoking) {
-  WorkerPool pool(4);
-  bool called = false;
-  pool.run_round(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(WorkerPool, FirstExceptionByIndexWinsAndPoolStaysUsable) {
-  WorkerPool pool(4);
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    try {
-      pool.run_round(40, [&](std::size_t i) {
-        if (i == 30) throw std::runtime_error("late index");
-        if (i == 3) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          throw std::runtime_error("early index");
-        }
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "early index");
-    }
-    // A throwing round must not wedge the pool: the next round still runs.
-    std::atomic<int> calls{0};
-    pool.run_round(16, [&](std::size_t) {
-      calls.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(calls.load(), 16);
-  }
-}
-
-TEST(WorkerPool, CallerThreadParticipatesWhenSingleThreaded) {
-  WorkerPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::size_t> seen;
-  pool.run_round(16, [&](std::size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    seen.push_back(i);
-  });
-  ASSERT_EQ(seen.size(), 16u);
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
-}
-
-TEST(WorkerPool, DestructsCleanlyWithoutEverRunningARound) {
-  WorkerPool pool(8);
-  EXPECT_EQ(pool.threads(), 8);
-}
-
 CliFlags parse_flags(const std::vector<const char*>& args) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
@@ -191,25 +116,6 @@ TEST(Executor, JobsFlagRejectsZeroNegativeAndGarbage) {
   for (const char* arg :
        {"--jobs=0", "--jobs=-2", "--jobs=abc", "--jobs=", "--jobs=4x"}) {
     EXPECT_THROW((void)jobs_flag(parse_flags({arg})), std::runtime_error)
-        << arg;
-  }
-}
-
-TEST(Executor, WorkersFlagAbsentMeansSerialMachines) {
-  EXPECT_EQ(workers_flag(parse_flags({})), 0);
-}
-
-TEST(Executor, WorkersFlagParsesPositiveValues) {
-  EXPECT_EQ(workers_flag(parse_flags({"--workers=1"})), 1);
-  EXPECT_EQ(workers_flag(parse_flags({"--workers=8"})), 8);
-}
-
-TEST(Executor, WorkersFlagRejectsZeroNegativeAndGarbage) {
-  // Same shared get_positive_int validation path as --jobs: an explicit
-  // worker count must be a well-formed integer >= 1.
-  for (const char* arg : {"--workers=0", "--workers=-1", "--workers=auto",
-                          "--workers=", "--workers=2.5"}) {
-    EXPECT_THROW((void)workers_flag(parse_flags({arg})), std::runtime_error)
         << arg;
   }
 }

@@ -3,7 +3,7 @@
 //      result byte (sampling on vs off, same machine);
 //   2. every exported observability artifact -- timeseries CSV/JSON,
 //      histogram JSON, bench-table JSON with its histogram block -- is
-//      byte-identical for any host --jobs value and any PDES worker count.
+//      byte-identical for any host --jobs value.
 // These are the contracts that keep the instrumentation safe to leave on
 // in CI: it can never perturb a baseline and never makes output depend on
 // the host's parallelism.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "harness/conformance.hpp"
-#include "harness/pdes_scenario.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "metrics/histogram.hpp"
@@ -92,49 +91,6 @@ TEST(ObsIdentical, SweepHistogramsAreByteIdenticalAcrossJobs) {
   serial.to_table().write_json(ta, "sweep");
   parallel.to_table().write_json(tb, "sweep");
   EXPECT_EQ(ta.str(), tb.str());
-}
-
-TEST(ObsIdentical, PdesTimeseriesIsByteIdenticalAcrossWorkerCounts) {
-  const auto run = [](int workers) {
-    PdesScenarioSpec spec;
-    spec.tiles_x = 16;
-    spec.tiles_y = 8;
-    spec.partitions = 8;
-    spec.workers = workers;
-    spec.steps = 12;
-    spec.sample = true;
-    return run_pdes_mesh(spec);
-  };
-  const PdesScenarioResult serial = run(1);
-  ASSERT_TRUE(serial.timeseries.has_value());
-  EXPECT_GT(serial.timeseries->rows.size(), 0u);
-
-  std::ostringstream serial_csv;
-  std::ostringstream serial_json;
-  serial.timeseries->write_csv(serial_csv);
-  serial.timeseries->write_json(serial_json);
-  std::ostringstream serial_metrics;
-  serial.metrics.write_json(serial_metrics);
-
-  for (const int workers : {2, 8}) {
-    const PdesScenarioResult parallel = run(workers);
-    ASSERT_TRUE(parallel.timeseries.has_value());
-    std::ostringstream csv;
-    std::ostringstream json;
-    parallel.timeseries->write_csv(csv);
-    parallel.timeseries->write_json(json);
-    EXPECT_EQ(serial_csv.str(), csv.str()) << "workers " << workers;
-    EXPECT_EQ(serial_json.str(), json.str()) << "workers " << workers;
-    // The new drain-introspection counters ride in the metrics snapshot
-    // and must not leak worker count or host time either.
-    std::ostringstream metrics;
-    parallel.metrics.write_json(metrics);
-    EXPECT_EQ(serial_metrics.str(), metrics.str()) << "workers " << workers;
-    EXPECT_EQ(serial.pdes.max_window_posts, parallel.pdes.max_window_posts);
-    EXPECT_EQ(serial.pdes.posts_at_floor, parallel.pdes.posts_at_floor);
-    EXPECT_EQ(serial.pdes.min_post_slack, parallel.pdes.min_post_slack);
-    EXPECT_EQ(serial.pdes.saturated_windows, parallel.pdes.saturated_windows);
-  }
 }
 
 TEST(ObsIdentical, ConformanceHistogramsAreByteIdenticalAcrossJobs) {
