@@ -3,71 +3,60 @@
 // first-order link queueing is modeled instead of the paper's
 // contention-free formulas? Dense patterns (Alltoall, Allgather) should
 // shift most; the neighbour-local reduction rings barely.
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
+#include <exception>
 #include <iostream>
-#include <map>
+#include <stdexcept>
+#include <string>
 
 #include "bench_support.hpp"
+#include "common/cli.hpp"
+#include "common/string_util.hpp"
+#include "common/table.hpp"
+#include "harness/runner.hpp"
 
 namespace {
 
 using scc::harness::Collective;
 using scc::harness::PaperVariant;
 
-double latency_us(Collective coll, bool contention) {
+double latency_us(Collective coll, bool contention, int reps) {
   scc::harness::RunSpec spec;
   spec.collective = coll;
   spec.variant = PaperVariant::kLightweight;
   spec.elements = 552;
-  spec.repetitions = static_cast<int>(scc::bench::env_size("SCC_BENCH_REPS", 2));
+  spec.repetitions = reps;
   spec.warmup = 1;
   spec.verify = false;
   spec.config.cost.hw.model_link_contention = contention;
   return scc::harness::run_collective(spec).mean_latency.us();
 }
 
-std::map<Collective, std::pair<double, double>>& rows() {
-  static std::map<Collective, std::pair<double, double>> r;
-  return r;
-}
-
-void bench_collective(benchmark::State& state, Collective coll) {
-  for (auto _ : state) {
-    const double off = latency_us(coll, false);
-    const double on = latency_us(coll, true);
-    rows()[coll] = {off, on};
-    state.SetIterationTime(on * 1e-6);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  int reps = 2;
+  try {
+    const scc::CliFlags flags = scc::CliFlags::parse(argc, argv);
+    reps = flags.get_positive_int("reps", 2);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "abl_contention: %s\n", e.what());
+    return 2;
+  }
+
   const Collective collectives[] = {
       Collective::kAllgather, Collective::kAlltoall,
       Collective::kReduceScatter, Collective::kBroadcast, Collective::kReduce,
       Collective::kAllreduce};
-  for (const Collective coll : collectives) {
-    const std::string name = std::string("abl_contention/") +
-                             std::string(scc::harness::collective_name(coll));
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [coll](benchmark::State& state) { bench_collective(state, coll); })
-        ->UseManualTime()
-        ->Unit(benchmark::kMicrosecond)
-        ->Iterations(1);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::cout << "\n=== Link-contention ablation (lightweight stack, 552 "
+  std::cout << "=== Link-contention ablation (lightweight stack, 552 "
             << "doubles, 48 cores) ===\n";
   scc::Table table(
       {"collective", "contention-free", "with contention", "slowdown"});
   for (const Collective coll : collectives) {
-    const auto& [off, on] = rows().at(coll);
+    const double off = latency_us(coll, false, reps);
+    const double on = latency_us(coll, true, reps);
     table.add_row({std::string(scc::harness::collective_name(coll)),
                    scc::strprintf("%.1f us", off),
                    scc::strprintf("%.1f us", on),
@@ -76,8 +65,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n(The paper's latency formulas are contention-free; the "
             << "default configuration matches them.)\n";
-  std::filesystem::create_directories("bench_results");
-  table.write_csv_file("bench_results/abl_contention.csv");
-  table.write_json_file("bench_results/abl_contention.json", "abl_contention");
+  scc::bench::write_table("abl_contention", table);
   return 0;
 }

@@ -74,27 +74,31 @@ constexpr Scenario kScenarios[] = {
 
 int main(int argc, char** argv) {
   using namespace scc;
+  std::vector<std::string> mesh;
+  harness::RunSpec base;
+  std::size_t elements = 0;
+  int reps = 0, jobs = 0;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    const auto mesh = split(flags.get("mesh", "6x4"), 'x');
+    mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    const auto elements =
-        static_cast<std::size_t>(flags.get_int_in("elements", 192, 0));
-    const int reps = flags.get_positive_int("reps", 2);
-    const int jobs = exec::jobs_flag(flags);
-    for (const std::string& name : flags.unconsumed()) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      return 2;
-    }
-
-    harness::RunSpec base;
+    base.config.tiles_x = std::stoi(mesh[0]);
+    base.config.tiles_y = std::stoi(mesh[1]);
+    elements = static_cast<std::size_t>(flags.get_int_in("elements", 192, 0));
+    reps = flags.get_positive_int("reps", 2);
+    jobs = exec::jobs_flag(flags);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "abl_degradation: %s\n", e.what());
+    return 2;
+  }
+  try {
     base.variant = harness::PaperVariant::kLightweight;
     base.elements = elements;
     base.repetitions = reps;
     base.warmup = 1;
     base.verify = true;  // results must stay correct on a degraded machine
-    base.config.tiles_x = std::stoi(mesh[0]);
-    base.config.tiles_y = std::stoi(mesh[1]);
     const int p = base.config.num_cores();
 
     // Parse + validate every scenario against the actual mesh up front.

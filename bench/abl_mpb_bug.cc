@@ -3,24 +3,29 @@
 // MPB-direct Allreduce. Runs the lightweight+balanced stack and the
 // MPB-direct routine with the tile-arbiter-bug workaround ON (the real,
 // evaluated chip) and OFF (hypothetical fixed silicon), across sizes.
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
+#include <exception>
 #include <iostream>
-#include <map>
+#include <stdexcept>
+#include <string>
 
 #include "bench_support.hpp"
+#include "common/cli.hpp"
+#include "common/string_util.hpp"
+#include "common/table.hpp"
+#include "harness/runner.hpp"
 
 namespace {
 
 using scc::harness::Collective;
 using scc::harness::PaperVariant;
 
-double latency_us(PaperVariant v, std::size_t n, bool bug) {
+double latency_us(PaperVariant v, std::size_t n, bool bug, int reps) {
   scc::harness::RunSpec spec;
   spec.collective = Collective::kAllreduce;
   spec.variant = v;
   spec.elements = n;
-  spec.repetitions = static_cast<int>(scc::bench::env_size("SCC_BENCH_REPS", 2));
+  spec.repetitions = reps;
   spec.warmup = 1;
   spec.verify = false;
   spec.config = bug ? scc::machine::SccConfig::paper_default()
@@ -28,62 +33,40 @@ double latency_us(PaperVariant v, std::size_t n, bool bug) {
   return scc::harness::run_collective(spec).mean_latency.us();
 }
 
-struct Row {
-  double balanced_us, mpb_us;
-};
-std::map<std::pair<std::size_t, bool>, Row>& rows() {
-  static std::map<std::pair<std::size_t, bool>, Row> r;
-  return r;
-}
-
-void bench_point(benchmark::State& state, std::size_t n, bool bug) {
-  for (auto _ : state) {
-    Row row{latency_us(PaperVariant::kLwBalanced, n, bug),
-            latency_us(PaperVariant::kMpb, n, bug)};
-    state.SetIterationTime(row.mpb_us * 1e-6);
-    rows()[{n, bug}] = row;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t sizes[] = {500, 552, 576, 648, 700};
-  for (const std::size_t n : sizes) {
-    for (const bool bug : {true, false}) {
-      const std::string name = scc::strprintf(
-          "abl_mpb_bug/%zu/%s", n, bug ? "bug_workaround" : "bug_fixed");
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [n, bug](benchmark::State& state) { bench_point(state, n, bug); })
-          ->UseManualTime()
-          ->Unit(benchmark::kMicrosecond)
-          ->Iterations(1);
-    }
+  int reps = 2;
+  try {
+    const scc::CliFlags flags = scc::CliFlags::parse(argc, argv);
+    reps = flags.get_positive_int("reps", 2);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "abl_mpb_bug: %s\n", e.what());
+    return 2;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
-  std::cout << "\n=== Section IV-D ablation: MPB-direct Allreduce vs the "
+  const std::size_t sizes[] = {500, 552, 576, 648, 700};
+  std::cout << "=== Section IV-D ablation: MPB-direct Allreduce vs the "
             << "tile-arbiter bug (48 cores) ===\n";
   scc::Table table({"elements", "arbiter bug", "lw-balanced", "mpb-direct",
                     "mpb speedup"});
   for (const std::size_t n : sizes) {
     for (const bool bug : {true, false}) {
-      const Row& row = rows().at({n, bug});
+      const double balanced_us =
+          latency_us(PaperVariant::kLwBalanced, n, bug, reps);
+      const double mpb_us = latency_us(PaperVariant::kMpb, n, bug, reps);
       table.add_row({scc::strprintf("%zu", n),
                      bug ? "workaround on" : "fixed",
-                     scc::strprintf("%.1f us", row.balanced_us),
-                     scc::strprintf("%.1f us", row.mpb_us),
-                     scc::strprintf("%.2fx", row.balanced_us / row.mpb_us)});
+                     scc::strprintf("%.1f us", balanced_us),
+                     scc::strprintf("%.1f us", mpb_us),
+                     scc::strprintf("%.2fx", balanced_us / mpb_us)});
     }
   }
   table.print(std::cout);
   std::cout << "\npaper: ~1.1x with the bug workaround; 'significantly "
             << "higher' expected on fixed silicon.\n";
-  std::filesystem::create_directories("bench_results");
-  table.write_csv_file("bench_results/abl_mpb_bug.csv");
-  table.write_json_file("bench_results/abl_mpb_bug.json", "abl_mpb_bug");
+  scc::bench::write_table("abl_mpb_bug", table);
   return 0;
 }

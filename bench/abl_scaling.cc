@@ -5,12 +5,17 @@
 // the lightweight-stack advantage *grows* with the core count -- the
 // synchronization and per-call overheads the paper removes are per-round
 // costs, and ring algorithms have p-1 rounds.
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
+#include <exception>
 #include <iostream>
-#include <map>
+#include <stdexcept>
+#include <string>
 
 #include "bench_support.hpp"
+#include "common/cli.hpp"
+#include "common/string_util.hpp"
+#include "common/table.hpp"
+#include "harness/runner.hpp"
 
 namespace {
 
@@ -21,12 +26,12 @@ struct Mesh {
   int x, y;
 };
 
-double latency_us(PaperVariant v, Mesh mesh) {
+double latency_us(PaperVariant v, Mesh mesh, int reps) {
   scc::harness::RunSpec spec;
   spec.collective = Collective::kAllreduce;
   spec.variant = v;
   spec.elements = 552;
-  spec.repetitions = static_cast<int>(scc::bench::env_size("SCC_BENCH_REPS", 2));
+  spec.repetitions = reps;
   spec.warmup = 1;
   spec.verify = false;
   spec.config.tiles_x = mesh.x;
@@ -34,49 +39,32 @@ double latency_us(PaperVariant v, Mesh mesh) {
   return scc::harness::run_collective(spec).mean_latency.us();
 }
 
-std::map<int, std::pair<double, double>>& rows() {  // cores -> (blocking, bal)
-  static std::map<int, std::pair<double, double>> r;
-  return r;
-}
-
-void bench_mesh(benchmark::State& state, Mesh mesh) {
-  for (auto _ : state) {
-    const double blocking = latency_us(PaperVariant::kBlocking, mesh);
-    const double balanced = latency_us(PaperVariant::kLwBalanced, mesh);
-    rows()[mesh.x * mesh.y * 2] = {blocking, balanced};
-    state.SetIterationTime(blocking * 1e-6);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Mesh meshes[] = {{1, 1}, {2, 1}, {2, 2}, {3, 2}, {4, 3}, {6, 4}};
-  for (const Mesh mesh : meshes) {
-    const std::string name =
-        scc::strprintf("abl_scaling/%d_cores", mesh.x * mesh.y * 2);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [mesh](benchmark::State& state) { bench_mesh(state, mesh); })
-        ->UseManualTime()
-        ->Unit(benchmark::kMicrosecond)
-        ->Iterations(1);
+  int reps = 2;
+  try {
+    const scc::CliFlags flags = scc::CliFlags::parse(argc, argv);
+    reps = flags.get_positive_int("reps", 2);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "abl_scaling: %s\n", e.what());
+    return 2;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
-  std::cout << "\n=== Allreduce(552) scaling with core count ===\n";
+  const Mesh meshes[] = {{1, 1}, {2, 1}, {2, 2}, {3, 2}, {4, 3}, {6, 4}};
+  std::cout << "=== Allreduce(552) scaling with core count ===\n";
   scc::Table table({"cores", "blocking", "lw-balanced", "speedup"});
-  for (const auto& [cores, pair] : rows()) {
-    table.add_row({scc::strprintf("%d", cores),
-                   scc::strprintf("%.1f us", pair.first),
-                   scc::strprintf("%.1f us", pair.second),
-                   scc::strprintf("%.2fx", pair.first / pair.second)});
+  for (const Mesh mesh : meshes) {
+    const double blocking = latency_us(PaperVariant::kBlocking, mesh, reps);
+    const double balanced = latency_us(PaperVariant::kLwBalanced, mesh, reps);
+    table.add_row({scc::strprintf("%d", mesh.x * mesh.y * 2),
+                   scc::strprintf("%.1f us", blocking),
+                   scc::strprintf("%.1f us", balanced),
+                   scc::strprintf("%.2fx", blocking / balanced)});
   }
   table.print(std::cout);
-  std::filesystem::create_directories("bench_results");
-  table.write_csv_file("bench_results/abl_scaling.csv");
-  table.write_json_file("bench_results/abl_scaling.json", "abl_scaling");
+  scc::bench::write_table("abl_scaling", table);
   return 0;
 }

@@ -7,7 +7,8 @@
 //
 // Exit codes: 0 = within tolerance, 1 = regression (or corrupt/missing
 // input -- the gate fails closed), 2 = usage error. The bench-smoke ctest
-// tier runs this after fig9f_allreduce to catch simulated-latency drift.
+// tier runs this after each gated bench (bench/smoke_gate.cmake) to catch
+// simulated-latency drift.
 #include <cstdio>
 #include <exception>
 #include <iostream>

@@ -4,74 +4,53 @@
 // from far longer production runs, so EXPERIMENTS.md compares the
 // *ratios* between the bars.
 //
-// Environment knobs: SCC_BENCH_CYCLES (GCMC moves, default 12),
-// SCC_BENCH_REPS ignored (the app is a single deterministic trajectory).
-#include <benchmark/benchmark.h>
-
+//   fig10_gcmc_app [--cycles=12]   (GCMC moves; the app is a single
+//                                   deterministic trajectory per variant)
+#include <cstdio>
+#include <exception>
 #include <iostream>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "bench_support.hpp"
+#include "common/cli.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "gcmc/app.hpp"
 
-namespace {
-
-using scc::harness::PaperVariant;
-
-scc::gcmc::AppParams bench_params() {
+int main(int argc, char** argv) {
+  using scc::harness::PaperVariant;
   scc::gcmc::AppParams params;
   params.model.kmaxvecs = 276;  // the paper's 552-double Allreduce
   params.particles_total = 240;
   params.max_local_particles = 12;
-  params.cycles =
-      static_cast<int>(scc::bench::env_size("SCC_BENCH_CYCLES", 12));
-  return params;
-}
-
-std::map<PaperVariant, scc::gcmc::AppResult>& results() {
-  static std::map<PaperVariant, scc::gcmc::AppResult> r;
-  return r;
-}
-
-void run_variant(benchmark::State& state, PaperVariant variant) {
-  for (auto _ : state) {
-    scc::gcmc::AppResult result = scc::gcmc::run_app(bench_params(), variant);
-    state.SetIterationTime(result.runtime.seconds());
-    results()[variant] = std::move(result);
+  try {
+    const scc::CliFlags flags = scc::CliFlags::parse(argc, argv);
+    params.cycles = flags.get_positive_int("cycles", 12);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fig10_gcmc_app: %s\n", e.what());
+    return 2;
   }
-}
 
-}  // namespace
-
-int main(int argc, char** argv) {
   const PaperVariant variants[] = {
       PaperVariant::kRckmpi,      PaperVariant::kBlocking,
       PaperVariant::kIrcce,       PaperVariant::kLightweight,
       PaperVariant::kLwBalanced,  PaperVariant::kMpb};
+  std::map<PaperVariant, scc::gcmc::AppResult> results;
   for (const PaperVariant v : variants) {
-    const std::string name =
-        std::string("fig10/") + std::string(scc::harness::variant_name(v));
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [v](benchmark::State& state) { run_variant(state, v); })
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
+    results[v] = scc::gcmc::run_app(params, v);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
-  std::cout << "\n=== fig10: GCMC application runtime (48 cores, "
-            << bench_params().cycles << " moves, virtual time) ===\n";
+  std::cout << "=== fig10: GCMC application runtime (48 cores, "
+            << params.cycles << " moves, virtual time) ===\n";
   scc::Table table({"variant", "runtime", "vs blocking", "speedup", "accepted",
                     "final energy"});
-  const double blocking =
-      results().at(PaperVariant::kBlocking).runtime.seconds();
+  const double blocking = results.at(PaperVariant::kBlocking).runtime.seconds();
   for (const PaperVariant v : variants) {
-    const auto& r = results().at(v);
+    const auto& r = results.at(v);
     const double s = r.runtime.seconds();
     table.add_row({std::string(scc::harness::variant_name(v)),
                    scc::format_minutes(s), scc::strprintf("%+.1f%%", (s - blocking) / blocking * 100.0),
@@ -80,9 +59,6 @@ int main(int argc, char** argv) {
                    scc::strprintf("%.4f", r.final_energy)});
   }
   table.print(std::cout);
-  std::filesystem::create_directories("bench_results");
-  table.write_csv_file("bench_results/fig10_gcmc_app.csv");
-  table.write_json_file("bench_results/fig10_gcmc_app.json", "fig10_gcmc_app");
-  std::cout << "\nseries written to bench_results/fig10_gcmc_app.csv\n";
+  scc::bench::write_table("fig10_gcmc_app", table);
   return 0;
 }

@@ -71,28 +71,32 @@ PaperVariant parse_variant(const std::string& name) {
 
 int main(int argc, char** argv) {
   using namespace scc;
+  std::vector<std::string> mesh;
+  PaperVariant variant = PaperVariant::kLightweight;
+  std::vector<std::size_t> sizes;
+  harness::RunSpec base;
+  int reps = 0, jobs = 0;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    const auto mesh = split(flags.get("mesh", "6x4"), 'x');
+    mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    const PaperVariant variant =
-        parse_variant(flags.get("variant", "lightweight"));
-    const std::vector<std::size_t> sizes =
-        parse_sizes(flags.get("sizes", "8,48,192,552"));
-    const int reps = flags.get_positive_int("reps", 2);
-    const int jobs = exec::jobs_flag(flags);
-    for (const std::string& name : flags.unconsumed()) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      return 2;
-    }
-
-    harness::RunSpec base;
+    base.config.tiles_x = std::stoi(mesh[0]);
+    base.config.tiles_y = std::stoi(mesh[1]);
+    variant = parse_variant(flags.get("variant", "lightweight"));
+    sizes = parse_sizes(flags.get("sizes", "8,48,192,552"));
+    reps = flags.get_positive_int("reps", 2);
+    jobs = exec::jobs_flag(flags);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tab_algo_select: %s\n", e.what());
+    return 2;
+  }
+  try {
     base.variant = variant;
     base.repetitions = reps;
     base.warmup = 1;
     base.verify = false;
-    base.config.tiles_x = std::stoi(mesh[0]);
-    base.config.tiles_y = std::stoi(mesh[1]);
     const int p = base.config.num_cores();
     const coll::Prims prims =
         variant == PaperVariant::kBlocking  ? coll::Prims::kBlocking

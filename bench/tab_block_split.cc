@@ -2,40 +2,34 @@
 // max:min ratios of the standard (RCCE_comm) and balanced (paper) split
 // policies for the three vector lengths the figure shows, plus the
 // worst/best cases across the whole 500..700 sweep.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <cstdio>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "bench_support.hpp"
 #include "coll/block_split.hpp"
+#include "common/cli.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 
-namespace {
-
-void bench_split(benchmark::State& state) {
-  // The split itself is nanoseconds of host work; benchmarked for
-  // completeness of the binary.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scc::coll::split_blocks(n, 48, scc::coll::SplitPolicy::kBalanced));
-  }
-}
-BENCHMARK(bench_split)->Arg(528)->Arg(552)->Arg(575);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  try {
+    const scc::CliFlags flags = scc::CliFlags::parse(argc, argv);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tab_block_split: %s\n", e.what());
+    return 2;
+  }
 
   using scc::coll::imbalance_ratio;
   using scc::coll::split_blocks;
   using scc::coll::SplitPolicy;
 
-  std::cout << "\n=== Fig. 6: block sizes for p = 48 cores ===\n";
+  std::cout << "=== Fig. 6: block sizes for p = 48 cores ===\n";
   scc::Table table({"elements", "std first", "std general", "std ratio",
                     "bal large", "bal small", "bal ratio"});
   for (const std::size_t n :
@@ -63,8 +57,6 @@ int main(int argc, char** argv) {
       "\nworst case over 500..700 elements: standard %.1f:1, balanced "
       "%.2f:1\n(paper: up to 5.3:1 vs at most 1.1:1)\n",
       worst_std, worst_bal);
-  std::filesystem::create_directories("bench_results");
-  table.write_csv_file("bench_results/tab_block_split.csv");
-  table.write_json_file("bench_results/tab_block_split.json", "tab_block_split");
+  scc::bench::write_table("tab_block_split", table);
   return 0;
 }

@@ -3,74 +3,57 @@
 // RCCE_comm baseline for every collective, and the maximum pointwise
 // Allreduce speedup with the size at which it occurs.
 //
-// Uses a coarser sweep than the figure binaries (SCC_BENCH_STEP, default
-// 16) since only aggregate statistics are reported.
-#include <benchmark/benchmark.h>
-
+//   tab_speedups [--from=500] [--to=700] [--step=16] [--reps=2] [--jobs=N]
+//
+// The default sweep is coarser than the figure binaries' since only
+// aggregate statistics are reported. --jobs fans the sweep cells out over
+// host threads; the tables are identical for every value.
+#include <algorithm>
+#include <cstdio>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "bench_support.hpp"
+#include "common/cli.hpp"
+#include "common/string_util.hpp"
+#include "exec/executor.hpp"
 #include "harness/sweep.hpp"
 
-namespace {
-
-using scc::harness::Collective;
-using scc::harness::PaperVariant;
-using scc::harness::SweepResult;
-using scc::harness::SweepSpec;
-
-SweepResult sweep_of(Collective coll) {
-  SweepSpec spec;
-  spec.collective = coll;
-  spec.from = scc::bench::env_size("SCC_BENCH_FROM", 500);
-  spec.to = scc::bench::env_size("SCC_BENCH_TO", 700);
-  spec.step = scc::bench::env_size("SCC_BENCH_STEP", 16);
-  spec.repetitions = static_cast<int>(scc::bench::env_size("SCC_BENCH_REPS", 2));
+int main(int argc, char** argv) {
+  using scc::harness::Collective;
+  using scc::harness::PaperVariant;
+  using scc::harness::SweepResult;
+  scc::harness::SweepSpec spec;
+  try {
+    const scc::CliFlags flags = scc::CliFlags::parse(argc, argv);
+    spec.from = static_cast<std::size_t>(flags.get_int_in("from", 500, 0));
+    spec.to = static_cast<std::size_t>(flags.get_int_in("to", 700, 0));
+    spec.step = static_cast<std::size_t>(flags.get_positive_int("step", 16));
+    spec.repetitions = flags.get_positive_int("reps", 2);
+    spec.jobs = scc::exec::jobs_flag(flags);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+    if (spec.to < spec.from) throw std::runtime_error("--to is below --from");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tab_speedups: %s\n", e.what());
+    return 2;
+  }
   spec.warmup = 1;
   spec.verify = false;
-  // --jobs=N (0 = hardware concurrency): cells fan out inside run_sweep;
-  // the merged SweepResult is identical for every jobs value.
-  spec.jobs = scc::bench::options().jobs;
-  return scc::harness::run_sweep(spec);
-}
 
-void bench_sweep(benchmark::State& state, Collective coll,
-                 SweepResult* result_out) {
-  for (auto _ : state) {
-    *result_out = sweep_of(coll);
-    double total_us = 0.0;
-    for (const auto& pt : result_out->points)
-      for (const double us : pt.latency_us) total_us += us;
-    state.SetIterationTime(total_us * 1e-6);
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  scc::bench::parse_instrumentation_flags(argc, argv);
   const Collective collectives[] = {
       Collective::kAllgather, Collective::kAlltoall,
       Collective::kReduceScatter, Collective::kBroadcast, Collective::kReduce,
       Collective::kAllreduce};
-  static SweepResult results[6];
+  SweepResult results[6];
   for (int i = 0; i < 6; ++i) {
-    const Collective coll = collectives[i];
-    const std::string name = std::string("sweep/") +
-                             std::string(scc::harness::collective_name(coll));
-    SweepResult* out = &results[i];
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [coll, out](benchmark::State& state) { bench_sweep(state, coll, out); })
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
+    spec.collective = collectives[i];
+    results[i] = scc::harness::run_sweep(spec);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
-  std::cout << "\n=== Average speedups vs RCCE_comm blocking baseline "
+  std::cout << "=== Average speedups vs RCCE_comm blocking baseline "
             << "(48 cores, 500..700 doubles) ===\n";
   scc::Table table({"collective", "ircce", "lightweight", "best non-MPB",
                     "paper (best)"});
@@ -99,8 +82,6 @@ int main(int argc, char** argv) {
       "\nmax Allreduce speedup (lw-balanced): %.2fx at %zu elements "
       "(paper: 3.6x at 574)\n",
       best, at);
-  std::filesystem::create_directories("bench_results");
-  table.write_csv_file("bench_results/tab_speedups.csv");
-  table.write_json_file("bench_results/tab_speedups.json", "tab_speedups");
+  scc::bench::write_table("tab_speedups", table);
   return 0;
 }

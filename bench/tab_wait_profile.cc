@@ -4,26 +4,32 @@
 // for an Allreduce under each variant, plus the GCMC application's
 // blocking-stack profile.
 //
-// Besides the shared --metrics=<path> / --blame instrumentation flags
-// (bench_support.hpp), --trace=<path> records every profiled run into one
-// chrome://tracing file (one run scope per variant).
-#include <benchmark/benchmark.h>
-
+//   tab_wait_profile [--cycles=8] [--metrics=<path>] [--blame]
+//                    [--trace=<path>]
+//
+// --cycles sets the GCMC moves of the application profile. --metrics
+// writes each variant's counters (prefixed "profile/<variant>/") as
+// scc-metrics-v1; --blame prints each variant's critical-path blame report;
+// --trace records every profiled run into one chrome://tracing file (one
+// run scope per variant).
 #include <algorithm>
+#include <cstdio>
+#include <exception>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_support.hpp"
+#include "common/cli.hpp"
+#include "common/string_util.hpp"
 #include "gcmc/app.hpp"
 #include "machine/profile.hpp"
+#include "metrics/registry.hpp"
 #include "trace/chrome_export.hpp"
 
 namespace {
-
-scc::trace::Recorder* g_trace = nullptr;
-// With --trace= the recorder accumulates every variant into one file; with
-// --blame alone each variant gets the full capacity to itself.
-bool g_keep_trace = false;
 
 using scc::machine::CoreProfile;
 using scc::machine::Phase;
@@ -60,70 +66,35 @@ Breakdown analyze(const std::vector<CoreProfile>& profiles) {
   return b;
 }
 
-scc::harness::RunResult allreduce_run(PaperVariant v) {
-  scc::harness::RunSpec spec;
-  spec.collective = scc::harness::Collective::kAllreduce;
-  spec.variant = v;
-  spec.elements = 552;
-  spec.repetitions = 3;
-  spec.warmup = 1;
-  spec.verify = false;
-  spec.collect_profiles = true;
-  spec.collect_metrics = !scc::bench::options().metrics_path.empty();
-  spec.trace = g_trace;
-  return scc::harness::run_collective(spec);
-}
-
-void bench_profile(benchmark::State& state, PaperVariant v,
-                   Breakdown* out) {
-  for (auto _ : state) {
-    if (g_trace != nullptr && !g_keep_trace) g_trace->clear();
-    const auto result = allreduce_run(v);
-    *out = analyze(result.profiles);
-    state.SetIterationTime(result.profiles[0].total().seconds());
-    const std::string variant{scc::harness::variant_name(v)};
-    if (result.metrics) {
-      scc::bench::merged_metrics().absorb(*result.metrics,
-                                          "profile/" + variant + "/");
-    }
-    if (scc::bench::options().blame && g_trace != nullptr &&
-        !result.sample_windows.empty()) {
-      const auto [begin, end] = result.sample_windows.back();
-      const scc::metrics::BlameReport report = scc::metrics::analyze_blame(
-          *g_trace, g_trace->current_run(), /*terminal_core=*/0, begin, end);
-      std::ostringstream ss;
-      ss << "--- " << variant << " n=552";
-      if (g_trace->dropped() > 0) {
-        ss << " (trace dropped " << g_trace->dropped()
-           << " events; attribution partial)";
-      }
-      ss << " ---\n";
-      report.print(ss);
-      scc::bench::blame_reports()[variant] = ss.str();
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  scc::bench::parse_instrumentation_flags(argc, argv);
-  // Pull our own --trace= flag out of argv before google-benchmark sees it.
+  int cycles = 8;
+  std::string metrics_path;
+  bool blame = false;
   std::string trace_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(8);
-    } else {
-      argv[kept++] = argv[i];
-    }
+  try {
+    const scc::CliFlags flags = scc::CliFlags::parse(argc, argv);
+    cycles = flags.get_positive_int("cycles", 8);
+    metrics_path = flags.get("metrics", "");
+    blame = flags.get_bool("blame", false);
+    trace_path = flags.get("trace", "");
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+    if (flags.has("metrics") && metrics_path.empty())
+      throw std::runtime_error("--metrics= needs a path");
+    if (flags.has("trace") && trace_path.empty())
+      throw std::runtime_error("--trace= needs a path");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tab_wait_profile: %s\n", e.what());
+    return 2;
   }
-  argc = kept;
-  static scc::trace::Recorder recorder(/*capacity=*/std::size_t{1} << 20);
-  if (!trace_path.empty() || scc::bench::options().blame) {
-    g_trace = &recorder;  // --blame replays the recorded intervals
-    g_keep_trace = !trace_path.empty();
+  // --blame replays the recorded intervals. With --trace the recorder
+  // accumulates every variant into one file; with --blame alone each
+  // variant gets the full capacity to itself.
+  std::optional<scc::trace::Recorder> recorder;
+  if (!trace_path.empty() || blame) {
+    recorder.emplace(/*capacity=*/std::size_t{1} << 20);
   }
 
   const PaperVariant variants[] = {PaperVariant::kBlocking,
@@ -131,35 +102,39 @@ int main(int argc, char** argv) {
                                    PaperVariant::kLightweight,
                                    PaperVariant::kLwBalanced,
                                    PaperVariant::kMpb};
-  static Breakdown breakdowns[5];
-  for (int i = 0; i < 5; ++i) {
-    const PaperVariant v = variants[i];
-    Breakdown* out = &breakdowns[i];
-    const std::string name = std::string("profile/") +
-                             std::string(scc::harness::variant_name(v));
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [v, out](benchmark::State& state) { bench_profile(state, v, out); })
-        ->UseManualTime()
-        ->Unit(benchmark::kMicrosecond)
-        ->Iterations(1);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::cout << "\n=== Per-core time breakdown, Allreduce(552) on 48 cores ===\n";
+  scc::metrics::MetricsRegistry merged;
+  std::vector<std::string> blame_reports;
   scc::Table table({"variant", "wait max", "wait mean", "sw-overhead",
                     "mpb-transfer", "compute+mem"});
-  for (int i = 0; i < 5; ++i) {
-    const Breakdown& b = breakdowns[i];
-    table.add_row({std::string(scc::harness::variant_name(variants[i])),
-                   scc::strprintf("%.0f%%", b.wait_max_pct),
+  for (const PaperVariant v : variants) {
+    if (recorder && trace_path.empty()) recorder->clear();
+    scc::harness::RunSpec spec;
+    spec.collective = scc::harness::Collective::kAllreduce;
+    spec.variant = v;
+    spec.elements = 552;
+    spec.repetitions = 3;
+    spec.warmup = 1;
+    spec.verify = false;
+    spec.collect_profiles = true;
+    spec.collect_metrics = !metrics_path.empty();
+    spec.trace = recorder ? &*recorder : nullptr;
+    const scc::harness::RunResult result = scc::harness::run_collective(spec);
+    const std::string variant{scc::harness::variant_name(v)};
+    if (result.metrics) {
+      merged.absorb(*result.metrics, "profile/" + variant + "/");
+    }
+    if (blame) {
+      blame_reports.push_back(
+          scc::bench::blame_text(*recorder, result, variant, 552));
+    }
+    const Breakdown b = analyze(result.profiles);
+    table.add_row({variant, scc::strprintf("%.0f%%", b.wait_max_pct),
                    scc::strprintf("%.0f%%", b.wait_mean_pct),
                    scc::strprintf("%.0f%%", b.overhead_mean_pct),
                    scc::strprintf("%.0f%%", b.transfer_mean_pct),
                    scc::strprintf("%.0f%%", b.compute_mean_pct)});
   }
+  std::cout << "=== Per-core time breakdown, Allreduce(552) on 48 cores ===\n";
   table.print(std::cout);
 
   // The paper's actual profile subject: the application on the blocking
@@ -168,20 +143,25 @@ int main(int argc, char** argv) {
   params.model.kmaxvecs = 276;
   params.particles_total = 240;
   params.max_local_particles = 12;
-  params.cycles = static_cast<int>(scc::bench::env_size("SCC_BENCH_CYCLES", 8));
-  const auto app =
-      scc::gcmc::run_app(params, PaperVariant::kBlocking);
+  params.cycles = cycles;
+  const auto app = scc::gcmc::run_app(params, PaperVariant::kBlocking);
   const Breakdown b = analyze(app.profiles);
   std::cout << scc::strprintf(
       "\nGCMC application, blocking stack: wait max %.0f%% / mean %.0f%% of "
       "core time (paper: up to 50%%)\n",
       b.wait_max_pct, b.wait_mean_pct);
-  scc::bench::write_outputs("tab_wait_profile", table);
+  scc::bench::write_table("tab_wait_profile", table);
+  if (!metrics_path.empty()) {
+    merged.set_label("tab_wait_profile");
+    merged.write_json_file(metrics_path);
+    std::cout << "metrics snapshot written to " << metrics_path << '\n';
+  }
+  for (const std::string& report : blame_reports) std::cout << '\n' << report;
   if (!trace_path.empty()) {
-    scc::trace::write_chrome_json_file(recorder, trace_path);
+    scc::trace::write_chrome_json_file(*recorder, trace_path);
     std::cout << "trace written to " << trace_path << " ("
-              << recorder.events().size() << " events, " << recorder.dropped()
-              << " dropped)\n";
+              << recorder->events().size() << " events, "
+              << recorder->dropped() << " dropped)\n";
   }
   return 0;
 }

@@ -12,19 +12,15 @@ CliFlags CliFlags::parse(int argc, const char* const* argv) {
   CliFlags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--") break;
-    if (arg.rfind("--", 0) != 0) {
-      flags.positionals_.push_back(arg);
-      continue;
-    }
-    const std::string body = arg.substr(2);
+    const std::string body = arg.rfind("--", 0) == 0 ? arg.substr(2) : "";
     const std::size_t eq = body.find('=');
+    if (eq == 0 || body.empty())
+      throw std::runtime_error("unexpected argument '" + arg +
+                               "' (flags are --name or --name=value)");
     if (eq != std::string::npos) {
       flags.values_[body.substr(0, eq)] = {body.substr(eq + 1), false};
     } else {
-      // Values must be attached with '=': without a registry of which
-      // flags take values, consuming the next token here would swallow a
-      // following positional (see header comment).
+      // Values must be attached with '=' (see header comment).
       flags.values_[body] = {"true", false};  // bare boolean flag
     }
   }

@@ -1,11 +1,11 @@
 // Minimal command-line flag parsing for bench and example binaries.
-// Flags use --name=value; a bare --name is the boolean "true". The
-// space-separated form (--name value) is deliberately NOT supported: the
-// parser has no flag registry, so it cannot tell a boolean flag followed
-// by a positional from a value flag, and guessing used to swallow the
-// positional (and turned "--n -5" into n="-5" or n=true depending on the
-// sign). Unknown flags are an error so typos don't silently run the wrong
-// experiment.
+// Every argument is --name=value or a bare --name (the boolean "true");
+// anything else -- a positional, a "--" separator, a value without its
+// flag -- is an error. The space-separated form (--name value) is
+// deliberately NOT supported: the parser has no flag registry, so it
+// cannot tell a boolean flag followed by a stray token from a value flag.
+// Unknown flags are an error too (see unconsumed()), so typos don't
+// silently run the wrong experiment.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +18,8 @@ namespace scc {
 
 class CliFlags {
  public:
-  /// Parses argv. Throws std::runtime_error on malformed input.
-  /// Arguments not starting with "--" are collected as positionals.
-  /// Anything after a literal "--" separator is ignored (left for wrapped
-  /// frameworks such as google-benchmark).
+  /// Parses argv. Throws std::runtime_error on any argument that is not
+  /// --name or --name=value.
   static CliFlags parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;
@@ -46,17 +44,12 @@ class CliFlags {
   [[nodiscard]] int get_positive_int(const std::string& name,
                                      int fallback) const;
 
-  [[nodiscard]] const std::vector<std::string>& positionals() const {
-    return positionals_;
-  }
-
   /// Names that were parsed but never queried -- call at the end of main to
   /// reject typos.
   [[nodiscard]] std::vector<std::string> unconsumed() const;
 
  private:
   mutable std::map<std::string, std::pair<std::string, bool>> values_;
-  std::vector<std::string> positionals_;
 };
 
 }  // namespace scc

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <limits>
 #include <thread>
 
 #include "common/cli.hpp"
@@ -14,30 +10,7 @@
 
 namespace scc::exec {
 
-namespace {
-
-/// Strict SCC_JOBS parse (mirrors bench_support's env_size discipline): a
-/// mistyped SCC_JOBS=1O must abort, not quietly run serial.
-int jobs_from_env() {
-  const char* value = std::getenv("SCC_JOBS");
-  if (value == nullptr) return 0;
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < 1 ||
-      parsed > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "error: SCC_JOBS='%s' is not a positive integer\n",
-                 value);
-    std::exit(2);
-  }
-  return static_cast<int>(parsed);
-}
-
-}  // namespace
-
 int default_jobs() {
-  static const int env = jobs_from_env();
-  if (env > 0) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

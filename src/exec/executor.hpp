@@ -33,8 +33,7 @@ class CliFlags;
 namespace scc::exec {
 
 /// Worker threads to use when the caller passed 0 ("auto"): the host's
-/// hardware concurrency, at least 1. Overridable with SCC_JOBS (strictly
-/// parsed; garbage aborts rather than silently running serial).
+/// hardware concurrency, at least 1.
 [[nodiscard]] int default_jobs();
 
 /// Maps a user-facing --jobs value to a worker count: 0 -> default_jobs(),

@@ -64,6 +64,25 @@ Table SweepResult::to_table() const {
   return table;
 }
 
+RunSpec cell_spec(const SweepSpec& spec, PaperVariant variant,
+                  std::size_t elements) {
+  RunSpec run;
+  run.collective = spec.collective;
+  run.variant = variant;
+  run.elements = elements;
+  run.repetitions = spec.repetitions;
+  run.warmup = spec.warmup;
+  run.seed = spec.seed;
+  run.verify = spec.verify;
+  run.trace = spec.trace;
+  run.config = spec.config;
+  run.collect_metrics = spec.collect_metrics;
+  if (variant != PaperVariant::kRckmpi && variant != PaperVariant::kMpb) {
+    run.algo = spec.algo;
+  }
+  return run;
+}
+
 SweepResult run_sweep(const SweepSpec& spec) {
   SCC_EXPECTS(spec.from <= spec.to);
   SCC_EXPECTS(spec.step >= 1);
@@ -79,27 +98,16 @@ SweepResult run_sweep(const SweepSpec& spec) {
     sizes.push_back(n);
   }
   const std::size_t stride = result.variants.size();
-  const auto cell_spec = [&](std::size_t job) {
-    RunSpec run;
-    run.collective = spec.collective;
-    run.variant = result.variants[job % stride];
-    run.elements = sizes[job / stride];
-    run.repetitions = spec.repetitions;
-    run.warmup = spec.warmup;
-    run.seed = spec.seed;
-    run.verify = spec.verify;
-    run.trace = spec.trace;
-    run.config = spec.config;
-    run.collect_metrics = spec.collect_metrics;
-    return run;
-  };
 
   // A shared recorder is mutated by every traced run: serialize then, so
   // the trace stream keeps its deterministic serial order.
   const int jobs = spec.trace != nullptr ? 1 : spec.jobs;
   const std::vector<RunResult> cells = exec::parallel_map<RunResult>(
       sizes.size() * stride, jobs,
-      [&](std::size_t job) { return run_collective(cell_spec(job)); });
+      [&](std::size_t job) {
+        return run_collective(cell_spec(spec, result.variants[job % stride],
+                                        sizes[job / stride]));
+      });
 
   // Deterministic merge: spec order (sizes outer, variants inner), exactly
   // the order the serial loop produced and the order absorb() prefixes

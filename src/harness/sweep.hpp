@@ -3,6 +3,7 @@
 // statistics from it.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ struct SweepSpec {
   machine::SccConfig config = machine::SccConfig::paper_default();
   /// Empty = the paper's variant set for this collective.
   std::vector<PaperVariant> variants;
+  /// Algorithm override (RunSpec::algo) for the Stack-based variants;
+  /// RCKMPI and the MPB-direct path have no algorithm dimension and keep
+  /// their own schedule, so a panel compares the override against them.
+  /// Unset = the paper's algorithm.
+  std::optional<coll::Algo> algo;
   /// When non-null, every (size, variant) run is traced into this recorder
   /// as its own run scope (one trace file can hold the whole sweep).
   trace::Recorder* trace = nullptr;
@@ -65,6 +71,10 @@ struct SweepResult {
   /// size column + one latency column per variant (microseconds).
   [[nodiscard]] Table to_table() const;
 };
+
+/// The RunSpec run_sweep simulates for one (variant, size) cell.
+[[nodiscard]] RunSpec cell_spec(const SweepSpec& spec, PaperVariant variant,
+                                std::size_t elements);
 
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec);
 

@@ -21,23 +21,19 @@ TEST(Cli, EqualsForm) {
 }
 
 // The space-separated value form is intentionally unsupported (the parser
-// cannot distinguish a boolean flag from a value flag without a registry):
-// a token after a bare flag stays a positional.
+// cannot distinguish a boolean flag from a value flag without a registry),
+// and a token that is not --name[=value] is an error rather than a
+// positional nobody reads.
 TEST(Cli, BareFlagDoesNotSwallowPositional) {
-  const auto flags = parse({"--verbose", "input.dat"});
-  EXPECT_TRUE(flags.get_bool("verbose", false));
-  ASSERT_EQ(flags.positionals().size(), 1u);
-  EXPECT_EQ(flags.positionals()[0], "input.dat");
+  EXPECT_THROW(static_cast<void>(parse({"--verbose", "input.dat"})),
+               std::runtime_error);
 }
 
 TEST(Cli, BareFlagBeforeNegativeNumber) {
-  // "--n -5" used to parse as n=true plus positional "-5" OR as n="-5"
-  // depending on the token's leading characters; now it is always the
-  // former, and asking for an integer fails loudly instead of returning 0.
-  const auto flags = parse({"--n", "-5"});
-  EXPECT_THROW(static_cast<void>(flags.get_int("n", 0)), std::runtime_error);
-  ASSERT_EQ(flags.positionals().size(), 1u);
-  EXPECT_EQ(flags.positionals()[0], "-5");
+  // "--n -5" once parsed as n="-5" or as n=true plus a positional "-5",
+  // depending on the token's leading characters; the stray "-5" is now
+  // rejected outright.
+  EXPECT_THROW(static_cast<void>(parse({"--n", "-5"})), std::runtime_error);
 }
 
 TEST(Cli, NegativeValueViaEquals) {
@@ -100,16 +96,19 @@ TEST(Cli, MalformedBoolThrows) {
 }
 
 TEST(Cli, Positionals) {
-  const auto flags = parse({"pos1", "--n=1", "pos2"});
-  ASSERT_EQ(flags.positionals().size(), 2u);
-  EXPECT_EQ(flags.positionals()[0], "pos1");
-  EXPECT_EQ(flags.positionals()[1], "pos2");
+  // A missing "--" (e.g. "jobs=2") must not be silently ignored.
+  for (const char* arg : {"pos1", "jobs=2", "-n=1", "--=1"}) {
+    EXPECT_THROW(static_cast<void>(parse({"--n=1", arg})), std::runtime_error)
+        << arg;
+  }
 }
 
 TEST(Cli, DoubleDashStopsParsing) {
-  const auto flags = parse({"--n=1", "--", "--ignored=2"});
-  EXPECT_EQ(flags.get_int("n", 0), 1);
-  EXPECT_FALSE(flags.has("ignored"));
+  // No wrapped framework consumes the arguments after a "--" separator, so
+  // the separator is an error instead of a way to hide flags.
+  EXPECT_THROW(static_cast<void>(parse({"--n=1", "--", "--ignored=2"})),
+               std::runtime_error);
+  EXPECT_THROW(static_cast<void>(parse({"--"})), std::runtime_error);
 }
 
 TEST(Cli, GetPositiveIntFallsBackWhenAbsent) {

@@ -121,6 +121,41 @@ TEST(Sweep, TableHasVariantColumns) {
   EXPECT_EQ(table.rows(), 1u);
 }
 
+// SweepSpec::algo reaches the Stack-based variants only: RCKMPI and the
+// MPB-direct Allreduce keep their own schedule (RunSpec::algo rejects
+// them), so a panel compares the override against them.
+TEST(Sweep, AlgoOverrideSkipsRckmpiAndMpb) {
+  SweepSpec spec;
+  spec.collective = Collective::kAllreduce;
+  spec.from = 64;
+  spec.to = 64;
+  spec.repetitions = 1;
+  spec.warmup = 1;
+  spec.config = mesh8();
+  spec.variants = {PaperVariant::kRckmpi, PaperVariant::kLightweight,
+                   PaperVariant::kMpb};
+  const SweepResult plain = run_sweep(spec);
+  spec.algo = coll::Algo::kRecursiveDoubling;
+  const SweepResult overridden = run_sweep(spec);
+
+  RunSpec lightweight;
+  lightweight.collective = Collective::kAllreduce;
+  lightweight.variant = PaperVariant::kLightweight;
+  lightweight.elements = 64;
+  lightweight.repetitions = 1;
+  lightweight.warmup = 1;
+  lightweight.config = mesh8();
+  lightweight.algo = coll::Algo::kRecursiveDoubling;
+  const double lightweight_us = run_collective(lightweight).mean_latency.us();
+  ASSERT_EQ(overridden.points.size(), 1u);
+  const std::vector<double>& got = overridden.points[0].latency_us;
+  const std::vector<double>& paper = plain.points[0].latency_us;
+  EXPECT_EQ(got[1], lightweight_us);
+  EXPECT_NE(got[1], paper[1]);  // the override changed the schedule
+  EXPECT_EQ(got[0], paper[0]);  // rckmpi
+  EXPECT_EQ(got[2], paper[2]);  // mpb
+}
+
 TEST(Runner, CustomSeedChangesDataNotShape) {
   RunSpec a;
   a.collective = Collective::kAllreduce;
