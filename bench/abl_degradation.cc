@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
     const CliFlags flags = CliFlags::parse(argc, argv);
     mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    base.config.tiles_x = std::stoi(mesh[0]);
-    base.config.tiles_y = std::stoi(mesh[1]);
+    base.config.tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
+    base.config.tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
     elements = static_cast<std::size_t>(flags.get_int_in("elements", 192, 0));
     reps = flags.get_positive_int("reps", 2);
     jobs = exec::jobs_flag(flags);

@@ -3,7 +3,9 @@
 # token that is not --name[=value] with exit status exactly 2 (usage error)
 # instead of ignoring it and running. fig9 must also reject a missing or
 # non-Fig. 9 --collective, out-of-range sweep values and an --algo the
-# collective does not have.
+# collective does not have. Integers inside flag values (--mesh=WxH,
+# --sizes, fault specs) must be whole, in range and not overflow, and the
+# examples must reject bad names and sizes up front instead of crashing.
 #
 # Required -D variables: BINARIES (target binaries, space-separated), FIG9
 # (target binary), WORK_DIR (scratch working directory).
@@ -41,3 +43,39 @@ expect_usage_error("${FIG9}" --collective=allreduce --reps=0)
 expect_usage_error("${FIG9}" --collective=allreduce --from=700 --to=500)
 expect_usage_error("${FIG9}" --collective=broadcast --algo=ring)
 expect_usage_error("${FIG9}" --collective=allreduce --algo=ring)
+
+# The path of the binary called <name> in BINARIES.
+function(binary_path name out)
+  foreach(binary IN LISTS binaries)
+    get_filename_component(base "${binary}" NAME)
+    if(base STREQUAL name)
+      set(${out} "${binary}" PARENT_SCOPE)
+      return()
+    endif()
+  endforeach()
+  message(FATAL_ERROR "cli_usage_smoke.cmake: no ${name} in BINARIES")
+endfunction()
+
+foreach(name tab_algo_select abl_degradation collective_playground
+             topology_explorer)
+  binary_path(${name} binary)
+  foreach(mesh 0x4 -1x4 6junkx4 ax4 2x 99999999999x4)
+    expect_usage_error("${binary}" --mesh=${mesh})
+  endforeach()
+endforeach()
+
+binary_path(tab_algo_select binary)
+expect_usage_error("${binary}" --sizes=8junk)
+expect_usage_error("${binary}" --sizes=8,,)
+binary_path(collective_playground binary)
+expect_usage_error("${binary}" --faults=straggler:99999999999x2)
+binary_path(topology_explorer binary)
+expect_usage_error("${binary}" --from-core=48)
+binary_path(cg_solver binary)
+expect_usage_error("${binary}" --variant=mpb)
+binary_path(gcmc_demo binary)
+expect_usage_error("${binary}" --variant=nope)
+expect_usage_error("${binary}" --capacity=0)
+expect_usage_error("${binary}" --particles=49 --capacity=1)
+binary_path(heat_stencil binary)
+expect_usage_error("${binary}" --cells-per-core=0)

@@ -36,24 +36,7 @@
 #include "metrics/histogram.hpp"
 #include "metrics/report.hpp"
 
-namespace {
-
 using scc::harness::Collective;
-
-std::optional<Collective> parse_collective(const std::string& name) {
-  constexpr Collective kAll[] = {
-      Collective::kAllgather,     Collective::kAlltoall,
-      Collective::kReduceScatter, Collective::kBroadcast,
-      Collective::kReduce,        Collective::kAllreduce,
-      Collective::kScatter,       Collective::kGather,
-      Collective::kAllgatherv};
-  for (const Collective c : kAll) {
-    if (name == scc::harness::collective_name(c)) return c;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -83,7 +66,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::optional<Collective> collective =
-        parse_collective(collective_flag);
+        scc::harness::parse_collective(collective_flag);
     if (!collective) {
       std::fprintf(stderr, "unknown collective '%s'\n",
                    collective_flag.c_str());

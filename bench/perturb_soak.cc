@@ -63,24 +63,10 @@ namespace {
 
 using scc::harness::Collective;
 
-constexpr Collective kCollectives[] = {
-    Collective::kAllgather,     Collective::kAlltoall,
-    Collective::kReduceScatter, Collective::kBroadcast,
-    Collective::kReduce,        Collective::kAllreduce,
-    Collective::kScatter,       Collective::kGather,
-    Collective::kAllgatherv};
-
 struct MeshShape {
   int x, y;
 };
 constexpr MeshShape kMeshes[] = {{1, 1}, {2, 1}, {3, 1}, {2, 2}, {3, 2}};
-
-std::optional<Collective> parse_collective(const std::string& name) {
-  for (const Collective c : kCollectives) {
-    if (name == scc::harness::collective_name(c)) return c;
-  }
-  return std::nullopt;
-}
 
 /// A random mesh link of the round's topology (both tiles in-mesh and
 /// adjacent). Requires at least one link (tiles_x > 1 or tiles_y > 1).
@@ -179,7 +165,7 @@ int main(int argc, char** argv) {
     }
     std::optional<Collective> fixed_collective;
     if (collective_flag != "all") {
-      fixed_collective = parse_collective(collective_flag);
+      fixed_collective = scc::harness::parse_collective(collective_flag);
       if (!fixed_collective) {
         std::fprintf(stderr, "unknown collective '%s'\n",
                      collective_flag.c_str());
@@ -226,7 +212,8 @@ int main(int argc, char** argv) {
       scc::harness::ConformanceSpec spec;
       spec.collective = fixed_collective
                             ? *fixed_collective
-                            : kCollectives[rng.below(std::size(kCollectives))];
+                            : scc::harness::kAllCollectives[rng.below(
+                                  scc::harness::kAllCollectives.size())];
       const MeshShape mesh = kMeshes[rng.below(std::size(kMeshes))];
       spec.tiles_x = mesh.x;
       spec.tiles_y = mesh.y;

@@ -49,22 +49,10 @@ constexpr Collective kCollectives[] = {
 std::vector<std::size_t> parse_sizes(const std::string& flag) {
   std::vector<std::size_t> sizes;
   for (const std::string& part : scc::split(flag, ',')) {
-    const int v = std::stoi(part);
-    if (v < 1) throw std::runtime_error("--sizes entries must be >= 1");
-    sizes.push_back(static_cast<std::size_t>(v));
+    sizes.push_back(
+        static_cast<std::size_t>(scc::parse_int_in(part, "--sizes entry", 1)));
   }
-  if (sizes.empty()) throw std::runtime_error("--sizes must not be empty");
   return sizes;
-}
-
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error(
-      "unknown --variant (Stack-based variants only): " + name);
 }
 
 }  // namespace
@@ -72,7 +60,6 @@ PaperVariant parse_variant(const std::string& name) {
 int main(int argc, char** argv) {
   using namespace scc;
   std::vector<std::string> mesh;
-  PaperVariant variant = PaperVariant::kLightweight;
   std::vector<std::size_t> sizes;
   harness::RunSpec base;
   int reps = 0, jobs = 0;
@@ -80,9 +67,15 @@ int main(int argc, char** argv) {
     const CliFlags flags = CliFlags::parse(argc, argv);
     mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    base.config.tiles_x = std::stoi(mesh[0]);
-    base.config.tiles_y = std::stoi(mesh[1]);
-    variant = parse_variant(flags.get("variant", "lightweight"));
+    base.config.tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
+    base.config.tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
+    const std::string variant_flag = flags.get("variant", "lightweight");
+    const std::optional<PaperVariant> variant =
+        harness::parse_variant(variant_flag);
+    if (!variant || !harness::stack_based(*variant))
+      throw std::runtime_error(
+          "unknown --variant (Stack-based variants only): " + variant_flag);
+    base.variant = *variant;
     sizes = parse_sizes(flags.get("sizes", "8,48,192,552"));
     reps = flags.get_positive_int("reps", 2);
     jobs = exec::jobs_flag(flags);
@@ -93,15 +86,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    base.variant = variant;
     base.repetitions = reps;
     base.warmup = 1;
     base.verify = false;
     const int p = base.config.num_cores();
-    const coll::Prims prims =
-        variant == PaperVariant::kBlocking  ? coll::Prims::kBlocking
-        : variant == PaperVariant::kIrcce   ? coll::Prims::kIrcce
-                                            : coll::Prims::kLightweight;
+    const coll::Prims prims = harness::prims_of(base.variant);
 
     // Flattened (collective, n, algo) grid; every point simulates on its
     // own machine, fanned out over --jobs and merged in grid order (the
@@ -129,7 +118,7 @@ int main(int argc, char** argv) {
 
     std::printf(
         "algorithm selection, %s variant, %d cores (%sx%s tiles), %d reps\n\n",
-        std::string(harness::variant_name(variant)).c_str(), p,
+        std::string(harness::variant_name(base.variant)).c_str(), p,
         mesh[0].c_str(), mesh[1].c_str(), reps);
     Table table({"cell", "elements", "paper_us", "best_us", "best_algo",
                  "speedup", "selected", "selected_us"});

@@ -13,12 +13,15 @@
 // run with --variant=blocking vs --variant=lw-balanced to see the paper's
 // optimizations translate directly into solver time.
 //
-// Usage: cg_solver [--variant=<stack>] [--rows-per-core=N] [--tol=T]
-//                  [--max-iters=K] [--compare]
+// Usage: cg_solver [--variant=blocking|ircce|lightweight|lw-balanced]
+//                  [--rows-per-core=N] [--tol=T] [--max-iters=K] [--compare]
+//
+// Bad or unknown flags exit with status 2.
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "coll/collectives.hpp"
@@ -149,16 +152,8 @@ struct SolveOutcome {
 
 SolveOutcome solve(const SolveConfig& config, PaperVariant variant) {
   SolveConfig cfg = config;
-  switch (variant) {
-    case PaperVariant::kBlocking: cfg.prims = scc::coll::Prims::kBlocking;
-      cfg.split = scc::coll::SplitPolicy::kStandard; break;
-    case PaperVariant::kIrcce: cfg.prims = scc::coll::Prims::kIrcce;
-      cfg.split = scc::coll::SplitPolicy::kStandard; break;
-    case PaperVariant::kLightweight: cfg.prims = scc::coll::Prims::kLightweight;
-      cfg.split = scc::coll::SplitPolicy::kStandard; break;
-    default: cfg.prims = scc::coll::Prims::kLightweight;
-      cfg.split = scc::coll::SplitPolicy::kBalanced; break;
-  }
+  cfg.prims = scc::harness::prims_of(variant);
+  cfg.split = scc::harness::split_of(variant);
   scc::machine::SccMachine machine;
   const int p = machine.num_cores();
   const scc::rcce::Layout layout(p);
@@ -191,28 +186,33 @@ SolveOutcome solve(const SolveConfig& config, PaperVariant variant) {
           results[0].finish.seconds(), max_error};
 }
 
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error("unknown variant: " + name);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace scc;
+  SolveConfig config;
+  bool compare = false;
+  PaperVariant variant = PaperVariant::kLwBalanced;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    SolveConfig config;
     config.rows_per_core = static_cast<std::size_t>(
         flags.get_int_in("rows-per-core", 16, 0));
     config.tolerance = flags.get_double("tol", 1e-10);
     config.max_iterations = flags.get_int_in("max-iters", 2000, 0);
-
-    if (flags.get_bool("compare", false)) {
+    compare = flags.get_bool("compare", false);
+    const std::string name = flags.get("variant", "lw-balanced");
+    const std::optional<PaperVariant> parsed = harness::parse_variant(name);
+    if (!parsed || !harness::stack_based(*parsed))
+      throw std::runtime_error("unknown variant (Stack-based only): " + name);
+    variant = *parsed;
+    for (const std::string& flag : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + flag);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  try {
+    if (compare) {
       Table table({"variant", "iterations", "runtime", "speedup", "max error"});
       double blocking = 0.0;
       for (const PaperVariant v :
@@ -230,8 +230,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const PaperVariant variant =
-        parse_variant(flags.get("variant", "lw-balanced"));
     const SolveOutcome outcome = solve(config, variant);
     std::printf("CG on %zu unknowns over 48 cores (%s stack)\n",
                 config.rows_per_core * 48,

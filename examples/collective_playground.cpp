@@ -67,43 +67,31 @@
 #include "metrics/histogram.hpp"
 #include "trace/chrome_export.hpp"
 
-namespace {
-
 using scc::harness::Collective;
 using scc::harness::PaperVariant;
-
-Collective parse_collective(const std::string& name) {
-  for (const Collective c :
-       {Collective::kAllgather, Collective::kAlltoall,
-        Collective::kReduceScatter, Collective::kBroadcast, Collective::kReduce,
-        Collective::kAllreduce}) {
-    if (name == scc::harness::collective_name(c)) return c;
-  }
-  throw std::runtime_error("unknown collective: " + name);
-}
-
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kRckmpi, PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced,
-        PaperVariant::kMpb}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error("unknown variant: " + name);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace scc;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
     harness::RunSpec spec;
-    spec.collective = parse_collective(flags.get("collective", "allreduce"));
+    const std::string collective_flag = flags.get("collective", "allreduce");
+    const std::optional<Collective> collective =
+        harness::parse_collective(collective_flag);
+    // The six Fig. 9 collectives (enum order puts them first).
+    if (!collective || *collective > Collective::kAllreduce)
+      throw std::runtime_error("unknown collective: " + collective_flag);
+    spec.collective = *collective;
     const std::string variant_flag = flags.get("variant", "lw-balanced");
     const bool all_variants = variant_flag == "all";
     const int jobs = exec::jobs_flag(flags);
-    if (!all_variants) spec.variant = parse_variant(variant_flag);
+    if (!all_variants) {
+      const std::optional<PaperVariant> variant =
+          harness::parse_variant(variant_flag);
+      if (!variant)
+        throw std::runtime_error("unknown variant: " + variant_flag);
+      spec.variant = *variant;
+    }
     const std::string algo_flag = flags.get("algo", "");
     if (!algo_flag.empty()) {
       const std::optional<coll::Algo> algo = coll::parse_algo(algo_flag);
@@ -116,8 +104,8 @@ int main(int argc, char** argv) {
     spec.collect_profiles = flags.get_bool("profile", false);
     const auto mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    spec.config.tiles_x = std::stoi(mesh[0]);
-    spec.config.tiles_y = std::stoi(mesh[1]);
+    spec.config.tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
+    spec.config.tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
     if (flags.get_bool("no-bug", false)) {
       spec.config.cost.hw.mpb_bug_workaround = false;
     }
@@ -166,9 +154,7 @@ int main(int argc, char** argv) {
           harness::algo_kind(spec.collective);
       std::vector<Cell> cells;
       for (const PaperVariant v : harness::variants_for(spec.collective)) {
-        const bool stack_variant =
-            v != PaperVariant::kRckmpi && v != PaperVariant::kMpb;
-        if (kind && stack_variant) {
+        if (kind && harness::stack_based(v)) {
           for (const coll::Algo a : coll::algos_for(*kind))
             cells.push_back({v, a});
         } else {

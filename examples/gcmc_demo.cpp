@@ -4,54 +4,64 @@
 //
 // Usage:
 //   gcmc_demo [--variant=blocking|ircce|lightweight|lw-balanced|mpb|rckmpi]
-//             [--cycles N] [--particles N] [--kmaxvecs N] [--seed S]
+//             [--cycles=N] [--particles=N] [--capacity=N] [--kmaxvecs=N]
+//             [--seed=S]
 //             [--compare]   (run all six stacks and tabulate, Fig. 10 style)
+//
+// Bad or unknown flags exit with status 2.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <optional>
 
 #include "common/cli.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "gcmc/app.hpp"
 
-namespace {
-
 using scc::harness::PaperVariant;
-
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kRckmpi, PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced,
-        PaperVariant::kMpb}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error("unknown variant: " + name);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace scc;
+  gcmc::AppParams params;
+  bool compare = false;
+  PaperVariant variant = PaperVariant::kLwBalanced;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    gcmc::AppParams params;
     params.model.kmaxvecs = flags.get_int_in("kmaxvecs", 276, 0);
     params.particles_total = flags.get_int_in("particles", 240, 0);
-    params.max_local_particles = flags.get_int_in("capacity", 12, 0);
+    params.max_local_particles = flags.get_positive_int("capacity", 12);
     params.cycles = flags.get_int_in("cycles", 10, 0);
     params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2012));
-
-    if (flags.get_bool("compare", false)) {
+    compare = flags.get_bool("compare", false);
+    const std::string name = flags.get("variant", "lw-balanced");
+    const std::optional<PaperVariant> parsed = harness::parse_variant(name);
+    if (!parsed) throw std::runtime_error("unknown variant: " + name);
+    variant = *parsed;
+    for (const std::string& flag : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + flag);
+    // Particles are dealt round-robin over the cores.
+    const int p = machine::SccConfig::paper_default().num_cores();
+    if (std::int64_t{params.particles_total} >
+        std::int64_t{params.max_local_particles} * p) {
+      throw std::runtime_error(strprintf(
+          "--particles=%d exceeds %d cores x --capacity=%d",
+          params.particles_total, p, params.max_local_particles));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  try {
+    if (compare) {
       std::printf("GCMC, %d particles, %d moves, %d-coefficient long-range "
                   "reduction, 48 cores\n\n",
                   params.particles_total, params.cycles, params.model.kmaxvecs);
       Table table({"variant", "runtime", "speedup", "E_final", "N_final"});
       double blocking = 0.0;
       for (const PaperVariant v :
-           {PaperVariant::kRckmpi, PaperVariant::kBlocking,
-            PaperVariant::kIrcce, PaperVariant::kLightweight,
-            PaperVariant::kLwBalanced, PaperVariant::kMpb}) {
+           harness::variants_for(harness::Collective::kAllreduce)) {
         const gcmc::AppResult r = gcmc::run_app(params, v);
         const double s = r.runtime.seconds();
         if (v == PaperVariant::kBlocking) blocking = s;
@@ -65,8 +75,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const PaperVariant variant =
-        parse_variant(flags.get("variant", "lw-balanced"));
     const gcmc::AppResult r = gcmc::run_app(params, variant);
     std::printf("communication stack : %s\n",
                 std::string(harness::variant_name(variant)).c_str());

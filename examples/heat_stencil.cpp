@@ -8,7 +8,8 @@
 // with 1-cell halos the per-message software overhead dominates, so the
 // lightweight primitives shine brightest.
 //
-// Usage: heat_stencil [--cells-per-core N] [--steps K] [--compare]
+// Usage: heat_stencil [--cells-per-core=N] [--steps=K] [--compare]
+// Bad or unknown flags exit with status 2.
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -130,14 +131,23 @@ Outcome run(const StencilConfig& config) {
 
 int main(int argc, char** argv) {
   using namespace scc;
+  StencilConfig config;
+  bool compare = false;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    StencilConfig config;
+    // The stencil reads the first and last cell of every core's slice.
     config.cells_per_core = static_cast<std::size_t>(
-        flags.get_int_in("cells-per-core", 64, 0));
+        flags.get_positive_int("cells-per-core", 64));
     config.steps = flags.get_int_in("steps", 200, 0);
-
-    if (flags.get_bool("compare", false)) {
+    compare = flags.get_bool("compare", false);
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  try {
+    if (compare) {
       Table table({"variant", "runtime", "speedup", "total heat"});
       double blocking = 0.0;
       for (const auto& [prims, name] :

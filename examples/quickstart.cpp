@@ -6,6 +6,7 @@
 // plus the speedup over the RCCE_comm baseline.
 //
 // Usage: quickstart [--elements=N] [--reps=K] [--no-bug]
+// Bad or unknown flags exit with status 2.
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -17,16 +18,22 @@
 
 int main(int argc, char** argv) {
   using namespace scc;
+  harness::RunSpec spec;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    harness::RunSpec spec;
     spec.elements =
         static_cast<std::size_t>(flags.get_int_in("elements", 552, 0));
     spec.repetitions = flags.get_positive_int("reps", 4);
     if (flags.get_bool("no-bug", false)) {
       spec.config = machine::SccConfig::bug_fixed();
     }
-
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  try {
     std::printf("Allreduce of %zu doubles on %d simulated SCC cores "
                 "(MPB arbiter bug workaround: %s)\n\n",
                 spec.elements, spec.config.num_cores(),

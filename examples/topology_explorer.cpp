@@ -4,6 +4,8 @@
 // hardware model against the SCC documentation.
 //
 // Usage: topology_explorer [--mesh=6x4] [--no-bug] [--from-core=N]
+// Bad or unknown flags exit with status 2.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
@@ -16,15 +18,27 @@
 
 int main(int argc, char** argv) {
   using namespace scc;
+  int tiles_x = 0, tiles_y = 0, origin = 0;
+  mem::HwCostModel hw;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
     const auto mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    const noc::Topology topo(std::stoi(mesh[0]), std::stoi(mesh[1]), 2);
-    mem::HwCostModel hw;
+    tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
+    tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
     hw.mpb_bug_workaround = !flags.get_bool("no-bug", false);
+    origin = flags.get_int_in("from-core", 0, 0);
+    if (origin >= std::int64_t{tiles_x} * tiles_y * 2)
+      throw std::runtime_error("--from-core must name a core of the mesh");
+    for (const std::string& name : flags.unconsumed())
+      throw std::runtime_error("unknown flag --" + name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  try {
+    const noc::Topology topo(tiles_x, tiles_y, 2);
     const mem::LatencyCalculator calc(hw, topo);
-    const int origin = flags.get_int_in("from-core", 0, 0);
 
     std::printf("SCC mesh: %dx%d tiles, %d cores, MPB arbiter-bug "
                 "workaround %s\n\n",
@@ -73,8 +87,10 @@ int main(int argc, char** argv) {
     std::printf("\nkey single-line latencies (ns):\n");
     std::printf("  local MPB              : %7.1f\n",
                 calc.mpb_line_access(0, 1, true).ns());
-    std::printf("  remote MPB, 1 hop read : %7.1f\n",
-                calc.mpb_line_access(0, 2, true).ns());
+    if (topo.num_cores() > 2) {  // a second tile exists
+      std::printf("  remote MPB, 1 hop read : %7.1f\n",
+                  calc.mpb_line_access(0, 2, true).ns());
+    }
     const int far = topo.num_cores() - 1;
     std::printf("  remote MPB, max hops   : %7.1f (%d hops)\n",
                 calc.mpb_line_access(0, far, true).ns(), topo.hops(0, far));

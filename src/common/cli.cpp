@@ -63,18 +63,29 @@ std::int64_t CliFlags::get_int(const std::string& name,
   return v;
 }
 
-int CliFlags::get_int_in(const std::string& name, int fallback,
-                         int lo) const {
-  if (!has(name)) return fallback;
-  const std::int64_t v = get_int(name, 0);
+int parse_int_in(std::string_view text, std::string_view what, int lo) {
+  const std::string value(text);
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
   constexpr int kHi = std::numeric_limits<int>::max();
-  if (v < lo || v > kHi)
-    throw std::runtime_error("--" + name + " must be " +
+  // end == value.c_str(): nothing parsed (an empty or blank value).
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > kHi) {
+    throw std::runtime_error(std::string(what) + " must be " +
                              (lo == 1 ? "a positive integer" : "an integer") +
                              " in [" + std::to_string(lo) + ", " +
-                             std::to_string(kHi) + "], got " +
-                             std::to_string(v));
+                             std::to_string(kHi) + "], got '" + value + "'");
+  }
   return static_cast<int>(v);
+}
+
+int CliFlags::get_int_in(const std::string& name, int fallback,
+                         int lo) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  it->second.second = true;
+  return parse_int_in(it->second.first, "--" + name, lo);
 }
 
 double CliFlags::get_double(const std::string& name, double fallback) const {

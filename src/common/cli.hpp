@@ -12,9 +12,19 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace scc {
+
+/// Parses all of `text` as a base-10 integer in [lo, INT_MAX]: the checks
+/// of CliFlags::get_int_in, for integers inside a flag value (the W and H
+/// of --mesh=WxH, a --sizes entry, a fault-spec field). Anything else --
+/// garbage, trailing junk, overflow, a value below lo -- throws
+/// std::runtime_error "<what> must be an integer in [lo, INT_MAX], got
+/// '<text>'" ("a positive integer" when lo is 1).
+[[nodiscard]] int parse_int_in(std::string_view text, std::string_view what,
+                               int lo);
 
 class CliFlags {
  public:
@@ -29,9 +39,7 @@ class CliFlags {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   /// Range-checked integer flag for values narrowed to int or size_t:
-  /// absent -> `fallback`; present -> must lie in [lo, INT_MAX], else
-  /// "--name must be an integer in [lo, INT_MAX], got V" ("a positive
-  /// integer" when lo is 1) or get_int's errors.
+  /// absent -> `fallback`; present -> parse_int_in(value, "--name", lo).
   [[nodiscard]] int get_int_in(const std::string& name, int fallback,
                                int lo) const;
   /// Floating-point flag; rejects garbage and non-finite values.
@@ -39,8 +47,7 @@ class CliFlags {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
   /// get_int_in(name, fallback, 1): thread-count flags (--jobs) and
-  /// counts. Rejects 0, negatives and garbage with "--name must be a
-  /// positive integer in [1, INT_MAX], got V" / get_int's errors.
+  /// counts.
   [[nodiscard]] int get_positive_int(const std::string& name,
                                      int fallback) const;
 

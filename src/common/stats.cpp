@@ -1,55 +1,10 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.hpp"
 
 namespace scc {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const { return mean_; }
-
-double RunningStats::min() const {
-  SCC_EXPECTS(n_ > 0);
-  return min_;
-}
-
-double RunningStats::max() const {
-  SCC_EXPECTS(n_ > 0);
-  return max_;
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double median(std::vector<double> samples) {
-  SCC_EXPECTS(!samples.empty());
-  const std::size_t mid = samples.size() / 2;
-  std::nth_element(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(mid),
-                   samples.end());
-  double hi = samples[mid];
-  if (samples.size() % 2 == 1) return hi;
-  const double lo =
-      *std::max_element(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(mid));
-  return 0.5 * (lo + hi);
-}
 
 double quantile(std::vector<double> samples, double q) {
   SCC_EXPECTS(!samples.empty());
@@ -60,16 +15,6 @@ double quantile(std::vector<double> samples, double q) {
   if (lo + 1 >= samples.size()) return samples.back();
   const double frac = h - static_cast<double>(lo);
   return samples[lo] + frac * (samples[lo + 1] - samples[lo]);
-}
-
-double geometric_mean(const std::vector<double>& samples) {
-  SCC_EXPECTS(!samples.empty());
-  double log_sum = 0.0;
-  for (const double s : samples) {
-    SCC_EXPECTS(s > 0.0);
-    log_sum += std::log(s);
-  }
-  return std::exp(log_sum / static_cast<double>(samples.size()));
 }
 
 }  // namespace scc

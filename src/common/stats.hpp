@@ -1,43 +1,14 @@
-// Small online-statistics helpers used by the experiment harness.
+// Exact sample statistics: the reference the histogram tests compare the
+// log-bucketed metrics::Histogram against.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace scc {
 
-/// Accumulates a stream of samples; exposes count/mean/min/max/stddev.
-/// Uses Welford's algorithm so variance stays numerically stable.
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Median of a sample vector (copies; callers keep their data).
-[[nodiscard]] double median(std::vector<double> samples);
-
 /// Exact sample quantile with linear interpolation between order statistics
 /// (the "type 7" definition: rank h = q * (n - 1)). q must be in [0, 1];
-/// the sample must be non-empty. quantile(v, 0.5) of an even-sized sample
-/// equals median(v); n == 1 returns the sole sample for every q.
+/// the sample must be non-empty; n == 1 returns the sole sample for every q.
 [[nodiscard]] double quantile(std::vector<double> samples, double q);
-
-/// Geometric mean; requires every sample > 0.
-[[nodiscard]] double geometric_mean(const std::vector<double>& samples);
 
 }  // namespace scc

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/cli.hpp"
 #include "common/string_util.hpp"
 
 namespace scc::faults {
@@ -15,11 +16,16 @@ namespace {
 }
 
 /// Consumes a base-10 integer from the front of `s`; false if none.
-bool eat_int(std::string_view& s, int& out) {
+/// Throws when the digits overflow an int.
+bool eat_int(std::string_view& s, int& out, std::string_view clause) {
   std::size_t i = 0;
   while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
   if (i == 0) return false;
-  out = std::stoi(std::string(s.substr(0, i)));
+  out = parse_int_in(
+      s.substr(0, i),
+      strprintf("bad fault clause '%s': each number",
+                std::string(clause).c_str()),
+      0);
   s.remove_prefix(i);
   return true;
 }
@@ -49,11 +55,13 @@ bool eat(std::string_view& s, char c) {
 /// "<x>,<y>-<x>,<y>" naming two tiles.
 LinkRef eat_link(std::string_view& s, std::string_view clause) {
   LinkRef link;
-  if (!eat_int(s, link.a.x) || !eat(s, ',') || !eat_int(s, link.a.y)) {
+  if (!eat_int(s, link.a.x, clause) || !eat(s, ',') ||
+      !eat_int(s, link.a.y, clause)) {
     bad(clause, "expected <x>,<y> tile coordinates");
   }
   if (!eat(s, '-')) bad(clause, "expected '-' between the two tiles");
-  if (!eat_int(s, link.b.x) || !eat(s, ',') || !eat_int(s, link.b.y)) {
+  if (!eat_int(s, link.b.x, clause) || !eat(s, ',') ||
+      !eat_int(s, link.b.y, clause)) {
     bad(clause, "expected <x>,<y> tile coordinates after '-'");
   }
   return link;
@@ -74,15 +82,15 @@ FaultSpec FaultSpec::parse(std::string_view text) {
     s.remove_prefix(kind_end + 1);
     if (kind == "straggler") {
       Straggler f;
-      if (!eat_int(s, f.core) || !eat(s, 'x') || !eat_double(s, f.factor) ||
-          !s.empty()) {
+      if (!eat_int(s, f.core, clause_str) || !eat(s, 'x') ||
+          !eat_double(s, f.factor) || !s.empty()) {
         bad(clause_str, "expected straggler:<core>x<factor>");
       }
       spec.stragglers.push_back(f);
     } else if (kind == "dvfs") {
       Dvfs f;
-      if (!eat_int(s, f.core) || !eat(s, '/') || !eat_int(s, f.divisor) ||
-          !s.empty()) {
+      if (!eat_int(s, f.core, clause_str) || !eat(s, '/') ||
+          !eat_int(s, f.divisor, clause_str) || !s.empty()) {
         bad(clause_str, "expected dvfs:<core>/<divisor>");
       }
       spec.dvfs.push_back(f);

@@ -1,20 +1,19 @@
 #include "gcmc/app.hpp"
 
 #include <cmath>
-#include <optional>
+#include <cstdint>
 #include <stdexcept>
 
 #include "common/aligned.hpp"
-#include "coll/collectives.hpp"
-#include "coll/mpb_allreduce.hpp"
-#include "coll/stack.hpp"
+#include "harness/comm.hpp"
 #include "machine/scc_machine.hpp"
-#include "rckmpi/mpi.hpp"
 
 namespace scc::gcmc {
 
 namespace {
 
+using harness::Collective;
+using harness::Comm;
 using harness::PaperVariant;
 
 /// Move mix percentages (translate / insert / delete).
@@ -22,61 +21,6 @@ constexpr std::uint64_t kTranslatePct = 60;
 constexpr std::uint64_t kInsertPct = 20;
 
 enum class Action { kTranslate, kInsert, kDelete };
-
-coll::Prims prims_of(PaperVariant v) {
-  switch (v) {
-    case PaperVariant::kBlocking: return coll::Prims::kBlocking;
-    case PaperVariant::kIrcce: return coll::Prims::kIrcce;
-    default: return coll::Prims::kLightweight;
-  }
-}
-
-coll::SplitPolicy split_of(PaperVariant v) {
-  return (v == PaperVariant::kLwBalanced || v == PaperVariant::kMpb)
-             ? coll::SplitPolicy::kBalanced
-             : coll::SplitPolicy::kStandard;
-}
-
-/// The communication stack of one core for one app run.
-struct Comm {
-  Comm(machine::CoreApi& api, const rcce::Layout& layout,
-       const rckmpi::ChannelLayout* mpi_layout, PaperVariant which)
-      : stack(api, layout, prims_of(which)),
-        mpb(api, layout),
-        variant(which) {
-    if (which == PaperVariant::kRckmpi) {
-      SCC_EXPECTS(mpi_layout != nullptr);
-      mpi.emplace(api, *mpi_layout);
-    }
-  }
-
-  sim::Task<> allreduce(std::span<const double> in, std::span<double> out) {
-    if (mpi) {
-      co_await mpi->allreduce(in, out, rckmpi::ReduceOp::kSum);
-      co_return;
-    }
-    if (variant == PaperVariant::kMpb &&
-        in.size() >= static_cast<std::size_t>(stack.num_cores())) {
-      co_await mpb.run(in, out, coll::ReduceOp::kSum, split_of(variant));
-      co_return;
-    }
-    co_await coll::allreduce(stack, in, out, coll::ReduceOp::kSum,
-                             split_of(variant));
-  }
-
-  sim::Task<> broadcast(std::span<double> data, int root) {
-    if (mpi) {
-      co_await mpi->bcast(data, root);
-      co_return;
-    }
-    co_await coll::broadcast(stack, data, root, split_of(variant));
-  }
-
-  coll::Stack stack;
-  coll::MpbAllreduce mpb;
-  std::optional<rckmpi::Mpi> mpi;
-  PaperVariant variant;
-};
 
 /// Per-core application state. Every core tracks the global alive bitmap
 /// (updated deterministically from the shared RNG stream and the shared
@@ -147,7 +91,7 @@ sim::Task<double> long_en(machine::CoreApi& api, const AppParams& params,
     st.flat_in[2 * k] = st.f_local[k].real();
     st.flat_in[2 * k + 1] = st.f_local[k].imag();
   }
-  co_await comm.allreduce(st.flat_in, st.flat_out);
+  co_await comm.run(Collective::kAllreduce, st.flat_in, st.flat_out);
   for (std::size_t k = 0; k < st.f_total.size(); ++k) {
     st.f_total[k] = {st.flat_out[2 * k], st.flat_out[2 * k + 1]};
   }
@@ -165,8 +109,7 @@ sim::Task<double> short_en(machine::CoreApi& api, const AppParams& params,
       st.local.short_range(probe, is_owner ? skip_slot_if_owner : -1);
   co_await api.compute(sr.pairs * params.lj_pair_cycles);
   st.scalar_in[0] = sr.energy;
-  co_await comm.allreduce(std::span<const double>(st.scalar_in.data(), 1),
-                          std::span<double>(st.scalar_out.data(), 1));
+  co_await comm.run(Collective::kAllreduce, st.scalar_in, st.scalar_out);
   co_return st.scalar_out[0];
 }
 
@@ -184,11 +127,11 @@ void pack_particle(const Particle& p, double energy,
   buffer[i] = energy;
 }
 
-sim::Task<> gcmc_core(machine::CoreApi& api, const rcce::Layout& layout,
-                      const rckmpi::ChannelLayout* mpi_layout,
+sim::Task<> gcmc_core(machine::CoreApi& api,
+                      const harness::CommLayout& layout,
                       const AppParams& params, PaperVariant variant,
                       CoreState& st) {
-  Comm comm(api, layout, mpi_layout, variant);
+  Comm comm(api, layout, variant, harness::split_of(variant));
   const int p = api.num_cores();
   const int self = api.rank();
   const double box = params.model.box_length;
@@ -246,8 +189,7 @@ sim::Task<> gcmc_core(machine::CoreApi& api, const rcce::Layout& layout,
         static_cast<std::size_t>(params.model.atoms_per_particle));
     if (action != Action::kInsert) {
       if (is_owner) pack_particle(st.local.slot(slot), st.en_total, bcast_buf);
-      co_await comm.broadcast(
-          std::span<double>(bcast_buf.data(), bcast_buf.size()), owner);
+      co_await comm.run(Collective::kBroadcast, {}, bcast_buf, owner);
       std::size_t i = 0;
       probe_old.alive = true;
       for (Atom& a : probe_old.atoms) {
@@ -328,8 +270,7 @@ sim::Task<> gcmc_core(machine::CoreApi& api, const rcce::Layout& layout,
           st.local.slot(slot).alive ? st.local.slot(slot) : probe_old;
       pack_particle(current, st.en_total, bcast_buf);
     }
-    co_await comm.broadcast(
-        std::span<double>(bcast_buf.data(), bcast_buf.size()), owner);
+    co_await comm.run(Collective::kBroadcast, {}, bcast_buf, owner);
   }
   co_await api.sync_barrier();
   st.finish_time = api.now();
@@ -340,15 +281,9 @@ sim::Task<> gcmc_core(machine::CoreApi& api, const rcce::Layout& layout,
 AppResult run_app(const AppParams& params, harness::PaperVariant variant,
                   machine::SccConfig config) {
   const int p = config.num_cores();
-  SCC_EXPECTS(params.particles_total <= params.max_local_particles * p);
-  rcce::Layout layout(p);
-  int flags_needed = layout.flags_needed();
-  std::optional<rckmpi::ChannelLayout> mpi_layout;
-  if (variant == harness::PaperVariant::kRckmpi) {
-    mpi_layout.emplace(layout);
-    flags_needed = mpi_layout->flags_needed();
-  }
-  config.flags_per_core = std::max(config.flags_per_core, flags_needed);
+  SCC_EXPECTS(std::int64_t{params.particles_total} <=
+              std::int64_t{params.max_local_particles} * p);
+  const harness::CommLayout layout(config, variant);
   machine::SccMachine machine(config);
 
   const KSpace kspace(params.model);
@@ -357,9 +292,8 @@ AppResult run_app(const AppParams& params, harness::PaperVariant variant,
   for (int r = 0; r < p; ++r) states.emplace_back(params, kspace, p);
 
   for (int r = 0; r < p; ++r) {
-    machine.launch(r, gcmc_core(machine.core(r), layout,
-                                mpi_layout ? &*mpi_layout : nullptr, params,
-                                variant, states[static_cast<std::size_t>(r)]));
+    machine.launch(r, gcmc_core(machine.core(r), layout, params, variant,
+                                states[static_cast<std::size_t>(r)]));
   }
   machine.run();
 

@@ -1,5 +1,6 @@
 #include "harness/conformance.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <vector>
@@ -10,15 +11,6 @@
 namespace scc::harness {
 
 namespace {
-
-PaperVariant variant_of(coll::Prims prims) {
-  switch (prims) {
-    case coll::Prims::kBlocking: return PaperVariant::kBlocking;
-    case coll::Prims::kIrcce: return PaperVariant::kIrcce;
-    case coll::Prims::kLightweight: return PaperVariant::kLightweight;
-  }
-  return PaperVariant::kBlocking;
-}
 
 /// The concrete algorithm every run of this configuration uses, or nullopt
 /// for the paper default. kAuto is resolved here, once, prims-independently
@@ -38,11 +30,11 @@ std::optional<coll::Algo> resolved_algo(const ConformanceSpec& spec) {
                            coll::Prims::kLightweight);
 }
 
-RunSpec base_run_spec(const ConformanceSpec& spec, coll::Prims prims,
+RunSpec base_run_spec(const ConformanceSpec& spec, PaperVariant variant,
                       std::optional<coll::Algo> algo) {
   RunSpec run;
   run.collective = spec.collective;
-  run.variant = variant_of(prims);
+  run.variant = variant;
   run.elements = spec.elements;
   run.repetitions = spec.repetitions;
   run.warmup = spec.warmup;
@@ -61,39 +53,11 @@ RunSpec base_run_spec(const ConformanceSpec& spec, coll::Prims prims,
   return run;
 }
 
-/// Collectives with an MPI counterpart wired into run_op_mpi.
-bool mpi_supported(Collective c) {
-  switch (c) {
-    case Collective::kAllgather:
-    case Collective::kAlltoall:
-    case Collective::kReduceScatter:
-    case Collective::kBroadcast:
-    case Collective::kReduce:
-    case Collective::kAllreduce:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Collectives whose full output buffers are value-deterministic across
 /// DIFFERENT schedules (every element is defined, and integer inputs make
 /// all reduction orders bit-equal), so cells running foreign schedules
 /// (RCKMPI) can still be cross-checked against the RCCE reference.
 bool value_deterministic(Collective c) {
-  switch (c) {
-    case Collective::kAllgather:
-    case Collective::kAlltoall:
-    case Collective::kBroadcast:
-    case Collective::kAllreduce:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Collectives with a non-blocking i*() entry point (coll/nbc.hpp).
-bool nbc_supported(Collective c) {
   switch (c) {
     case Collective::kAllgather:
     case Collective::kAlltoall:
@@ -115,25 +79,32 @@ struct Cell {
 
 std::vector<Cell> build_cells(const ConformanceSpec& spec,
                               std::optional<coll::Algo> algo) {
+  // One cell per message-passing stack, named after it (coll::kAllPrims).
+  constexpr PaperVariant kStacks[] = {PaperVariant::kBlocking,
+                                      PaperVariant::kIrcce,
+                                      PaperVariant::kLightweight};
   std::vector<Cell> cells;
-  for (const coll::Prims prims : coll::kAllPrims) {
-    cells.push_back(Cell{std::string(coll::prims_name(prims)),
-                         base_run_spec(spec, prims, algo),
+  for (const PaperVariant v : kStacks) {
+    cells.push_back(Cell{std::string(variant_name(v)),
+                         base_run_spec(spec, v, algo),
                          /*cross_check=*/true});
   }
-  if (spec.check_rckmpi && !algo && mpi_supported(spec.collective)) {
-    RunSpec run = base_run_spec(spec, coll::Prims::kBlocking, std::nullopt);
-    run.variant = PaperVariant::kRckmpi;
-    cells.push_back(
-        Cell{"rckmpi", run, value_deterministic(spec.collective)});
+  const std::vector<PaperVariant> plotted = variants_for(spec.collective);
+  if (spec.check_rckmpi && !algo &&
+      std::find(plotted.begin(), plotted.end(), PaperVariant::kRckmpi) !=
+          plotted.end()) {
+    cells.push_back(Cell{"rckmpi",
+                         base_run_spec(spec, PaperVariant::kRckmpi,
+                                       std::nullopt),
+                         value_deterministic(spec.collective)});
   }
   if (spec.check_nbc && nbc_supported(spec.collective)) {
-    for (const coll::Prims prims : coll::kAllPrims) {
-      RunSpec run = base_run_spec(spec, prims, algo);
+    for (const PaperVariant v : kStacks) {
+      RunSpec run = base_run_spec(spec, v, algo);
       run.nonblocking = true;
       run.nbc_lanes = 1;
-      cells.push_back(Cell{std::string(coll::prims_name(prims)) + "-nbc",
-                           run, /*cross_check=*/true});
+      cells.push_back(Cell{std::string(variant_name(v)) + "-nbc", run,
+                           /*cross_check=*/true});
     }
   }
   return cells;

@@ -5,15 +5,12 @@
 #include <string>
 #include <vector>
 
-#include "coll/collectives.hpp"
-#include "coll/mpb_allreduce.hpp"
-#include "coll/nbc.hpp"
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
+#include "harness/comm.hpp"
 #include "machine/scc_machine.hpp"
 #include "metrics/collect.hpp"
-#include "rckmpi/mpi.hpp"
 
 namespace scc::harness {
 
@@ -88,7 +85,7 @@ Buffers buffer_sizes(Collective c, std::size_t n, int p) {
 }
 
 /// Deterministic irregular decomposition for Allgatherv: per-core counts in
-/// [0, n] drawn from the run seed (shared by setup and verification).
+/// [0, n] drawn from the run seed.
 std::vector<std::size_t> allgatherv_counts(std::uint64_t seed, int p,
                                            std::size_t n) {
   Xoshiro256 rng(seed ^ 0xa11647e7'0a11647eULL);
@@ -102,164 +99,25 @@ std::vector<std::size_t> allgatherv_counts(std::uint64_t seed, int p,
   return counts;
 }
 
-coll::Prims prims_of(PaperVariant v) {
-  switch (v) {
-    case PaperVariant::kBlocking: return coll::Prims::kBlocking;
-    case PaperVariant::kIrcce: return coll::Prims::kIrcce;
-    default: return coll::Prims::kLightweight;
-  }
-}
-
-coll::SplitPolicy split_of(PaperVariant v) {
-  return (v == PaperVariant::kLwBalanced || v == PaperVariant::kMpb)
-             ? coll::SplitPolicy::kBalanced
-             : coll::SplitPolicy::kStandard;
-}
-
-coll::SplitPolicy effective_split(const RunSpec& spec) {
-  return spec.split_override.value_or(split_of(spec.variant));
-}
-
-/// One invocation of the collective under test, RCCE-family variants.
-sim::Task<> run_op_rcce(coll::Stack& stack, coll::MpbAllreduce* mpb,
-                        const RunSpec& spec, CoreData& data) {
-  const coll::SplitPolicy split = effective_split(spec);
-  const auto algo = [&](coll::CollKind kind) {
-    return spec.algo.value_or(coll::paper_algo(kind));
-  };
-  switch (spec.collective) {
-    case Collective::kAllgather:
-      co_await coll::allgather(stack, data.in, data.out,
-                               algo(coll::CollKind::kAllgather));
-      co_return;
-    case Collective::kAlltoall:
-      co_await coll::alltoall(stack, data.in, data.out,
-                              algo(coll::CollKind::kAlltoall));
-      co_return;
-    case Collective::kReduceScatter:
-      data.owned_block = co_await coll::reduce_scatter(
-          stack, data.in, data.out, coll::ReduceOp::kSum, split,
-          algo(coll::CollKind::kReduceScatter));
-      co_return;
-    case Collective::kBroadcast:
-      co_await coll::broadcast(stack, data.out, kRoot, split);
-      co_return;
-    case Collective::kReduce:
-      co_await coll::reduce(stack, data.in, data.out, coll::ReduceOp::kSum,
-                            kRoot, split);
-      co_return;
-    case Collective::kAllreduce:
-      if (spec.variant == PaperVariant::kMpb) {
-        co_await mpb->run(data.in, data.out, coll::ReduceOp::kSum, split);
-      } else {
-        co_await coll::allreduce(stack, data.in, data.out,
-                                 coll::ReduceOp::kSum, split,
-                                 algo(coll::CollKind::kAllreduce));
-      }
-      co_return;
-    case Collective::kScatter:
-      co_await coll::scatter(stack, data.in, data.out, kRoot);
-      co_return;
-    case Collective::kGather:
-      co_await coll::gather(stack, data.in, data.out, kRoot);
-      co_return;
-    case Collective::kAllgatherv:
-      co_await coll::allgatherv(stack, data.in, data.agv_counts, data.out);
-      co_return;
-  }
-}
-
-/// One invocation through the non-blocking API: initiate, then drive the
-/// engine to completion. Single-request wait() at one lane replays the
-/// blocking wire schedule exactly; the value of this path is exercising the
-/// full initiate/progress/complete machinery under the harness' verify,
-/// metrics and perturbation plumbing.
-sim::Task<> run_op_nbc(coll::nbc::ProgressEngine& engine, const RunSpec& spec,
-                       CoreData& data) {
-  const coll::SplitPolicy split = effective_split(spec);
-  const auto algo = [&](coll::CollKind kind) {
-    return spec.algo.value_or(coll::paper_algo(kind));
-  };
-  coll::nbc::CollRequest req;
-  switch (spec.collective) {
-    case Collective::kAllgather:
-      req = engine.iallgather(data.in, data.out,
-                              algo(coll::CollKind::kAllgather));
-      break;
-    case Collective::kAlltoall:
-      req = engine.ialltoall(data.in, data.out,
-                             algo(coll::CollKind::kAlltoall));
-      break;
-    case Collective::kBroadcast:
-      req = engine.ibcast(data.out, kRoot, split);
-      break;
-    case Collective::kAllreduce:
-      req = engine.iallreduce(data.in, data.out, coll::ReduceOp::kSum, split,
-                              algo(coll::CollKind::kAllreduce));
-      break;
-    default:
-      SCC_ASSERT(false);  // rejected up front by run_collective
-  }
-  co_await req.wait();
-}
-
-sim::Task<> run_op_mpi(rckmpi::Mpi& mpi, const RunSpec& spec,
-                       CoreData& data) {
-  switch (spec.collective) {
-    case Collective::kAllgather:
-      co_await mpi.allgather(data.in, data.out);
-      co_return;
-    case Collective::kAlltoall:
-      co_await mpi.alltoall(data.in, data.out);
-      co_return;
-    case Collective::kReduceScatter:
-      data.owned_block = co_await mpi.reduce_scatter(data.in, data.out,
-                                                     rckmpi::ReduceOp::kSum);
-      co_return;
-    case Collective::kBroadcast:
-      co_await mpi.bcast(data.out, kRoot);
-      co_return;
-    case Collective::kReduce:
-      co_await mpi.reduce(data.in, data.out, rckmpi::ReduceOp::kSum, kRoot);
-      co_return;
-    case Collective::kAllreduce:
-      co_await mpi.allreduce(data.in, data.out, rckmpi::ReduceOp::kSum);
-      co_return;
-    case Collective::kScatter:
-    case Collective::kGather:
-    case Collective::kAllgatherv:
-      // Not in variants_for() for the RCKMPI baseline; unreachable.
-      SCC_ASSERT(false);
-      co_return;
-  }
-}
-
-sim::Task<> core_program(machine::CoreApi& api, const rcce::Layout& layout,
-                         const rckmpi::ChannelLayout* mpi_layout,
+sim::Task<> core_program(machine::CoreApi& api, const CommLayout& layout,
                          const RunSpec& spec, CoreData& data) {
-  // Persistent per-core communication objects (the MPB Allreduce keeps
-  // handshake sequence state across repetitions by design).
-  coll::Stack stack(api, layout, prims_of(spec.variant));
-  coll::MpbAllreduce mpb(api, layout);
-  std::optional<rckmpi::Mpi> mpi;
-  if (spec.variant == PaperVariant::kRckmpi) {
-    SCC_ASSERT(mpi_layout != nullptr);
-    mpi.emplace(api, *mpi_layout);
-  }
-  std::optional<coll::nbc::ProgressEngine> engine;
-  if (spec.nonblocking) {
-    engine.emplace(api, prims_of(spec.variant), spec.nbc_lanes);
-  }
+  Comm comm(api, layout, spec.variant,
+            spec.split_override.value_or(split_of(spec.variant)), spec.algo,
+            spec.nonblocking ? spec.nbc_lanes : 0);
   const int total = spec.warmup + spec.repetitions;
   for (int rep = 0; rep < total; ++rep) {
     co_await api.sync_barrier();
     const SimTime start = api.now();
-    if (engine) {
-      co_await run_op_nbc(*engine, spec, data);
-    } else if (mpi) {
-      co_await run_op_mpi(*mpi, spec, data);
+    if (spec.nonblocking) {
+      // Initiate, then drive the engine to completion: one lane replays
+      // the blocking wire schedule exactly, under the same verify, metrics
+      // and perturbation plumbing.
+      coll::nbc::CollRequest req =
+          comm.start(spec.collective, data.in, data.out, kRoot);
+      co_await req.wait();
     } else {
-      co_await run_op_rcce(stack, &mpb, spec, data);
+      data.owned_block = co_await comm.run(spec.collective, data.in,
+                                           data.out, kRoot, data.agv_counts);
     }
     if (api.rank() == 0 && rep >= spec.warmup) {
       data.samples.push_back(api.now() - start);
@@ -269,110 +127,29 @@ sim::Task<> core_program(machine::CoreApi& api, const rcce::Layout& layout,
   co_await api.sync_barrier();
 }
 
-void verify_results(const RunSpec& spec, int p,
-                    const std::vector<CoreData>& data) {
-  const std::size_t n = spec.elements;
-  const auto fail = [&](const std::string& what) {
+void verify_results(const RunSpec& spec, const std::vector<CoreData>& data) {
+  std::vector<std::span<const double>> in, out;
+  std::vector<int> owned;
+  for (const CoreData& d : data) {
+    in.emplace_back(d.in);
+    out.emplace_back(d.out);
+    owned.push_back(d.owned_block);
+  }
+  // Both stacks' ring direction leaves core i owning block (i+1)%p; RCKMPI
+  // splits its ReduceScatter blocks balanced.
+  const coll::SplitPolicy split =
+      spec.variant == PaperVariant::kRckmpi
+          ? coll::SplitPolicy::kBalanced
+          : spec.split_override.value_or(split_of(spec.variant));
+  const std::optional<std::string> bad = check_outputs(
+      {spec.collective, spec.elements, kRoot, in, out, owned, split,
+       data[0].agv_counts});
+  if (bad) {
     throw std::runtime_error(
         strprintf("verification failed (%s/%s, n=%zu): %s",
                   std::string(collective_name(spec.collective)).c_str(),
-                  std::string(variant_name(spec.variant)).c_str(), n,
-                  what.c_str()));
-  };
-  const auto expect_eq = [&](double got, double want, const char* where) {
-    if (got != want) {
-      fail(strprintf("%s: got %.17g want %.17g", where, got, want));
-    }
-  };
-  switch (spec.collective) {
-    case Collective::kAllgather: {
-      for (int r = 0; r < p; ++r)
-        for (int src = 0; src < p; ++src)
-          for (std::size_t i = 0; i < n; ++i)
-            expect_eq(data[static_cast<std::size_t>(r)]
-                          .out[static_cast<std::size_t>(src) * n + i],
-                      data[static_cast<std::size_t>(src)].in[i], "allgather");
-      return;
-    }
-    case Collective::kAlltoall: {
-      for (int r = 0; r < p; ++r)
-        for (int src = 0; src < p; ++src)
-          for (std::size_t i = 0; i < n; ++i)
-            expect_eq(data[static_cast<std::size_t>(r)]
-                          .out[static_cast<std::size_t>(src) * n + i],
-                      data[static_cast<std::size_t>(src)]
-                          .in[static_cast<std::size_t>(r) * n + i],
-                      "alltoall");
-      return;
-    }
-    case Collective::kBroadcast: {
-      for (int r = 0; r < p; ++r)
-        for (std::size_t i = 0; i < n; ++i)
-          expect_eq(data[static_cast<std::size_t>(r)].out[i],
-                    data[kRoot].in[i], "broadcast");
-      return;
-    }
-    case Collective::kScatter: {
-      for (int r = 0; r < p; ++r)
-        for (std::size_t i = 0; i < n; ++i)
-          expect_eq(data[static_cast<std::size_t>(r)].out[i],
-                    data[kRoot].in[static_cast<std::size_t>(r) * n + i],
-                    "scatter");
-      return;
-    }
-    case Collective::kGather: {
-      for (int src = 0; src < p; ++src)
-        for (std::size_t i = 0; i < n; ++i)
-          expect_eq(data[kRoot].out[static_cast<std::size_t>(src) * n + i],
-                    data[static_cast<std::size_t>(src)].in[i], "gather");
-      return;
-    }
-    case Collective::kAllgatherv: {
-      const auto counts = allgatherv_counts(spec.seed, p, n);
-      for (int r = 0; r < p; ++r) {
-        std::size_t offset = 0;
-        for (int src = 0; src < p; ++src) {
-          for (std::size_t i = 0; i < counts[static_cast<std::size_t>(src)];
-               ++i)
-            expect_eq(data[static_cast<std::size_t>(r)].out[offset + i],
-                      data[static_cast<std::size_t>(src)].in[i], "allgatherv");
-          offset += counts[static_cast<std::size_t>(src)];
-        }
-      }
-      return;
-    }
-    case Collective::kReduce:
-    case Collective::kAllreduce:
-    case Collective::kReduceScatter: {
-      std::vector<double> want(n, 0.0);
-      for (int src = 0; src < p; ++src)
-        for (std::size_t i = 0; i < n; ++i)
-          want[i] += data[static_cast<std::size_t>(src)].in[i];
-      if (spec.collective == Collective::kReduce) {
-        for (std::size_t i = 0; i < n; ++i)
-          expect_eq(data[kRoot].out[i], want[i], "reduce@root");
-      } else if (spec.collective == Collective::kAllreduce) {
-        for (int r = 0; r < p; ++r)
-          for (std::size_t i = 0; i < n; ++i)
-            expect_eq(data[static_cast<std::size_t>(r)].out[i], want[i],
-                      "allreduce");
-      } else {
-        const coll::SplitPolicy policy =
-            spec.variant == PaperVariant::kRckmpi ? coll::SplitPolicy::kBalanced
-                                                  : effective_split(spec);
-        // Both stacks' ring direction leaves core i owning block (i+1)%p.
-        const auto blocks = coll::split_blocks(n, p, policy);
-        for (int r = 0; r < p; ++r) {
-          const int ob = data[static_cast<std::size_t>(r)].owned_block;
-          if (ob < 0 || ob >= p) fail("reducescatter: no owned block");
-          const coll::Block& b = blocks[static_cast<std::size_t>(ob)];
-          for (std::size_t i = b.offset; i < b.offset + b.count; ++i)
-            expect_eq(data[static_cast<std::size_t>(r)].out[i], want[i],
-                      "reducescatter");
-        }
-      }
-      return;
-    }
+                  std::string(variant_name(spec.variant)).c_str(),
+                  spec.elements, bad->c_str()));
   }
 }
 
@@ -405,6 +182,21 @@ std::vector<PaperVariant> variants_for(Collective c) {
   return {};
 }
 
+std::optional<PaperVariant> parse_variant(std::string_view name) {
+  // Allreduce is plotted under all six variants.
+  for (const PaperVariant v : variants_for(Collective::kAllreduce)) {
+    if (name == variant_name(v)) return v;
+  }
+  return std::nullopt;
+}
+
+std::optional<Collective> parse_collective(std::string_view name) {
+  for (const Collective c : kAllCollectives) {
+    if (name == collective_name(c)) return c;
+  }
+  return std::nullopt;
+}
+
 std::optional<coll::CollKind> algo_kind(Collective c) {
   switch (c) {
     case Collective::kAllgather: return coll::CollKind::kAllgather;
@@ -424,8 +216,7 @@ RunResult run_collective(const RunSpec& spec) {
   if (spec.algo) {
     // Algorithm overrides exist on the Stack-based (RCCE-family) paths
     // only: RCKMPI and the MPB-direct Allreduce have their own schedules.
-    if (spec.variant == PaperVariant::kRckmpi ||
-        spec.variant == PaperVariant::kMpb) {
+    if (!stack_based(spec.variant)) {
       throw std::runtime_error(strprintf(
           "--algo is not supported for the %s variant",
           std::string(variant_name(spec.variant)).c_str()));
@@ -445,22 +236,15 @@ RunResult run_collective(const RunSpec& spec) {
     }
   }
   if (spec.nonblocking) {
-    if (spec.variant == PaperVariant::kRckmpi ||
-        spec.variant == PaperVariant::kMpb) {
+    if (!stack_based(spec.variant)) {
       throw std::runtime_error(strprintf(
           "--nbc is not supported for the %s variant (no i*() entry point)",
           std::string(variant_name(spec.variant)).c_str()));
     }
-    switch (spec.collective) {
-      case Collective::kAllgather:
-      case Collective::kAlltoall:
-      case Collective::kBroadcast:
-      case Collective::kAllreduce:
-        break;
-      default:
-        throw std::runtime_error(strprintf(
-            "%s has no non-blocking entry point (coll/nbc.hpp)",
-            std::string(collective_name(spec.collective)).c_str()));
+    if (!nbc_supported(spec.collective)) {
+      throw std::runtime_error(strprintf(
+          "%s has no non-blocking entry point (coll/nbc.hpp)",
+          std::string(collective_name(spec.collective)).c_str()));
     }
     if (spec.nbc_lanes < 1) {
       throw std::runtime_error("--nbc-lanes must be >= 1");
@@ -475,21 +259,8 @@ RunResult run_collective(const RunSpec& spec) {
 
   machine::SccConfig config = spec.config;
   const int p = config.num_cores();
-  rcce::Layout layout(p);
-  int flags_needed = layout.flags_needed();
-  if (spec.nonblocking) {
-    // The widest lane's flag range bounds the engine's whole flag use.
-    flags_needed = std::max(
-        flags_needed,
-        rcce::Layout::lane(p, spec.nbc_lanes - 1, spec.nbc_lanes)
-            .flags_needed());
-  }
-  std::optional<rckmpi::ChannelLayout> mpi_layout;
-  if (spec.variant == PaperVariant::kRckmpi) {
-    mpi_layout.emplace(layout);
-    flags_needed = mpi_layout->flags_needed();
-  }
-  config.flags_per_core = std::max(config.flags_per_core, flags_needed);
+  const CommLayout layout(config, spec.variant,
+                          spec.nonblocking ? spec.nbc_lanes : 0);
   machine::SccMachine machine(config);
   if (spec.trace) {
     spec.trace->begin_run(run_label(spec));
@@ -528,14 +299,12 @@ RunResult run_collective(const RunSpec& spec) {
   }
 
   for (int r = 0; r < p; ++r) {
-    machine.launch(
-        r, core_program(machine.core(r), layout,
-                        mpi_layout ? &*mpi_layout : nullptr, spec,
-                        data[static_cast<std::size_t>(r)]));
+    machine.launch(r, core_program(machine.core(r), layout, spec,
+                                   data[static_cast<std::size_t>(r)]));
   }
   machine.run();
 
-  if (spec.verify) verify_results(spec, p, data);
+  if (spec.verify) verify_results(spec, data);
 
   RunResult result;
   const auto& samples = data[0].samples;
@@ -579,8 +348,8 @@ RunResult run_collective(const RunSpec& spec) {
     result.metrics.emplace();
     result.metrics->set_label(run_label(spec));
     metrics::collect_machine(machine, *result.metrics);
-    if (mpi_layout) {
-      metrics::collect_channel(mpi_layout->stats(), *result.metrics);
+    if (layout.channel()) {
+      metrics::collect_channel(layout.channel()->stats(), *result.metrics);
     }
     result.metrics->set_time("run/mean_latency_fs", result.mean_latency);
     result.metrics->set_time("run/min_latency_fs", result.min_latency);

@@ -4,6 +4,7 @@
 // profiles). Bench binaries and tests are thin wrappers over this.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -30,7 +31,7 @@ enum class PaperVariant {
   kIrcce,        // + relaxed synchronization (Section IV-A)
   kLightweight,  // + lightweight non-blocking primitives (Section IV-B)
   kLwBalanced,   // + balanced block splitting (Section IV-C)
-  kMpb,          // + MPB-direct Allreduce (Section IV-D; Allreduce only)
+  kMpb,          // + MPB-direct Allreduce (Section IV-D; Allreduce, n >= p)
 };
 
 [[nodiscard]] constexpr std::string_view variant_name(PaperVariant v) {
@@ -60,6 +61,13 @@ enum class Collective {
   kAllgatherv,
 };
 
+inline constexpr std::array<Collective, 9> kAllCollectives = {
+    Collective::kAllgather,     Collective::kAlltoall,
+    Collective::kReduceScatter, Collective::kBroadcast,
+    Collective::kReduce,        Collective::kAllreduce,
+    Collective::kScatter,       Collective::kGather,
+    Collective::kAllgatherv};
+
 [[nodiscard]] constexpr std::string_view collective_name(Collective c) {
   switch (c) {
     case Collective::kAllgather: return "allgather";
@@ -74,6 +82,41 @@ enum class Collective {
   }
   return "?";
 }
+
+/// The primitive layer a variant's collectives run on (§IV-A/B); rckmpi
+/// and mpb keep the lightweight layer for their Stack.
+[[nodiscard]] constexpr coll::Prims prims_of(PaperVariant v) {
+  switch (v) {
+    case PaperVariant::kBlocking: return coll::Prims::kBlocking;
+    case PaperVariant::kIrcce: return coll::Prims::kIrcce;
+    default: return coll::Prims::kLightweight;
+  }
+}
+
+/// The block split a variant uses (§IV-C): balanced from lw-balanced up.
+[[nodiscard]] constexpr coll::SplitPolicy split_of(PaperVariant v) {
+  return v == PaperVariant::kLwBalanced || v == PaperVariant::kMpb
+             ? coll::SplitPolicy::kBalanced
+             : coll::SplitPolicy::kStandard;
+}
+
+/// True for the variants whose collectives all run on coll::Stack -- the
+/// ones an algorithm override and the non-blocking API apply to. RCKMPI
+/// and the MPB-direct Allreduce have their own schedules.
+[[nodiscard]] constexpr bool stack_based(PaperVariant v) {
+  return v != PaperVariant::kRckmpi && v != PaperVariant::kMpb;
+}
+
+/// Collectives with a non-blocking i*() entry point (coll/nbc.hpp).
+[[nodiscard]] constexpr bool nbc_supported(Collective c) {
+  return c == Collective::kAllgather || c == Collective::kAlltoall ||
+         c == Collective::kBroadcast || c == Collective::kAllreduce;
+}
+
+/// Inverses of variant_name / collective_name; nullopt for unknown names.
+[[nodiscard]] std::optional<PaperVariant> parse_variant(std::string_view name);
+[[nodiscard]] std::optional<Collective> parse_collective(
+    std::string_view name);
 
 /// Variants plotted for a given collective in Fig. 9 (e.g. the balanced
 /// variant only exists for the splitting collectives; MPB only for

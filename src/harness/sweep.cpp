@@ -77,9 +77,7 @@ RunSpec cell_spec(const SweepSpec& spec, PaperVariant variant,
   run.trace = spec.trace;
   run.config = spec.config;
   run.collect_metrics = spec.collect_metrics;
-  if (variant != PaperVariant::kRckmpi && variant != PaperVariant::kMpb) {
-    run.algo = spec.algo;
-  }
+  if (stack_based(variant)) run.algo = spec.algo;
   return run;
 }
 

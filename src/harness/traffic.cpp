@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
-#include "coll/collectives.hpp"
-#include "coll/nbc.hpp"
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
+#include "harness/comm.hpp"
 #include "machine/scc_machine.hpp"
 #include "metrics/collect.hpp"
 
@@ -17,33 +17,28 @@ namespace scc::harness {
 
 namespace {
 
-coll::Prims prims_of(PaperVariant v) {
-  switch (v) {
-    case PaperVariant::kBlocking: return coll::Prims::kBlocking;
-    case PaperVariant::kIrcce: return coll::Prims::kIrcce;
-    default: return coll::Prims::kLightweight;
-  }
-}
+/// The collectives a stream draws from, indexed by rng.below(4): the
+/// order fixes every committed schedule.
+constexpr Collective kTrafficCollectives[] = {
+    Collective::kAllreduce, Collective::kAllgather, Collective::kAlltoall,
+    Collective::kBroadcast};
 
-coll::SplitPolicy split_of(PaperVariant v) {
-  return v == PaperVariant::kLwBalanced ? coll::SplitPolicy::kBalanced
-                                        : coll::SplitPolicy::kStandard;
-}
+/// Seed axis of the broadcast payloads, kept apart from the in-buffers.
+constexpr std::uint64_t kBroadcastSeedAxis = 0xb40adca57ULL;
 
 struct KindSizes {
   std::size_t in_elems = 0;
   std::size_t out_elems = 0;
 };
 
-KindSizes kind_sizes(TrafficKind k, std::size_t n, int p) {
+KindSizes kind_sizes(Collective c, std::size_t n, int p) {
   const auto up = static_cast<std::size_t>(p);
-  switch (k) {
-    case TrafficKind::kAllreduce: return {n, n};
-    case TrafficKind::kAllgather: return {n, n * up};
-    case TrafficKind::kAlltoall: return {n * up, n * up};
-    case TrafficKind::kBroadcast: return {0, n};  // in-place payload in out
+  switch (c) {
+    case Collective::kAllgather: return {n, n * up};
+    case Collective::kAlltoall: return {n * up, n * up};
+    case Collective::kBroadcast: return {0, n};  // in-place payload in out
+    default: return {n, n};                      // allreduce
   }
-  return {n, n};
 }
 
 /// Integer-valued inputs keyed on (run seed, request index, rank): every
@@ -74,59 +69,15 @@ struct TrafficProbe {
   SimTime makespan;
 };
 
-sim::Task<> run_blocking_request(coll::Stack& stack, const TrafficSpec& spec,
-                                 const TrafficRequest& req,
-                                 aligned_vector<double>& in,
-                                 aligned_vector<double>& out) {
-  const coll::SplitPolicy split = split_of(spec.variant);
-  switch (req.kind) {
-    case TrafficKind::kAllreduce:
-      co_await coll::allreduce(stack, in, out, coll::ReduceOp::kSum, split,
-                               coll::paper_algo(coll::CollKind::kAllreduce));
-      co_return;
-    case TrafficKind::kAllgather:
-      co_await coll::allgather(stack, in, out,
-                               coll::paper_algo(coll::CollKind::kAllgather));
-      co_return;
-    case TrafficKind::kAlltoall:
-      co_await coll::alltoall(stack, in, out,
-                              coll::paper_algo(coll::CollKind::kAlltoall));
-      co_return;
-    case TrafficKind::kBroadcast:
-      co_await coll::broadcast(stack, out, req.root, split);
-      co_return;
-  }
-}
-
-coll::nbc::CollRequest initiate_request(coll::nbc::ProgressEngine& engine,
-                                        const TrafficSpec& spec,
-                                        const TrafficRequest& req,
-                                        aligned_vector<double>& in,
-                                        aligned_vector<double>& out) {
-  const coll::SplitPolicy split = split_of(spec.variant);
-  switch (req.kind) {
-    case TrafficKind::kAllreduce:
-      return engine.iallreduce(in, out, coll::ReduceOp::kSum, split);
-    case TrafficKind::kAllgather:
-      return engine.iallgather(in, out);
-    case TrafficKind::kAlltoall:
-      return engine.ialltoall(in, out);
-    case TrafficKind::kBroadcast:
-      return engine.ibcast(out, req.root, split);
-  }
-  return {};
-}
-
 /// Closed-loop baseline: the identical schedule, drained strictly in
 /// arrival order through the blocking API. A request that arrives while an
 /// earlier one is still in service waits in line -- its sojourn latency
 /// includes the full head-of-line queueing delay.
-sim::Task<> serialized_program(machine::CoreApi& api,
-                               const rcce::Layout& layout,
+sim::Task<> serialized_program(machine::CoreApi& api, const CommLayout& layout,
                                const TrafficSpec& spec,
                                const std::vector<TrafficRequest>& schedule,
                                TrafficCoreData& data, TrafficProbe& probe) {
-  coll::Stack stack(api, layout, prims_of(spec.variant));
+  Comm comm(api, layout, spec.variant, split_of(spec.variant));
   co_await api.sync_barrier();
   const SimTime t0 = api.now();
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -134,8 +85,8 @@ sim::Task<> serialized_program(machine::CoreApi& api,
     if (api.now() < target) {
       co_await api.charge(machine::Phase::kCompute, target - api.now());
     }
-    co_await run_blocking_request(stack, spec, schedule[i], data.in[i],
-                                  data.out[i]);
+    co_await comm.run(schedule[i].kind, data.in[i], data.out[i],
+                      schedule[i].root);
     if (api.rank() == 0) {
       probe.latency[i] = api.now() - target;
       probe.completion_order.push_back(i);
@@ -151,10 +102,13 @@ sim::Task<> serialized_program(machine::CoreApi& api,
 /// more in flight. Completions are observed (and timed) at progress-pass
 /// boundaries, so the recorded latency includes the engine's poll
 /// quantization, exactly as a real progress-loop client would see.
-sim::Task<> open_loop_program(machine::CoreApi& api, const TrafficSpec& spec,
+sim::Task<> open_loop_program(machine::CoreApi& api, const CommLayout& layout,
+                              const TrafficSpec& spec,
                               const std::vector<TrafficRequest>& schedule,
                               TrafficCoreData& data, TrafficProbe& probe) {
-  coll::nbc::ProgressEngine engine(api, prims_of(spec.variant), spec.lanes);
+  Comm comm(api, layout, spec.variant, split_of(spec.variant), std::nullopt,
+            spec.lanes);
+  coll::nbc::ProgressEngine& engine = comm.engine();
   std::vector<std::pair<std::size_t, coll::nbc::CollRequest>> in_flight;
   co_await api.sync_barrier();
   const SimTime t0 = api.now();
@@ -181,9 +135,8 @@ sim::Task<> open_loop_program(machine::CoreApi& api, const TrafficSpec& spec,
     if (api.now() < target) {
       co_await api.charge(machine::Phase::kCompute, target - api.now());
     }
-    in_flight.emplace_back(
-        i, initiate_request(engine, spec, schedule[i], data.in[i],
-                            data.out[i]));
+    in_flight.emplace_back(i, comm.start(schedule[i].kind, data.in[i],
+                                         data.out[i], schedule[i].root));
   }
   while (!engine.idle()) {
     co_await engine.progress();
@@ -193,65 +146,34 @@ sim::Task<> open_loop_program(machine::CoreApi& api, const TrafficSpec& spec,
   if (api.rank() == 0) probe.makespan = api.now() - t0;
 }
 
-void verify_request(const TrafficSpec& spec, std::size_t idx,
-                    const TrafficRequest& req, int p,
-                    const std::vector<TrafficCoreData>& data) {
-  const std::size_t n = spec.elements;
-  const auto fail = [&](int rank, std::size_t elem, double got, double want) {
-    throw std::runtime_error(strprintf(
-        "traffic verification failed: request %zu (%s, stream %d) core %d "
-        "element %zu: got %.17g want %.17g",
-        idx, std::string(traffic_kind_name(req.kind)).c_str(), req.stream,
-        rank, elem, got, want));
-  };
-  const auto& out_of = [&](int r) -> const aligned_vector<double>& {
-    return data[static_cast<std::size_t>(r)].out[idx];
-  };
-  const auto& in_of = [&](int r) -> const aligned_vector<double>& {
-    return data[static_cast<std::size_t>(r)].in[idx];
-  };
-  switch (req.kind) {
-    case TrafficKind::kAllreduce: {
-      std::vector<double> want(n, 0.0);
-      for (int src = 0; src < p; ++src)
-        for (std::size_t i = 0; i < n; ++i) want[i] += in_of(src)[i];
-      for (int r = 0; r < p; ++r)
-        for (std::size_t i = 0; i < n; ++i)
-          if (out_of(r)[i] != want[i]) fail(r, i, out_of(r)[i], want[i]);
-      return;
+/// Every request's outputs against the shared serial reference. The span
+/// lists and the broadcast reference are built once for the whole run.
+void verify_requests(const TrafficSpec& spec,
+                     const std::vector<TrafficRequest>& schedule,
+                     const std::vector<TrafficCoreData>& data) {
+  std::vector<std::span<const double>> in(data.size()), out(data.size());
+  aligned_vector<double> payload(spec.elements);
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const TrafficRequest& req = schedule[i];
+    for (std::size_t r = 0; r < data.size(); ++r) {
+      in[r] = data[r].in[i];
+      out[r] = data[r].out[i];
     }
-    case TrafficKind::kAllgather: {
-      for (int r = 0; r < p; ++r)
-        for (int src = 0; src < p; ++src)
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t e = static_cast<std::size_t>(src) * n + i;
-            if (out_of(r)[e] != in_of(src)[i])
-              fail(r, e, out_of(r)[e], in_of(src)[i]);
-          }
-      return;
-    }
-    case TrafficKind::kAlltoall: {
-      for (int r = 0; r < p; ++r)
-        for (int src = 0; src < p; ++src)
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t e = static_cast<std::size_t>(src) * n + i;
-            const double want =
-                in_of(src)[static_cast<std::size_t>(r) * n + i];
-            if (out_of(r)[e] != want) fail(r, e, out_of(r)[e], want);
-          }
-      return;
-    }
-    case TrafficKind::kBroadcast: {
-      // The root's payload was staged in its own out slot before launch;
-      // every core must end up with a bit-equal copy. Recompute it from the
-      // deterministic fill instead of reading the root's (possibly
+    if (req.kind == Collective::kBroadcast) {
+      // The root's payload was staged in its own out slot; recompute it
+      // from the deterministic fill rather than read that (possibly
       // repainted) buffer.
-      aligned_vector<double> want(n);
-      fill_request_input(want, spec.seed ^ 0xb40adca57ULL, idx, req.root);
-      for (int r = 0; r < p; ++r)
-        for (std::size_t i = 0; i < n; ++i)
-          if (out_of(r)[i] != want[i]) fail(r, i, out_of(r)[i], want[i]);
-      return;
+      fill_request_input(payload, spec.seed ^ kBroadcastSeedAxis, i,
+                         req.root);
+      in[static_cast<std::size_t>(req.root)] = payload;
+    }
+    const std::optional<std::string> bad =
+        check_outputs({req.kind, spec.elements, req.root, in, out});
+    if (bad) {
+      throw std::runtime_error(strprintf(
+          "traffic verification failed: request %zu (%s, stream %d) %s", i,
+          std::string(collective_name(req.kind)).c_str(), req.stream,
+          bad->c_str()));
     }
   }
 }
@@ -283,9 +205,8 @@ std::vector<TrafficRequest> traffic_schedule(const TrafficSpec& spec, int p) {
       TrafficRequest req;
       req.arrival = t;
       req.stream = s;
-      req.kind = static_cast<TrafficKind>(
-          rng.below(static_cast<std::uint64_t>(kTrafficKinds)));
-      req.root = req.kind == TrafficKind::kBroadcast ? s % p : 0;
+      req.kind = kTrafficCollectives[rng.below(std::size(kTrafficCollectives))];
+      req.root = req.kind == Collective::kBroadcast ? s % p : 0;
       merged.push_back(req);
     }
   }
@@ -300,8 +221,7 @@ std::vector<TrafficRequest> traffic_schedule(const TrafficSpec& spec, int p) {
 }
 
 TrafficResult run_traffic(const TrafficSpec& spec) {
-  if (spec.variant == PaperVariant::kRckmpi ||
-      spec.variant == PaperVariant::kMpb) {
+  if (!stack_based(spec.variant)) {
     throw std::runtime_error(strprintf(
         "traffic_gen supports the RCCE-family variants only, not %s",
         std::string(variant_name(spec.variant)).c_str()));
@@ -319,13 +239,10 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   config.tiles_x = spec.tiles_x;
   config.tiles_y = spec.tiles_y;
   const int p = config.num_cores();
-  rcce::Layout layout(p);
-  int flags_needed = layout.flags_needed();
-  if (!spec.serialize) {
+  if (!spec.serialize && spec.lanes > 1) {
     for (int lane = 0; lane < spec.lanes; ++lane) {
       const rcce::Layout sub = rcce::Layout::lane(p, lane, spec.lanes);
-      flags_needed = std::max(flags_needed, sub.flags_needed());
-      if (spec.lanes > 1 && spec.elements * sizeof(double) > sub.chunk_bytes()) {
+      if (spec.elements * sizeof(double) > sub.chunk_bytes()) {
         // Oversized messages fall back to blocking completion waits inside
         // a lane step, which can deadlock across lanes -- reject up front.
         throw std::runtime_error(strprintf(
@@ -336,7 +253,8 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
       }
     }
   }
-  config.flags_per_core = std::max(config.flags_per_core, flags_needed);
+  const CommLayout layout(config, spec.variant,
+                          spec.serialize ? 0 : spec.lanes);
   machine::SccMachine machine(config);
   std::optional<metrics::Sampler> sampler;
   const std::string label =
@@ -362,11 +280,11 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
       d.in[i].resize(sizes.in_elems);
       d.out[i].resize(sizes.out_elems, 0.0);
       fill_request_input(d.in[i], spec.seed, i, r);
-      if (schedule[i].kind == TrafficKind::kBroadcast &&
+      if (schedule[i].kind == Collective::kBroadcast &&
           r == schedule[i].root) {
         // The broadcast payload lives in the root's out slot (in-place
         // API); a distinct seed axis keeps it disjoint from in-buffers.
-        fill_request_input(d.out[i], spec.seed ^ 0xb40adca57ULL, i, r);
+        fill_request_input(d.out[i], spec.seed ^ kBroadcastSeedAxis, i, r);
       }
     }
   }
@@ -379,17 +297,13 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
       machine.launch(r, serialized_program(machine.core(r), layout, spec,
                                            schedule, d, probe));
     } else {
-      machine.launch(
-          r, open_loop_program(machine.core(r), spec, schedule, d, probe));
+      machine.launch(r, open_loop_program(machine.core(r), layout, spec,
+                                          schedule, d, probe));
     }
   }
   machine.run();
 
-  if (spec.verify) {
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-      verify_request(spec, i, schedule[i], p, data);
-    }
-  }
+  if (spec.verify) verify_requests(spec, schedule, data);
 
   TrafficResult result;
   SCC_ASSERT(probe.completion_order.size() == schedule.size());

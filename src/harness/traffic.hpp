@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "harness/runner.hpp"
@@ -42,26 +41,6 @@
 #include "metrics/sampler.hpp"
 
 namespace scc::harness {
-
-/// The collective kinds a stream may draw. All four have non-blocking
-/// entry points; reduce/reduce_scatter do not (yet) and are excluded.
-enum class TrafficKind : std::uint8_t {
-  kAllreduce,
-  kAllgather,
-  kAlltoall,
-  kBroadcast,
-};
-inline constexpr int kTrafficKinds = 4;
-
-[[nodiscard]] constexpr std::string_view traffic_kind_name(TrafficKind k) {
-  switch (k) {
-    case TrafficKind::kAllreduce: return "allreduce";
-    case TrafficKind::kAllgather: return "allgather";
-    case TrafficKind::kAlltoall: return "alltoall";
-    case TrafficKind::kBroadcast: return "broadcast";
-  }
-  return "?";
-}
 
 struct TrafficSpec {
   /// Independent tenant streams; each draws its own interarrival gaps and
@@ -100,7 +79,9 @@ struct TrafficSpec {
 struct TrafficRequest {
   SimTime arrival;   // offset from the post-setup barrier instant
   int stream = 0;    // issuing tenant
-  TrafficKind kind = TrafficKind::kAllreduce;
+  /// Allreduce, allgather, alltoall or broadcast: the collectives with a
+  /// non-blocking entry point (reduce and reduce_scatter have none).
+  Collective kind = Collective::kAllreduce;
   int root = 0;      // broadcast root (stream % p); unused otherwise
 };
 

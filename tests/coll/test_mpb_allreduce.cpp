@@ -67,8 +67,10 @@ TEST_P(MpbAllreduceSize, SumsCorrectly) {
   }
 }
 
+// n = 3 < p leaves empty blocks: harness::Comm routes such sizes to the
+// ring, so only this suite reaches that path of the routine.
 INSTANTIATE_TEST_SUITE_P(Sizes, MpbAllreduceSize,
-                         ::testing::Values(8, 9, 48, 52, 100, 552),
+                         ::testing::Values(3, 8, 9, 48, 52, 100, 552),
                          [](const auto& param_info) {
                            return "n" + std::to_string(param_info.param);
                          });

@@ -94,6 +94,9 @@ TEST(FaultSpec, RejectsMalformedText) {
       "deadlink:2,1-3",          // truncated coordinate
       "deadlink:2,1-3,1x2",      // factor on a dead link
       "straggler:5 x2",          // embedded whitespace
+      "straggler:99999999999x2",     // core id overflows an int
+      "dvfs:1/99999999999",          // divisor overflows an int
+      "deadlink:2,1-99999999999,1",  // coordinate overflows an int
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)FaultSpec::parse(text), std::runtime_error) << text;

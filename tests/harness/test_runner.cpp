@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+
 #include "harness/sweep.hpp"
 
 namespace scc::harness {
@@ -64,6 +67,41 @@ TEST(Runner, VariantNamesMatchFigureLegends) {
   EXPECT_EQ(variant_name(PaperVariant::kLightweight), "lightweight");
   EXPECT_EQ(variant_name(PaperVariant::kLwBalanced), "lw-balanced");
   EXPECT_EQ(variant_name(PaperVariant::kMpb), "mpb");
+  // Every name round-trips through the shared CLI parsers.
+  for (const PaperVariant v : variants_for(Collective::kAllreduce)) {
+    EXPECT_EQ(parse_variant(variant_name(v)), v) << variant_name(v);
+  }
+  for (const Collective c : kAllCollectives) {
+    EXPECT_EQ(parse_collective(collective_name(c)), c) << collective_name(c);
+  }
+  for (const std::string_view bad : {"", "all", "MPB", "lw_balanced", "?"}) {
+    EXPECT_EQ(parse_variant(bad), std::nullopt) << bad;
+    EXPECT_EQ(parse_collective(bad), std::nullopt) << bad;
+  }
+}
+
+// Comm runs the MPB-direct Allreduce only when every core owns an element:
+// below p, `mpb` is the balanced ring and matches lw-balanced exactly.
+TEST(Runner, MpbBelowCoreCountRunsTheBalancedRing) {
+  const auto run = [](PaperVariant v, std::size_t n) {
+    RunSpec spec;
+    spec.collective = Collective::kAllreduce;
+    spec.variant = v;
+    spec.elements = n;
+    spec.repetitions = 2;
+    spec.capture_outputs = true;
+    spec.config = mesh8();
+    return run_collective(spec);
+  };
+  const RunResult mpb = run(PaperVariant::kMpb, 3);
+  const RunResult ring = run(PaperVariant::kLwBalanced, 3);
+  EXPECT_TRUE(mpb.verified);
+  EXPECT_EQ(mpb.mean_latency, ring.mean_latency);
+  EXPECT_EQ(mpb.events, ring.events);
+  EXPECT_EQ(mpb.outputs, ring.outputs);
+  // From n = p on, the MPB-direct routine runs and the two differ.
+  EXPECT_NE(run(PaperVariant::kMpb, 8).mean_latency,
+            run(PaperVariant::kLwBalanced, 8).mean_latency);
 }
 
 TEST(Sweep, ProducesOnePointPerSize) {

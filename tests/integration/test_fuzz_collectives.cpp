@@ -112,8 +112,8 @@ TEST_P(FuzzCollectives, RandomConfigurationVerifies) {
         n = 1 + rng.below(200);
         break;
     }
-    // The MPB-direct routine needs at least one element per block to be
-    // representative; it handles empty blocks, but bias toward real work.
+    // Below p, mpb runs the balanced ring (harness::Comm); keep its draws
+    // on the MPB-direct routine.
     if (variant == PaperVariant::kMpb && n < static_cast<std::size_t>(p)) {
       n += static_cast<std::size_t>(p);
     }
@@ -149,9 +149,7 @@ TEST_P(FuzzCollectives, RandomConfigurationVerifies) {
     // The algorithm dimension (coll/algos.hpp), for the collectives and
     // variants that have one: paper default, each implemented variant, or
     // the auto Selector.
-    if (const auto kind = algo_kind(coll);
-        kind && variant != PaperVariant::kRckmpi &&
-        variant != PaperVariant::kMpb) {
+    if (const auto kind = algo_kind(coll); kind && stack_based(variant)) {
       const auto& algos = coll::algos_for(*kind);
       const std::uint64_t pick = rng.below(algos.size() + 2);
       if (pick == algos.size() + 1) {

@@ -44,7 +44,7 @@ TEST(TrafficSchedule, PureFunctionOfSpecAndSorted) {
   // Broadcast roots are per-stream, so concurrent broadcasts from
   // different tenants genuinely fan out from different cores.
   for (const TrafficRequest& r : a) {
-    if (r.kind == TrafficKind::kBroadcast) {
+    if (r.kind == Collective::kBroadcast) {
       EXPECT_EQ(r.root, r.stream % 8);
     }
   }
