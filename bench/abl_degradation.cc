@@ -15,12 +15,10 @@
 //
 // Output: aligned table on stdout plus bench_results/abl_degradation.csv
 // and .json (scc-bench-v1). The JSON feeds the bench-smoke regression gate
-// (bench/abl_degradation_smoke.cmake): rows keyed by "cell", numeric
-// columns (latencies, pick_ok, wait_share) diffed two-sided against the
-// committed baseline with a wide tolerance -- the simulator is
-// deterministic, so any drift is a real model change; a pick_ok flip in
-// particular means a fault scenario moved a measured crossover past the
-// Selector. String columns (selected, best_algo, blame_top) ride along.
+// (abl_degradation_smoke), which requires it to equal the committed
+// baseline byte for byte -- the simulator is deterministic, so any
+// difference is a real model change; a pick_ok flip in particular means a
+// fault scenario moved a measured crossover past the Selector.
 #include <cstdio>
 #include <exception>
 #include <filesystem>

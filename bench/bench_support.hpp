@@ -1,7 +1,8 @@
 // Helpers shared by the figure/table bench binaries: every binary writes
 // its result table as bench_results/<name>.csv plus the "scc-bench-v1"
-// JSON that bench/compare diffs against a committed baseline, and the
-// binaries taking --blame print critical-path blame reports in one format.
+// JSON that the bench-smoke gates compare byte for byte with a committed
+// baseline, and the binaries taking --blame print critical-path blame
+// reports in one format.
 #pragma once
 
 #include <cstddef>

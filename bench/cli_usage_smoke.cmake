@@ -4,7 +4,8 @@
 # instead of ignoring it and running. fig9 must also reject a missing or
 # non-Fig. 9 --collective, out-of-range sweep values and an --algo the
 # collective does not have. Integers inside flag values (--mesh=WxH,
-# --sizes, fault specs) must be whole, in range and not overflow, and the
+# --sizes, fault specs) must be whole, in range and not overflow, a fault
+# factor must be a finite number, flags narrowed to int must fit, and the
 # examples must reject bad names and sizes up front instead of crashing.
 #
 # Required -D variables: BINARIES (target binaries, space-separated), FIG9
@@ -69,6 +70,12 @@ expect_usage_error("${binary}" --sizes=8junk)
 expect_usage_error("${binary}" --sizes=8,,)
 binary_path(collective_playground binary)
 expect_usage_error("${binary}" --faults=straggler:99999999999x2)
+expect_usage_error("${binary}" --faults=straggler:3x.)
+binary_path(obs_report binary)
+expect_usage_error("${binary}" --out=x.html --reps=4294967296)
+expect_usage_error("${binary}" --out=x.html --warmup=4294967295)
+binary_path(perturb_soak binary)
+expect_usage_error("${binary}" --seeds=4294967296)
 binary_path(topology_explorer binary)
 expect_usage_error("${binary}" --from-core=48)
 binary_path(cg_solver binary)

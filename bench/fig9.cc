@@ -10,7 +10,8 @@
 //
 // --step defaults to 8 for allgather and alltoall and to 2 for the rest.
 // The panel is written to bench_results/fig9<letter>_<collective>.csv and
-// .json (scc-bench-v1, the input of bench/compare) and printed as a table.
+// .json (scc-bench-v1, the input of the bench-smoke gate) and printed as a
+// table.
 //
 //   --jobs=N      host worker threads for the sweep's independent
 //                 simulations (default: hardware concurrency). Every output
@@ -21,7 +22,7 @@
 //   --hist        add a "histograms" block (count/min/mean/p50/p90/p99/
 //                 p999/max, microseconds) per variant over every measured
 //                 repetition of every size; row bytes are unchanged, and
-//                 bench/compare gates the block when the baseline has one.
+//                 the committed fig9f baseline carries the block.
 //   --blame       per variant, re-run the last size traced and print the
 //                 critical-path blame report of its final repetition
 //                 (tracing never changes timing).

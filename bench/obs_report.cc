@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
     const auto flags = scc::CliFlags::parse(argc, argv);
     const std::string out_path = flags.get("out", "");
     const std::string collective_flag = flags.get("collective", "allreduce");
-    const auto elements = flags.get_int("elements", 552);
-    const auto reps = flags.get_int("reps", 4);
-    const auto warmup = flags.get_int("warmup", 2);
+    const int elements = flags.get_int_in("elements", 552, 1);
+    const int reps = flags.get_int_in("reps", 4, 1);
+    const int warmup = flags.get_int_in("warmup", 2, 0);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     const double sample_us = flags.get_double("sample-us", 1.0);
     const int jobs = scc::exec::jobs_flag(flags);
@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
                    "[--sample-us=U] [--jobs=J]\n");
       return 2;
     }
-    if (elements < 1 || reps < 1 || warmup < 0 || sample_us <= 0.0 ||
-        !scc::SimTime::representable_us(sample_us)) {
+    if (sample_us <= 0.0 || !scc::SimTime::representable_us(sample_us)) {
       std::fprintf(stderr, "invalid run parameters\n");
       return 2;
     }
@@ -89,8 +88,8 @@ int main(int argc, char** argv) {
           run.collective = *collective;
           run.variant = variants[job];
           run.elements = static_cast<std::size_t>(elements);
-          run.repetitions = static_cast<int>(reps);
-          run.warmup = static_cast<int>(warmup);
+          run.repetitions = reps;
+          run.warmup = warmup;
           run.seed = seed;
           run.collect_metrics = true;
           run.sample_interval = scc::SimTime::from_us(sample_us);
@@ -104,8 +103,7 @@ int main(int argc, char** argv) {
     report.title = scc::strprintf(
         "%s n=%d seed=%llu reps=%d",
         std::string(scc::harness::collective_name(*collective)).c_str(),
-        static_cast<int>(elements), static_cast<unsigned long long>(seed),
-        static_cast<int>(reps));
+        elements, static_cast<unsigned long long>(seed), reps);
     for (std::size_t v = 0; v < variants.size(); ++v) {
       const std::string name{scc::harness::variant_name(variants[v])};
       const scc::harness::RunResult& rr = cells[v].result;

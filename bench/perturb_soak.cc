@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   try {
     const auto flags = scc::CliFlags::parse(argc, argv);
     const auto rounds = flags.get_int("rounds", 20);
-    const auto seeds_per_config = flags.get_int("seeds", 16);
+    const int seeds_per_config = flags.get_int_in("seeds", 16, 1);
     const auto master_seed =
         static_cast<std::uint64_t>(flags.get_int("master-seed", 1));
     const auto fixed_delay_fs = flags.get_int("delay-fs", -1);
@@ -146,10 +146,6 @@ int main(int argc, char** argv) {
     const std::string faults_flag = flags.get("faults", "");
     for (const std::string& name : flags.unconsumed()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      return 2;
-    }
-    if (seeds_per_config < 1) {
-      std::fprintf(stderr, "--seeds must be >= 1\n");
       return 2;
     }
     if (max_elements < 1) {
@@ -222,7 +218,7 @@ int main(int argc, char** argv) {
                                      : scc::coll::SplitPolicy::kBalanced;
       spec.engine_seed = rng();
       spec.perturb_seed_base = rng();
-      spec.perturb_seeds = static_cast<int>(seeds_per_config);
+      spec.perturb_seeds = seeds_per_config;
       // A third of the rounds inject event delays up to ~10 core cycles
       // (1 core cycle = 1,876,173 fs) unless a fixed jitter was requested.
       spec.max_delay_fs =

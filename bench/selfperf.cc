@@ -17,12 +17,13 @@
 //            [--jobs=N]
 //
 // Prints a table (events, wall ms, ns/event, Mevents/s, speedup) and
-// writes bench_results/selfperf.csv with the full data. The scc-bench-v1
-// JSON (bench_results/selfperf.json) deliberately carries only the
-// lower-is-better wall_ms column of the host-independent scenarios --
-// bench/compare's one-sided gate treats increases as regressions, so a
-// higher-is-better column (events/s, speedup) would fail on improvement,
-// and sweep_jobs' wall time depends on host core count.
+// writes bench_results/selfperf.csv with the same data. The scc-bench-v1
+// JSON (bench_results/selfperf.json) carries only the exact work counters
+// of the single-threaded scenarios -- events processed and coroutine
+// frames allocated (sim::frame_arena_stats() on this thread) -- which the
+// bench-smoke gate compares byte for byte. Wall-clock time is for people:
+// it moves with the host. sweep_jobs is left out because its frames are
+// allocated on worker threads.
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -38,6 +39,7 @@
 #include "harness/sweep.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_heap.hpp"
+#include "sim/frame_arena.hpp"
 
 namespace {
 
@@ -46,6 +48,10 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
       .count();
+}
+
+std::uint64_t frames_since(std::uint64_t allocs0) {
+  return scc::sim::frame_arena_stats().allocs - allocs0;
 }
 
 /// One chain of self-rescheduling events; K chains interleave so the heap
@@ -67,8 +73,9 @@ void arm(ChainState* s) {
 struct Row {
   std::string scenario;
   std::uint64_t events = 0;  // 0: not tracked (sweep scenarios)
+  std::uint64_t frames = 0;  // coroutine frames allocated on this thread
   double wall_ms = 0.0;
-  bool gated = false;  // included in the compare-gated JSON
+  bool gated = false;  // single-threaded: its counters go in the gated JSON
 };
 
 /// The queue-structure microbench: the engine_hot_loop event pattern (64
@@ -127,6 +134,7 @@ int main(int argc, char** argv) {
       std::vector<ChainState> chains(kChains);
       const auto per_chain =
           static_cast<std::uint64_t>(events_target) / kChains;
+      const auto allocs0 = scc::sim::frame_arena_stats().allocs;
       const auto t0 = Clock::now();
       for (ChainState& c : chains) {
         c.engine = &engine;
@@ -134,9 +142,9 @@ int main(int argc, char** argv) {
         arm(&c);
       }
       engine.run();
-      rows.push_back(
-          Row{"engine_hot_loop", engine.events_processed(), ms_since(t0),
-              /*gated=*/true});
+      rows.push_back(Row{"engine_hot_loop", engine.events_processed(),
+                         frames_since(allocs0), ms_since(t0),
+                         /*gated=*/true});
     }
 
     {
@@ -149,10 +157,12 @@ int main(int argc, char** argv) {
       spec.repetitions = reps;
       spec.warmup = 0;
       spec.verify = false;
+      const auto allocs0 = scc::sim::frame_arena_stats().allocs;
       const auto t0 = Clock::now();
       const scc::harness::RunResult result =
           scc::harness::run_collective(spec);
-      rows.push_back(Row{"allreduce_552", result.events, ms_since(t0),
+      rows.push_back(Row{"allreduce_552", result.events,
+                         frames_since(allocs0), ms_since(t0),
                          /*gated=*/true});
     }
 
@@ -166,16 +176,18 @@ int main(int argc, char** argv) {
     sweep.verify = false;
     {
       sweep.jobs = 1;
+      const auto allocs0 = scc::sim::frame_arena_stats().allocs;
       const auto t0 = Clock::now();
       (void)scc::harness::run_sweep(sweep);
-      rows.push_back(Row{"sweep_serial", 0, ms_since(t0), /*gated=*/true});
+      rows.push_back(Row{"sweep_serial", 0, frames_since(allocs0),
+                         ms_since(t0), /*gated=*/true});
     }
     const int resolved_jobs = scc::exec::resolve_jobs(jobs);
     {
       sweep.jobs = jobs;
       const auto t0 = Clock::now();
       (void)scc::harness::run_sweep(sweep);
-      rows.push_back(Row{scc::strprintf("sweep_jobs%d", resolved_jobs), 0,
+      rows.push_back(Row{scc::strprintf("sweep_jobs%d", resolved_jobs), 0, 0,
                          ms_since(t0), /*gated=*/false});
     }
 
@@ -189,21 +201,23 @@ int main(int argc, char** argv) {
         }
       };
       scc::sim::MoveHeap<QItem, QGreater> heap;
+      const auto allocs0 = scc::sim::frame_arena_stats().allocs;
       const auto t0 = Clock::now();
       // The volatile sink keeps the pops observable to the optimizer.
       [[maybe_unused]] volatile std::uint64_t checksum =
           drive_queue(heap, queue_pops);
-      rows.push_back(
-          Row{"queue_moveheap", queue_pops, ms_since(t0), /*gated=*/true});
+      rows.push_back(Row{"queue_moveheap", queue_pops, frames_since(allocs0),
+                         ms_since(t0), /*gated=*/true});
     }
 
+    const auto count = [](std::uint64_t n) {
+      return scc::strprintf("%llu", static_cast<unsigned long long>(n));
+    };
     scc::Table table(
         {"scenario", "events", "wall_ms", "ns_per_event", "Mevents_per_s"});
     for (const Row& r : rows) {
       table.add_row(
-          {r.scenario,
-           scc::strprintf("%llu", static_cast<unsigned long long>(r.events)),
-           scc::strprintf("%.2f", r.wall_ms),
+          {r.scenario, count(r.events), scc::strprintf("%.2f", r.wall_ms),
            r.events > 0 ? scc::strprintf("%.1f", r.wall_ms * 1e6 /
                                                      static_cast<double>(
                                                          r.events))
@@ -225,10 +239,9 @@ int main(int argc, char** argv) {
 
     std::filesystem::create_directories("bench_results");
     table.write_csv_file("bench_results/selfperf.csv");
-    scc::Table gate({"scenario", "wall_ms"});
+    scc::Table gate({"scenario", "events", "frames"});
     for (const Row& r : rows) {
-      if (r.gated)
-        gate.add_row({r.scenario, scc::strprintf("%.2f", r.wall_ms)});
+      if (r.gated) gate.add_row({r.scenario, count(r.events), count(r.frames)});
     }
     gate.write_json_file("bench_results/selfperf.json", "selfperf");
     std::cout << "written to bench_results/selfperf.csv and "

@@ -1,22 +1,24 @@
 # bench-smoke regression gate, run as a ctest (see scc_smoke_gate in
-# bench/CMakeLists.txt): runs one bench binary in WORK_DIR, then diffs the
-# scc-bench-v1 JSON it wrote against the committed baseline with
-# bench/compare.
+# bench/CMakeLists.txt): runs one bench binary in WORK_DIR, then requires
+# the scc-bench-v1 JSON it wrote to equal the committed baseline byte for
+# byte. Every gated column is deterministic (simulated time or a work
+# counter), so any difference is a model change; an intentional one must
+# re-commit the baseline.
 #
-# Required -D variables: BINARY, COMPARE (target binaries), ARGS (the
-# binary's arguments, space-separated; may be empty), RESULT (the JSON
-# file name under WORK_DIR/bench_results), BASELINE (committed JSON),
-# COMPARE_ARGS (extra compare flags, space-separated; may be empty),
-# WORK_DIR (scratch; bench_results/ is written inside).
-foreach(var BINARY COMPARE ARGS RESULT BASELINE COMPARE_ARGS WORK_DIR)
+# Required -D variables: BINARY (target binary), ARGS (the binary's
+# arguments, space-separated; may be empty), RESULT (the JSON file name
+# under WORK_DIR/bench_results), BASELINE (committed JSON), WORK_DIR
+# (scratch; bench_results/ is written inside).
+foreach(var BINARY ARGS RESULT BASELINE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "smoke_gate.cmake needs -D${var}=...")
   endif()
 endforeach()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
-separate_arguments(compare_args UNIX_COMMAND "${COMPARE_ARGS}")
 
+set(current "${WORK_DIR}/bench_results/${RESULT}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
+file(REMOVE "${current}")  # a stale file from an earlier run must not pass
 execute_process(
   COMMAND "${BINARY}" ${args}
   WORKING_DIRECTORY "${WORK_DIR}"
@@ -25,13 +27,18 @@ if(NOT bench_rc EQUAL 0)
   message(FATAL_ERROR "${BINARY} ${ARGS} failed (exit ${bench_rc})")
 endif()
 
-set(current "${WORK_DIR}/bench_results/${RESULT}")
+if(NOT EXISTS "${current}")
+  message(FATAL_ERROR "${BINARY} ${ARGS} did not write ${current}")
+endif()
 execute_process(
-  COMMAND "${COMPARE}" "--baseline=${BASELINE}" "--current=${current}"
-    ${compare_args}
-  RESULT_VARIABLE compare_rc)
-if(NOT compare_rc EQUAL 0)
-  message(FATAL_ERROR
-    "gate failed (exit ${compare_rc}); if the change is intentional, "
-    "re-commit ${BASELINE} from the fresh ${current}")
+  COMMAND ${CMAKE_COMMAND} -E compare_files "${BASELINE}" "${current}"
+  RESULT_VARIABLE diff_rc)
+if(NOT diff_rc EQUAL 0)
+  file(READ "${BASELINE}" committed)
+  file(READ "${current}" fresh)
+  # Plain message(): printed verbatim, so the documents stay diffable.
+  message("${current} differs from the committed baseline ${BASELINE}\n"
+          "--- committed\n${committed}--- fresh\n${fresh}")
+  message(FATAL_ERROR "baseline mismatch; if the change is intentional, "
+                      "re-commit ${BASELINE} from ${current}")
 endif()

@@ -9,17 +9,12 @@
 //
 // Output: aligned table on stdout plus bench_results/tab_algo_select.csv
 // and .json (scc-bench-v1). The JSON is the input of the bench-smoke
-// regression gate (bench/algo_select_smoke.cmake): rows are keyed by the
-// "cell" column and the numeric columns -- per-cell latencies and the
-// best-vs-paper speedup -- are diffed two-sided against the committed
-// baseline (bench_results/baselines/tab_algo_select.json), so both a lost
-// win and a selector pick that stops matching its committed latency fail
-// the gate. The string columns (best_algo, selected) ride along for humans
-// and are not diffed.
-//
-// The simulator is deterministic: identical flags reproduce identical
-// numbers, so the gate's tolerance only absorbs intentional cost-model
-// recalibrations (which must re-commit the baseline).
+// regression gate (algo_select_smoke), which requires it to equal the
+// committed baseline (bench_results/baselines/tab_algo_select.json) byte
+// for byte, so a lost win, a changed pick or any latency drift fails the
+// gate. The simulator is deterministic: identical flags reproduce
+// identical bytes, and an intentional cost-model recalibration must
+// re-commit the baseline.
 #include <cstdio>
 #include <exception>
 #include <filesystem>

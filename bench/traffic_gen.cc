@@ -11,7 +11,7 @@
 // non-blocking ProgressEngine at 1, 2 and 4 lanes on the same offered
 // load. Every reported number is SIMULATED time: the whole table is a
 // deterministic artifact, byte-identical for every --jobs value (host
-// threads across scenarios), and gated two-sided against a committed
+// threads across scenarios), and gated byte for byte against a committed
 // baseline by traffic_gen_smoke.cmake -- a tail quantile drifting LOW is
 // as suspicious as one drifting high (it usually means requests stopped
 // overlapping or the schedule changed).
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories("bench_results");
     table.write_csv_file("bench_results/traffic_gen.csv");
     // The gated JSON carries only simulated, deterministic columns; the
-    // smoke gate diffs them TWO-SIDED against the committed baseline.
+    // smoke gate requires them to equal the committed baseline.
     scc::Table gate({"scenario", "p50_us", "p99_us", "p999_us",
                      "makespan_us"});
     for (std::size_t i = 0; i < scenarios.size(); ++i) {

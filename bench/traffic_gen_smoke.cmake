@@ -8,15 +8,15 @@
 #      load strictly sooner than the serialized blocking drain (the
 #      makespan column of the CSV) -- the headline claim of the open-loop
 #      harness, pinned so it cannot silently rot.
-#   3. Baseline diff: every gated column (p50/p99/p999/makespan, all
-#      SIMULATED time) against the committed baseline, TWO-SIDED with a
-#      tight tolerance -- a tail quantile drifting low means the schedule
-#      or the overlap behavior changed, which is exactly as reportable as
-#      a regression. Regenerate the baseline with the exact command below.
+#   3. Baseline: the gated JSON (p50/p99/p999/makespan, all SIMULATED
+#      time) must equal the committed baseline byte for byte -- a tail
+#      quantile moving either way means the schedule or the overlap
+#      behavior changed. Regenerate the baseline with `traffic_gen`
+#      (default flags).
 #
-# Required -D variables: TRAFFIC_GEN, COMPARE (target binaries), BASELINE
-# (committed JSON), WORK_DIR (scratch; bench_results/ is written inside).
-foreach(var TRAFFIC_GEN COMPARE BASELINE WORK_DIR)
+# Required -D variables: TRAFFIC_GEN (target binary), BASELINE (committed
+# JSON), WORK_DIR (scratch; bench_results/ is written inside).
+foreach(var TRAFFIC_GEN BASELINE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "traffic_gen_smoke.cmake needs -D${var}=...")
   endif()
@@ -75,18 +75,16 @@ if(NOT nbc2_ns LESS "${serialized_ns}")
     "win regressed")
 endif()
 
+set(current "${WORK_DIR}/j1/bench_results/traffic_gen.json")
 execute_process(
-  COMMAND "${COMPARE}"
-    "--baseline=${BASELINE}"
-    "--current=${WORK_DIR}/j1/bench_results/traffic_gen.json"
-    "--key=scenario"
-    "--rel-tol=0.01"
-    "--two-sided"
-  RESULT_VARIABLE compare_rc)
-if(NOT compare_rc EQUAL 0)
-  message(FATAL_ERROR
-    "traffic_gen gate failed (exit ${compare_rc}); these are simulated "
-    "latencies, so any drift is a model/schedule change -- if intentional, "
-    "re-commit bench_results/baselines/traffic_gen.json from the fresh "
-    "${WORK_DIR}/j1/bench_results/traffic_gen.json")
+  COMMAND ${CMAKE_COMMAND} -E compare_files "${BASELINE}" "${current}"
+  RESULT_VARIABLE diff_rc)
+if(NOT diff_rc EQUAL 0)
+  file(READ "${BASELINE}" committed)
+  file(READ "${current}" fresh)
+  message("${current} differs from the committed baseline ${BASELINE}\n"
+          "--- committed\n${committed}--- fresh\n${fresh}")
+  message(FATAL_ERROR "baseline mismatch: these are simulated latencies, so "
+                      "this is a model or schedule change; if it is "
+                      "intentional, re-commit ${BASELINE} from ${current}")
 endif()

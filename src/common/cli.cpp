@@ -88,23 +88,25 @@ int CliFlags::get_int_in(const std::string& name, int fallback,
   return parse_int_in(it->second.first, "--" + name, lo);
 }
 
+double parse_double(std::string_view text, std::string_view what) {
+  const std::string value(text);
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  // end == value.c_str(): nothing parsed (an empty or blank value). "nan",
+  // "inf" and overflowing literals such as "1e999" parse, but nothing here
+  // means anything by them.
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(v)) {
+    throw std::runtime_error(std::string(what) +
+                             " must be a finite number, got '" + value + "'");
+  }
+  return v;
+}
+
 double CliFlags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   it->second.second = true;
-  char* end = nullptr;
-  const char* s = it->second.first.c_str();
-  const double v = std::strtod(s, &end);
-  if (end == nullptr || end == s || *end != '\0')
-    throw std::runtime_error("flag --" + name + " expects a number, got '" +
-                             it->second.first + "'");
-  // "nan", "inf" and overflowing literals such as "1e999" parse, but no
-  // flag means anything by them.
-  if (!std::isfinite(v))
-    throw std::runtime_error("flag --" + name +
-                             " expects a finite number, got '" +
-                             it->second.first + "'");
-  return v;
+  return parse_double(it->second.first, "--" + name);
 }
 
 int CliFlags::get_positive_int(const std::string& name, int fallback) const {

@@ -26,6 +26,14 @@ namespace scc {
 [[nodiscard]] int parse_int_in(std::string_view text, std::string_view what,
                                int lo);
 
+/// Parses all of `text` as a finite decimal number (strtod syntax): the
+/// checks of CliFlags::get_double, for numbers inside a flag value (a
+/// fault-spec factor). Garbage, trailing junk, NaN, infinities and
+/// overflowing literals throw std::runtime_error "<what> must be a finite
+/// number, got '<text>'".
+[[nodiscard]] double parse_double(std::string_view text,
+                                  std::string_view what);
+
 class CliFlags {
  public:
   /// Parses argv. Throws std::runtime_error on any argument that is not
@@ -42,7 +50,8 @@ class CliFlags {
   /// absent -> `fallback`; present -> parse_int_in(value, "--name", lo).
   [[nodiscard]] int get_int_in(const std::string& name, int fallback,
                                int lo) const;
-  /// Floating-point flag; rejects garbage and non-finite values.
+  /// Floating-point flag: absent -> `fallback`; present ->
+  /// parse_double(value, "--name").
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

@@ -1,5 +1,6 @@
 #include "common/string_util.hpp"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -54,6 +55,34 @@ std::string format_duration_us(double microseconds) {
   if (microseconds < 1e3) return strprintf("%.1f us", microseconds);
   if (microseconds < 1e6) return strprintf("%.2f ms", microseconds * 1e-3);
   return strprintf("%.3f s", microseconds * 1e-6);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strprintf("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  return strprintf("%.17g", v);
 }
 
 }  // namespace scc

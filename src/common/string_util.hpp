@@ -1,4 +1,5 @@
-// String helpers shared by the table writer and CLI parser.
+// String helpers shared by the table writer, the CLI parser and the JSON
+// writers (tables, metrics snapshots, histograms, traces).
 #pragma once
 
 #include <string>
@@ -22,5 +23,15 @@ namespace scc {
 
 /// Human-friendly duration, e.g. "432.1 us" or "12.3 ms".
 [[nodiscard]] std::string format_duration_us(double microseconds);
+
+/// Escapes a string for embedding in a JSON document (no surrounding
+/// quotes). Handles quotes, backslash and control characters.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
+/// Renders a double as a JSON number token. Non-finite values (NaN and
+/// +/-Inf, typically from zero-division in derived rates) have no JSON
+/// representation and would corrupt the document; they render as "null".
+/// Every double-valued JSON writer must go through this.
+[[nodiscard]] std::string json_number(double v);
 
 }  // namespace scc

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
+#include "common/string_util.hpp"
 
 namespace scc {
 
@@ -46,31 +47,6 @@ bool is_json_number(const std::string& cell) {
     if (digits() == 0) return false;
   }
   return i == cell.size();
-}
-
-// Local copy of the JSON string escape (scc_common sits below scc_metrics
-// in the layering, so it cannot use metrics/json.hpp).
-std::string json_cell_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -127,19 +103,19 @@ void Table::write_csv_file(const std::string& path) const {
 void Table::write_json(std::ostream& os, const std::string& name,
                        const std::string& extra_members) const {
   os << "{\n  \"schema\": \"scc-bench-v1\",\n  \"name\": \""
-     << json_cell_escape(name) << "\",\n  \"rows\": [";
+     << json_escape(name) << "\",\n  \"rows\": [";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     os << (r == 0 ? "" : ",") << "\n    {";
     const auto& row = rows_[r];
     for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ", ") << '"' << json_cell_escape(header_[c])
+      os << (c == 0 ? "" : ", ") << '"' << json_escape(header_[c])
          << "\": ";
       if (row[c].empty()) {
         os << "null";
       } else if (is_json_number(row[c])) {
         os << row[c];
       } else {
-        os << '"' << json_cell_escape(row[c]) << '"';
+        os << '"' << json_escape(row[c]) << '"';
       }
     }
     os << '}';

@@ -29,14 +29,14 @@ class Table {
   /// failure to open.
   void write_csv_file(const std::string& path) const;
 
-  /// Writes the "scc-bench-v1" JSON document bench/compare consumes: one
-  /// object per row keyed by the header names. Cells that are valid JSON
-  /// numbers are emitted as numbers, empty cells as null, the rest as
-  /// strings. `extra_members`, when non-empty, must be one or more complete
-  /// top-level members WITHOUT a leading comma (e.g. "\"histograms\": {...}")
-  /// and is spliced verbatim after the rows array -- the caller owns its
-  /// JSON validity. Empty (the default) emits the historical byte-identical
-  /// document.
+  /// Writes the "scc-bench-v1" JSON document the bench-smoke gates compare
+  /// with committed baselines: one object per row keyed by the header
+  /// names. Cells that are valid JSON numbers are emitted as numbers, empty
+  /// cells as null, the rest as strings. `extra_members`, when non-empty,
+  /// must be one or more complete top-level members WITHOUT a leading comma
+  /// (e.g. "\"histograms\": {...}") and is spliced verbatim after the rows
+  /// array -- the caller owns its JSON validity. Empty (the default) emits
+  /// the historical byte-identical document.
   void write_json(std::ostream& os, const std::string& name,
                   const std::string& extra_members = {}) const;
   void write_json_file(const std::string& path, const std::string& name,

@@ -1,6 +1,5 @@
 #include "faults/fault_spec.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/cli.hpp"
@@ -30,18 +29,18 @@ bool eat_int(std::string_view& s, int& out, std::string_view clause) {
   return true;
 }
 
-/// Consumes a non-negative decimal number (factor) from the front of `s`.
-bool eat_double(std::string_view& s, double& out) {
+/// Consumes a decimal number (factor) from the front of `s`; false if
+/// none. Throws when the token is not a finite number ("." or "-").
+bool eat_double(std::string_view& s, double& out, std::string_view clause) {
   std::size_t i = 0;
   while (i < s.size() &&
          ((s[i] >= '0' && s[i] <= '9') || s[i] == '.' || s[i] == '-')) {
     ++i;
   }
   if (i == 0) return false;
-  std::size_t used = 0;
-  const std::string text(s.substr(0, i));
-  out = std::stod(text, &used);
-  if (used != text.size()) return false;
+  out = parse_double(s.substr(0, i),
+                     strprintf("bad fault clause '%s': the factor",
+                               std::string(clause).c_str()));
   s.remove_prefix(i);
   return true;
 }
@@ -83,7 +82,7 @@ FaultSpec FaultSpec::parse(std::string_view text) {
     if (kind == "straggler") {
       Straggler f;
       if (!eat_int(s, f.core, clause_str) || !eat(s, 'x') ||
-          !eat_double(s, f.factor) || !s.empty()) {
+          !eat_double(s, f.factor, clause_str) || !s.empty()) {
         bad(clause_str, "expected straggler:<core>x<factor>");
       }
       spec.stragglers.push_back(f);
@@ -97,7 +96,8 @@ FaultSpec FaultSpec::parse(std::string_view text) {
     } else if (kind == "slowlink") {
       SlowLink f;
       f.link = eat_link(s, clause_str);
-      if (!eat(s, 'x') || !eat_double(s, f.factor) || !s.empty()) {
+      if (!eat(s, 'x') || !eat_double(s, f.factor, clause_str) ||
+          !s.empty()) {
         bad(clause_str, "expected slowlink:<x>,<y>-<x>,<y>x<factor>");
       }
       spec.slow_links.push_back(f);

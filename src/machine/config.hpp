@@ -28,9 +28,6 @@ struct SccConfig {
   /// leaves room for every layer: RCCE needs 2 per partner, RCKMPI one per
   /// partner, collectives a handful of extras.
   int flags_per_core = 256;
-  /// When true, MPB contents are poisoned at startup so reads of
-  /// never-written areas are detectable in tests.
-  bool poison_mpb = false;
   /// Schedule perturbation (testing): when set, the machine's engine fires
   /// equal-time events in a seed-dependent pseudo-random permutation instead
   /// of scheduling order (sim::PerturbConfig). Deterministic per seed.

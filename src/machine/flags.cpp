@@ -20,13 +20,4 @@ void FlagFile::deposit(FlagRef ref, FlagValue v) {
   s.queue.notify_all();
 }
 
-FlagValue FlagFile::deposit_add(FlagRef ref, FlagValue delta) {
-  Slot& s = slot(ref);
-  s.value = static_cast<FlagValue>(s.value + delta);
-  ++stats_.sets;
-  stats_.wakeups += s.queue.waiter_count();
-  s.queue.notify_all();
-  return s.value;
-}
-
 }  // namespace scc::machine

@@ -29,7 +29,7 @@ struct FlagRef {
 /// time-type (wait re-checks and notify fan-out depend on the
 /// interleaving, so they may drift under schedule perturbation).
 struct FlagStats {
-  std::uint64_t sets = 0;     // deposits (including deposit_add)
+  std::uint64_t sets = 0;     // deposits
   std::uint64_t polls = 0;    // value() reads (wait re-checks, probes, peeks)
   std::uint64_t wakeups = 0;  // waiters resumed by deposits
 };
@@ -48,9 +48,6 @@ class FlagFile {
   /// Callers are responsible for charging the write latency first and for
   /// scheduling delayed visibility (CoreApi does both).
   void deposit(FlagRef ref, FlagValue v);
-
-  /// Atomic-increment deposit (used by barrier counters).
-  FlagValue deposit_add(FlagRef ref, FlagValue delta);
 
   [[nodiscard]] sim::WaitQueue& waiters(FlagRef ref) {
     return slot(ref).queue;

@@ -46,7 +46,6 @@ SccMachine::SccMachine(SccConfig config)
   for (int rank = 0; rank < num_cores(); ++rank) {
     caches_.emplace_back(config_.cost.hw);
     cores_.push_back(std::make_unique<CoreApi>(*this, rank));
-    if (config_.poison_mpb) mpb_.poison(rank, std::byte{0xCD});
   }
 }
 

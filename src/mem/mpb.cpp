@@ -52,16 +52,4 @@ void MpbStorage::copy(MpbAddr src, MpbAddr dst, std::size_t bytes) {
   std::memmove(out.data(), in.data(), bytes);
 }
 
-void MpbStorage::poison(int core, std::byte pattern) {
-  SCC_EXPECTS(core >= 0 && core < num_cores_);
-  // Direct fill, bypassing flat_index: poisoning must not register as a
-  // protocol footprint in the high-water mark.
-  const auto begin =
-      storage_.begin() +
-      static_cast<std::ptrdiff_t>(static_cast<std::size_t>(core) *
-                                  bytes_per_core_);
-  std::fill(begin, begin + static_cast<std::ptrdiff_t>(bytes_per_core_),
-            pattern);
-}
-
 }  // namespace scc::mem

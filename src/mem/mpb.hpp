@@ -38,12 +38,6 @@ class MpbStorage {
   /// MPB-to-MPB copy (remote read + local write of the MPB-direct path).
   void copy(MpbAddr src, MpbAddr dst, std::size_t bytes);
 
-  /// Fills a core's whole MPB with a poison pattern (used by tests to catch
-  /// reads of never-written buffer areas). Does not count towards the
-  /// footprint high-water mark (it is harness scaffolding, not a protocol
-  /// access).
-  void poison(int core, std::byte pattern);
-
   /// Highest end offset (offset + bytes) any access has touched in `core`'s
   /// MPB -- the protocol's footprint high-water mark. Volume-type:
   /// schedule-invariant for deterministic protocols.

@@ -6,7 +6,7 @@
 #include <ostream>
 
 #include "common/contracts.hpp"
-#include "metrics/json.hpp"
+#include "common/string_util.hpp"
 
 namespace scc::metrics {
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/string_util.hpp"
-#include "metrics/json.hpp"
 
 namespace scc::metrics {
 

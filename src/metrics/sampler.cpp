@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "metrics/json.hpp"
+#include "common/string_util.hpp"
 #include "sim/engine.hpp"
 
 namespace scc::metrics {

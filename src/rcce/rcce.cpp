@@ -39,20 +39,6 @@ sim::Task<> Rcce::recv(std::span<std::byte> data, int src) {
   } while (done < data.size());
 }
 
-sim::Task<> Rcce::put(std::span<const std::byte> data, int dest_core,
-                      std::size_t payload_offset) {
-  co_await api_->priv_read(data.data(), data.size());
-  co_await api_->mpb_put(layout_->payload_addr(dest_core, payload_offset),
-                         data);
-}
-
-sim::Task<> Rcce::get(std::span<std::byte> data, int src_core,
-                      std::size_t payload_offset) {
-  co_await api_->mpb_get(layout_->payload_addr(src_core, payload_offset),
-                         data);
-  co_await api_->priv_write(data.data(), data.size());
-}
-
 sim::Task<> Rcce::barrier() {
   const int p = num_cores();
   const int self = rank();

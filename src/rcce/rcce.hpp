@@ -42,13 +42,6 @@ class Rcce {
   /// Blocking receive: source and size must match the send exactly.
   sim::Task<> recv(std::span<std::byte> data, int src);
 
-  /// One-sided put/get into a raw payload offset of a core's MPB (the
-  /// "gory" RCCE interface); no synchronization implied.
-  sim::Task<> put(std::span<const std::byte> data, int dest_core,
-                  std::size_t payload_offset);
-  sim::Task<> get(std::span<std::byte> data, int src_core,
-                  std::size_t payload_offset);
-
   /// Dissemination barrier over MPB flags.
   sim::Task<> barrier();
 

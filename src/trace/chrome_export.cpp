@@ -13,26 +13,6 @@ namespace scc::trace {
 
 namespace {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Chrome pids must be plain integers; cores, the scheduler and the link
 /// tracks of every run get distinct ones, assigned in sorted (run, pid)
 /// order so the assignment is independent of event order.

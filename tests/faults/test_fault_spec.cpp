@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "faults/fault_spec.hpp"
 
@@ -81,7 +82,8 @@ TEST(FaultSpec, RepeatedClausesOnOneTargetAreKept) {
 }
 
 TEST(FaultSpec, RejectsMalformedText) {
-  const char* bad[] = {
+  const std::string huge_factor = "straggler:3x" + std::string(400, '9');
+  const std::string bad[] = {
       "bogus",                   // no kind separator
       "warp:1x2",                // unknown kind
       "straggler:x2",            // missing core
@@ -97,8 +99,12 @@ TEST(FaultSpec, RejectsMalformedText) {
       "straggler:99999999999x2",     // core id overflows an int
       "dvfs:1/99999999999",          // divisor overflows an int
       "deadlink:2,1-99999999999,1",  // coordinate overflows an int
+      "straggler:3x.",               // factor without digits
+      "straggler:3x-",               // factor without digits
+      huge_factor,                   // factor overflows a double
+      "slowlink:2,1-3,1x.",          // factor without digits
   };
-  for (const char* text : bad) {
+  for (const std::string& text : bad) {
     EXPECT_THROW((void)FaultSpec::parse(text), std::runtime_error) << text;
   }
 }

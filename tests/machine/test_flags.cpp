@@ -23,13 +23,6 @@ TEST(FlagFile, DepositSetsValue) {
   EXPECT_EQ(flags.value({0, 2}), 0);
 }
 
-TEST(FlagFile, DepositAddAccumulatesAndWraps) {
-  sim::Engine engine;
-  FlagFile flags(engine, 1, 1);
-  EXPECT_EQ(flags.deposit_add({0, 0}, 200), 200);
-  EXPECT_EQ(flags.deposit_add({0, 0}, 100), 44);  // mod 256
-}
-
 sim::Task<> wait_for_value(FlagFile* flags, FlagRef ref, FlagValue v,
                            bool* done) {
   while (flags->value(ref) != v) co_await flags->waiters(ref).wait();

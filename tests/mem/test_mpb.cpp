@@ -63,14 +63,6 @@ TEST(Mpb, OverlappingCopyWithinCore) {
   EXPECT_EQ(out, data);
 }
 
-TEST(Mpb, PoisonFillsWholeBuffer) {
-  MpbStorage mpb(2, 128);
-  mpb.poison(0, std::byte{0xCD});
-  std::vector<std::byte> out(128);
-  mpb.read({0, 0}, out);
-  for (const std::byte b : out) EXPECT_EQ(b, std::byte{0xCD});
-}
-
 TEST(Mpb, ExactEndOfBufferAllowed) {
   MpbStorage mpb(1, 64);
   const auto data = pattern(32);
