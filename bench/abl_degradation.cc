@@ -72,16 +72,12 @@ constexpr Scenario kScenarios[] = {
 
 int main(int argc, char** argv) {
   using namespace scc;
-  std::vector<std::string> mesh;
   harness::RunSpec base;
   std::size_t elements = 0;
   int reps = 0, jobs = 0;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    mesh = split(flags.get("mesh", "6x4"), 'x');
-    if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    base.config.tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
-    base.config.tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
+    harness::parse_mesh(flags.get("mesh", "6x4"), base.config);
     elements = static_cast<std::size_t>(flags.get_int_in("elements", 192, 0));
     reps = flags.get_positive_int("reps", 2);
     jobs = exec::jobs_flag(flags);
@@ -176,9 +172,9 @@ int main(int argc, char** argv) {
         });
 
     std::printf(
-        "degradation robustness, lightweight variant, %d cores (%sx%s "
+        "degradation robustness, lightweight variant, %d cores (%dx%d "
         "tiles), n=%zu, %d reps\n\n",
-        p, mesh[0].c_str(), mesh[1].c_str(), elements, reps);
+        p, base.config.tiles_x, base.config.tiles_y, elements, reps);
     Table table({"cell", "faults", "selected", "selected_us", "best_algo",
                  "best_us", "pick_ok", "wait_share", "blame_top"});
     std::size_t i = 0;

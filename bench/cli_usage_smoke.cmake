@@ -7,6 +7,10 @@
 # --sizes, fault specs) must be whole, in range and not overflow, a fault
 # factor must be a finite number, flags narrowed to int must fit, and the
 # examples must reject bad names and sizes up front instead of crashing.
+# Sizes the 8 KB MPB cannot hold are usage errors too: a mesh with more
+# cores than the RCCE layout has flag lines for, an RCKMPI mesh too large
+# for two-line peer rings, and MPB-direct Allreduce blocks that cannot be
+# double-buffered.
 #
 # Required -D variables: BINARIES (target binaries, space-separated), FIG9
 # (target binary), WORK_DIR (scratch working directory).
@@ -44,6 +48,7 @@ expect_usage_error("${FIG9}" --collective=allreduce --reps=0)
 expect_usage_error("${FIG9}" --collective=allreduce --from=700 --to=500)
 expect_usage_error("${FIG9}" --collective=broadcast --algo=ring)
 expect_usage_error("${FIG9}" --collective=allreduce --algo=ring)
+expect_usage_error("${FIG9}" --collective=allreduce --from=20000 --to=20000)
 
 # The path of the binary called <name> in BINARIES.
 function(binary_path name out)
@@ -60,7 +65,7 @@ endfunction()
 foreach(name tab_algo_select abl_degradation collective_playground
              topology_explorer)
   binary_path(${name} binary)
-  foreach(mesh 0x4 -1x4 6junkx4 ax4 2x 99999999999x4)
+  foreach(mesh 0x4 -1x4 6junkx4 ax4 2x 99999999999x4 16x8)
     expect_usage_error("${binary}" --mesh=${mesh})
   endforeach()
 endforeach()
@@ -69,6 +74,8 @@ binary_path(tab_algo_select binary)
 expect_usage_error("${binary}" --sizes=8junk)
 expect_usage_error("${binary}" --sizes=8,,)
 binary_path(collective_playground binary)
+expect_usage_error("${binary}" --variant=rckmpi --mesh=7x7)
+expect_usage_error("${binary}" --variant=mpb --elements=19969)
 expect_usage_error("${binary}" --faults=straggler:99999999999x2)
 expect_usage_error("${binary}" --faults=straggler:3x.)
 binary_path(obs_report binary)
@@ -84,5 +91,7 @@ binary_path(gcmc_demo binary)
 expect_usage_error("${binary}" --variant=nope)
 expect_usage_error("${binary}" --capacity=0)
 expect_usage_error("${binary}" --particles=49 --capacity=1)
+expect_usage_error("${binary}" --variant=mpb --kmaxvecs=10000)
+expect_usage_error("${binary}" --compare --kmaxvecs=10000)
 binary_path(heat_stencil binary)
 expect_usage_error("${binary}" --cells-per-core=0)

@@ -109,16 +109,16 @@ Options parse_options(const scc::CliFlags& flags) {
     sweep.algo = coll::parse_algo(algo_name);
     if (!sweep.algo)
       throw std::runtime_error("unknown --algo '" + algo_name + "'");
-    const auto kind = harness::algo_kind(sweep.collective);
-    if (!kind) throw std::runtime_error(name + " has no algorithm variants");
-    if (*sweep.algo != coll::Algo::kAuto &&
-        !coll::algo_valid_for(*kind, *sweep.algo)) {
-      throw std::runtime_error("algorithm " + algo_name +
-                               " is not implemented for " + name);
-    }
   }
   for (const std::string& unknown : flags.unconsumed())
     throw std::runtime_error("unknown flag --" + unknown);
+  // Reject what no cell can run (an --algo the collective lacks, a size
+  // the MPB cannot hold) before the sweep starts; the largest size is the
+  // limiting one.
+  const std::size_t largest =
+      sweep.from + (sweep.to - sweep.from) / sweep.step * sweep.step;
+  for (const PaperVariant v : harness::variants_for(sweep.collective))
+    harness::check_spec(harness::cell_spec(sweep, v, largest));
   return opt;
 }
 

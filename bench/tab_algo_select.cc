@@ -54,16 +54,12 @@ std::vector<std::size_t> parse_sizes(const std::string& flag) {
 
 int main(int argc, char** argv) {
   using namespace scc;
-  std::vector<std::string> mesh;
   std::vector<std::size_t> sizes;
   harness::RunSpec base;
   int reps = 0, jobs = 0;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    mesh = split(flags.get("mesh", "6x4"), 'x');
-    if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    base.config.tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
-    base.config.tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
+    harness::parse_mesh(flags.get("mesh", "6x4"), base.config);
     const std::string variant_flag = flags.get("variant", "lightweight");
     const std::optional<PaperVariant> variant =
         harness::parse_variant(variant_flag);
@@ -112,9 +108,9 @@ int main(int argc, char** argv) {
         });
 
     std::printf(
-        "algorithm selection, %s variant, %d cores (%sx%s tiles), %d reps\n\n",
+        "algorithm selection, %s variant, %d cores (%dx%d tiles), %d reps\n\n",
         std::string(harness::variant_name(base.variant)).c_str(), p,
-        mesh[0].c_str(), mesh[1].c_str(), reps);
+        base.config.tiles_x, base.config.tiles_y, reps);
     Table table({"cell", "elements", "paper_us", "best_us", "best_algo",
                  "speedup", "selected", "selected_us"});
     std::size_t i = 0;

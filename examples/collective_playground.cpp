@@ -102,10 +102,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags.get_int_in("elements", 552, 0));
     spec.repetitions = flags.get_positive_int("reps", 4);
     spec.collect_profiles = flags.get_bool("profile", false);
-    const auto mesh = split(flags.get("mesh", "6x4"), 'x');
-    if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    spec.config.tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
-    spec.config.tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
+    harness::parse_mesh(flags.get("mesh", "6x4"), spec.config);
     if (flags.get_bool("no-bug", false)) {
       spec.config.cost.hw.mpb_bug_workaround = false;
     }
@@ -171,11 +168,12 @@ int main(int argc, char** argv) {
                 run.algo = cells[i].algo;
                 return harness::run_collective(run);
               });
-      std::printf("%s, %zu doubles on %d cores (%sx%s tiles), %d reps\n\n",
+      std::printf("%s, %zu doubles on %d cores (%dx%d tiles), %d reps\n\n",
                   std::string(harness::collective_name(spec.collective))
                       .c_str(),
-                  spec.elements, spec.config.num_cores(), mesh[0].c_str(),
-                  mesh[1].c_str(), spec.repetitions);
+                  spec.elements, spec.config.num_cores(),
+                  spec.config.tiles_x, spec.config.tiles_y,
+                  spec.repetitions);
       // Baseline: blocking stack running the paper's algorithm.
       double blocking_us = 0.0;
       for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -211,14 +209,14 @@ int main(int argc, char** argv) {
     }
 
     const harness::RunResult result = harness::run_collective(spec);
-    std::printf("%s / %s%s%s, %zu doubles on %d cores (%sx%s tiles)\n",
+    std::printf("%s / %s%s%s, %zu doubles on %d cores (%dx%d tiles)\n",
                 std::string(harness::collective_name(spec.collective)).c_str(),
                 std::string(harness::variant_name(spec.variant)).c_str(),
                 spec.algo ? " algo=" : "",
                 spec.algo ? std::string(coll::algo_name(*spec.algo)).c_str()
                           : "",
-                spec.elements, spec.config.num_cores(), mesh[0].c_str(),
-                mesh[1].c_str());
+                spec.elements, spec.config.num_cores(), spec.config.tiles_x,
+                spec.config.tiles_y);
     if (!spec.config.faults.empty()) {
       std::printf("  faults       : %s\n",
                   spec.config.faults.to_string().c_str());

@@ -14,6 +14,7 @@
 #include <exception>
 #include <iostream>
 #include <optional>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/string_util.hpp"
@@ -48,6 +49,16 @@ int main(int argc, char** argv) {
       throw std::runtime_error(strprintf(
           "--particles=%d exceeds %d cores x --capacity=%d",
           params.particles_total, p, params.max_local_particles));
+    }
+    // The app's largest collective is its 2*kmaxvecs-element Allreduce;
+    // reject a size the MPB cannot hold before anything runs.
+    harness::RunSpec largest;
+    largest.elements = 2 * static_cast<std::size_t>(params.model.kmaxvecs);
+    for (const PaperVariant v :
+         compare ? harness::variants_for(harness::Collective::kAllreduce)
+                 : std::vector<PaperVariant>{variant}) {
+      largest.variant = v;
+      harness::check_spec(largest);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

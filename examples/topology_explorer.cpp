@@ -13,22 +13,21 @@
 
 #include "common/cli.hpp"
 #include "common/string_util.hpp"
+#include "harness/runner.hpp"
 #include "mem/latency.hpp"
 #include "noc/topology.hpp"
 
 int main(int argc, char** argv) {
   using namespace scc;
-  int tiles_x = 0, tiles_y = 0, origin = 0;
+  machine::SccConfig config;
+  int origin = 0;
   mem::HwCostModel hw;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
-    const auto mesh = split(flags.get("mesh", "6x4"), 'x');
-    if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    tiles_x = parse_int_in(mesh[0], "--mesh width", 1);
-    tiles_y = parse_int_in(mesh[1], "--mesh height", 1);
+    harness::parse_mesh(flags.get("mesh", "6x4"), config);
     hw.mpb_bug_workaround = !flags.get_bool("no-bug", false);
     origin = flags.get_int_in("from-core", 0, 0);
-    if (origin >= std::int64_t{tiles_x} * tiles_y * 2)
+    if (origin >= config.num_cores())
       throw std::runtime_error("--from-core must name a core of the mesh");
     for (const std::string& name : flags.unconsumed())
       throw std::runtime_error("unknown flag --" + name);
@@ -37,7 +36,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    const noc::Topology topo(tiles_x, tiles_y, 2);
+    const noc::Topology topo(config.tiles_x, config.tiles_y,
+                             config.cores_per_tile);
     const mem::LatencyCalculator calc(hw, topo);
 
     std::printf("SCC mesh: %dx%d tiles, %d cores, MPB arbiter-bug "

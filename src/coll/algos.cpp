@@ -10,7 +10,9 @@ namespace scc::coll {
 namespace {
 
 using detail::as_b;
+using detail::block_range;
 using detail::charged_copy;
+using detail::permute_blocks;
 
 [[nodiscard]] std::span<const double> cspan(std::span<double> s) {
   return {s.data(), s.size()};
@@ -43,6 +45,7 @@ constexpr std::size_t kAlltoallShortElems = 32;  // per destination block
 struct Fold {
   int m = 1;      // largest power of two <= p
   int r = 0;      // p - m folded pairs
+  bool paired = false;  // rank < 2r: takes part in the fold/unfold rounds
   bool rep = true;  // participates in the power-of-two phase
   int vrank = 0;  // virtual rank (valid when rep)
 };
@@ -51,7 +54,8 @@ struct Fold {
   Fold f;
   while (f.m * 2 <= p) f.m *= 2;
   f.r = p - f.m;
-  if (rank < 2 * f.r) {
+  f.paired = rank < 2 * f.r;
+  if (f.paired) {
     f.rep = rank % 2 == 0;
     f.vrank = rank / 2;
   } else {
@@ -67,21 +71,43 @@ struct Fold {
   return v < f.r ? 2 * v : v + f.r;
 }
 
-/// Element range of `data` covering original blocks [lo, hi).
-[[nodiscard]] std::span<double> block_range(std::span<double> data,
-                                            const std::vector<Block>& blocks,
-                                            int lo, int hi) {
-  if (lo >= hi) return data.subspan(0, 0);
-  const std::size_t first = blocks[static_cast<std::size_t>(lo)].offset;
-  const Block& last = blocks[static_cast<std::size_t>(hi - 1)];
-  return data.subspan(first, last.offset + last.count - first);
-}
-
 /// Element range covering virtual blocks [vlo, vhi).
 [[nodiscard]] std::span<double> vrange(const Fold& f, std::span<double> data,
                                        const std::vector<Block>& blocks,
                                        int vlo, int vhi) {
   return block_range(data, blocks, vstart(f, vlo), vstart(f, vhi));
+}
+
+/// Fold round, on a paired rank only: the odd rank of the pair sends
+/// `mine` to its even partner, which receives `theirs` and, given an `op`,
+/// reduces it into `mine`.
+sim::Task<> fold(Stack& stack, std::span<double> mine,
+                 std::span<double> theirs,
+                 std::optional<ReduceOp> op = std::nullopt) {
+  auto& api = stack.api();
+  const int rank = stack.rank();
+  co_await stack.round_gate();
+  co_await api.overhead(api.cost().sw.coll_round);
+  if (rank % 2 == 1) {
+    co_await stack.send(as_b(cspan(mine)), rank - 1);
+  } else {
+    co_await stack.recv(as_b(theirs), rank + 1);
+    if (op) co_await rcce::apply_reduce(api, theirs, mine, *op);
+  }
+}
+
+/// Unfold round, on a paired rank only: the even rank sends `data` back to
+/// its odd partner, which receives it in place.
+sim::Task<> unfold(Stack& stack, std::span<double> data) {
+  auto& api = stack.api();
+  const int rank = stack.rank();
+  co_await stack.round_gate();
+  co_await api.overhead(api.cost().sw.coll_round);
+  if (rank % 2 == 0) {
+    co_await stack.send(as_b(cspan(data)), rank + 1);
+  } else {
+    co_await stack.recv(as_b(data), rank - 1);
+  }
 }
 
 }  // namespace
@@ -187,13 +213,8 @@ sim::Task<> allgather_bruck(Stack& stack, std::span<const double> contribution,
   }
   // work[j] now holds block (rank + j) mod p; rotate to rank-major order.
   if (!gathered.empty()) {
-    for (int j = 0; j < p; ++j) {
-      const auto dst = static_cast<std::size_t>((rank + j) % p) * n;
-      std::copy_n(work.data() + static_cast<std::size_t>(j) * n, n,
-                  gathered.data() + dst);
-    }
-    co_await api.priv_read(work.data(), work.size_bytes());
-    co_await api.priv_write(gathered.data(), gathered.size_bytes());
+    co_await permute_blocks(api, work, gathered, n, p,
+                            [rank, p](int k) { return (k - rank + p) % p; });
   }
 }
 
@@ -216,14 +237,9 @@ sim::Task<> allgather_recursive_doubling(Stack& stack,
   };
   // Fold: the odd rank of each folded pair hands its block to the even
   // representative.
-  if (rank < 2 * f.r) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
-    if (rank % 2 == 1) {
-      co_await stack.send(as_b(cspan(blocks_of(rank, rank + 1))), rank - 1);
-    } else {
-      co_await stack.recv(as_b(blocks_of(rank + 1, rank + 2)), rank + 1);
-    }
+  if (f.paired) {
+    co_await fold(stack, blocks_of(rank, rank + 1),
+                  blocks_of(rank + 1, rank + 2));
   }
   if (f.rep) {
     for (int mask = 1; mask < f.m; mask <<= 1) {
@@ -240,15 +256,7 @@ sim::Task<> allgather_recursive_doubling(Stack& stack,
   }
   // Unfold: representatives push the completed vector back to the odd rank
   // of their pair.
-  if (rank < 2 * f.r) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
-    if (rank % 2 == 0) {
-      co_await stack.send(as_b(std::span<const double>(gathered)), rank + 1);
-    } else {
-      co_await stack.recv(as_b(gathered), rank - 1);
-    }
-  }
+  if (f.paired) co_await unfold(stack, gathered);
 }
 
 sim::Task<int> reduce_scatter_recursive_halving(Stack& stack,
@@ -267,17 +275,7 @@ sim::Task<int> reduce_scatter_recursive_halving(Stack& stack,
   std::span<double> tmp = stack.scratch(in.size(), 0);
   // Fold: the odd rank of each pair sends its whole accumulator; the even
   // representative reduces it in, then owns the pair's two blocks.
-  if (rank < 2 * f.r) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
-    if (rank % 2 == 1) {
-      co_await stack.send(as_b(cspan(out)), rank - 1);
-    } else {
-      std::span<double> t = tmp.subspan(0, out.size());
-      co_await stack.recv(as_b(t), rank + 1);
-      co_await rcce::apply_reduce(api, t, out, op);
-    }
-  }
+  if (f.paired) co_await fold(stack, out, tmp.subspan(0, out.size()), op);
   if (f.rep) {
     // Vector halving among the representatives: in each round, keep the
     // half of the still-owed virtual range containing vrank, exchange the
@@ -310,16 +308,9 @@ sim::Task<int> reduce_scatter_recursive_halving(Stack& stack,
   }
   // Unfold: representatives of folded pairs return the odd rank's reduced
   // block. Every core ends up owning original block `rank`.
-  if (rank < 2 * f.r) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+  if (f.paired) {
     const Block& b = blocks[static_cast<std::size_t>(rank | 1)];
-    if (rank % 2 == 0) {
-      co_await stack.send(as_b(cspan(out.subspan(b.offset, b.count))),
-                          rank + 1);
-    } else {
-      co_await stack.recv(as_b(out.subspan(b.offset, b.count)), rank - 1);
-    }
+    co_await unfold(stack, out.subspan(b.offset, b.count));
   }
   co_return rank;
 }
@@ -335,16 +326,7 @@ sim::Task<> allreduce_recursive_doubling(Stack& stack,
   if (p == 1) co_return;
   const Fold f = make_fold(p, rank);
   std::span<double> tmp = stack.scratch(out.size(), 0);
-  if (rank < 2 * f.r) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
-    if (rank % 2 == 1) {
-      co_await stack.send(as_b(cspan(out)), rank - 1);
-    } else {
-      co_await stack.recv(as_b(tmp), rank + 1);
-      co_await rcce::apply_reduce(api, tmp, out, op);
-    }
-  }
+  if (f.paired) co_await fold(stack, out, tmp, op);
   if (f.rep) {
     for (int mask = 1; mask < f.m; mask <<= 1) {
       co_await stack.round_gate();
@@ -354,15 +336,7 @@ sim::Task<> allreduce_recursive_doubling(Stack& stack,
       co_await rcce::apply_reduce(api, tmp, out, op);
     }
   }
-  if (rank < 2 * f.r) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
-    if (rank % 2 == 0) {
-      co_await stack.send(as_b(cspan(out)), rank + 1);
-    } else {
-      co_await stack.recv(as_b(out), rank - 1);
-    }
-  }
+  if (f.paired) co_await unfold(stack, out);
 }
 
 sim::Task<> alltoall_bruck(Stack& stack, std::span<const double> sendbuf,
@@ -377,13 +351,8 @@ sim::Task<> alltoall_bruck(Stack& stack, std::span<const double> sendbuf,
   // Rotate so work[j] is the block destined to (rank + j) mod p; block 0
   // (the self block) then never moves.
   if (!sendbuf.empty()) {
-    for (int j = 0; j < p; ++j) {
-      const auto src = static_cast<std::size_t>((rank + j) % p) * n;
-      std::copy_n(sendbuf.data() + src, n,
-                  work.data() + static_cast<std::size_t>(j) * n);
-    }
-    co_await api.priv_read(sendbuf.data(), sendbuf.size_bytes());
-    co_await api.priv_write(work.data(), work.size_bytes());
+    co_await permute_blocks(api, sendbuf, work, n, p,
+                            [rank, p](int j) { return (rank + j) % p; });
   }
   // Round d forwards every block whose index has bit d set by d ranks;
   // each block travels exactly the set bits of its index, so after the
@@ -417,13 +386,8 @@ sim::Task<> alltoall_bruck(Stack& stack, std::span<const double> sendbuf,
   }
   // Inverse rotation into source-major order.
   if (!recvbuf.empty()) {
-    for (int j = 0; j < p; ++j) {
-      const auto dst = static_cast<std::size_t>((rank - j + p) % p) * n;
-      std::copy_n(work.data() + static_cast<std::size_t>(j) * n, n,
-                  recvbuf.data() + dst);
-    }
-    co_await api.priv_read(work.data(), work.size_bytes());
-    co_await api.priv_write(recvbuf.data(), recvbuf.size_bytes());
+    co_await permute_blocks(api, work, recvbuf, n, p,
+                            [rank, p](int k) { return (rank - k + p) % p; });
   }
 }
 

@@ -59,16 +59,6 @@ enum class CollKind { kAllgather, kAlltoall, kReduceScatter, kAllreduce };
   return "?";
 }
 
-[[nodiscard]] constexpr std::string_view coll_kind_name(CollKind k) {
-  switch (k) {
-    case CollKind::kAllgather: return "allgather";
-    case CollKind::kAlltoall: return "alltoall";
-    case CollKind::kReduceScatter: return "reducescatter";
-    case CollKind::kAllreduce: return "allreduce";
-  }
-  return "?";
-}
-
 /// Inverse of algo_name (including "auto"); nullopt for unknown names.
 [[nodiscard]] std::optional<Algo> parse_algo(std::string_view name);
 

@@ -11,7 +11,9 @@ namespace scc::coll {
 namespace {
 
 using detail::as_b;
+using detail::block_range;
 using detail::charged_copy;
+using detail::permute_blocks;
 
 /// Ring ReduceScatter kernel (paper Fig. 2). `work` must already contain
 /// this core's input. After p-1 rounds, block (rank+1)%p of `work` holds
@@ -40,9 +42,12 @@ sim::Task<> ring_reduce_scatter(Stack& stack, std::span<double> work,
 }
 
 /// Ring Allgather of the blocks of `data`, where core i initially holds
-/// block (i + off) mod p. After p-1 rounds every core holds every block.
-sim::Task<> ring_allgather_blocks(Stack& stack, std::span<double> data,
-                                  const std::vector<Block>& blocks, int off) {
+/// block (i + off) mod p and block_of(b) is block b's element range. After
+/// p-1 rounds every core holds every block. Allgather (equal blocks),
+/// Allgatherv, Allreduce and long Broadcast all run this one ring.
+template <class BlockOf>
+sim::Task<> ring_allgather(Stack& stack, std::span<double> data, int off,
+                           BlockOf block_of) {
   auto& api = stack.api();
   const int p = stack.num_cores();
   const int rank = stack.rank();
@@ -51,15 +56,54 @@ sim::Task<> ring_allgather_blocks(Stack& stack, std::span<double> data,
   for (int r = 0; r < p - 1; ++r) {
     co_await stack.round_gate();
     co_await api.overhead(api.cost().sw.coll_round);
-    const Block& sb =
-        blocks[static_cast<std::size_t>(((rank + off - r) % p + p) % p)];
-    const Block& rb =
-        blocks[static_cast<std::size_t>(((rank + off - r - 1) % p + p) % p)];
+    const Block sb = block_of(((rank + off - r) % p + p) % p);
+    const Block rb = block_of(((rank + off - r - 1) % p + p) % p);
     co_await stack.exchange(as_b(std::span<const double>(
                                 data.subspan(sb.offset, sb.count))),
                             right, as_b(data.subspan(rb.offset, rb.count)),
                             left);
   }
+}
+
+/// block_of for ring_allgather over a split table.
+[[nodiscard]] auto table_blocks(const std::vector<Block>& blocks) {
+  return [&blocks](int b) { return blocks[static_cast<std::size_t>(b)]; };
+}
+
+/// Binomial down-tree from `root`. The core at relative rank rel receives
+/// span_of(rel, end) from its parent, then sends span_of(c, end') to each
+/// child c, largest subtree first; [rel, end) and [c, end') are the
+/// relative ranks each subtree covers, clamped to p. Broadcast and the
+/// Allreduce short path pass the whole vector for every range; Scatter and
+/// long Broadcast pass the blocks the range covers.
+template <class SpanOf>
+sim::Task<> binomial_down(Stack& stack, int root, SpanOf span_of) {
+  const int p = stack.num_cores();
+  const int rel = (stack.rank() - root + p) % p;
+  int mask = 1;
+  if (rel != 0) {
+    while ((rel & mask) == 0) mask <<= 1;
+    co_await stack.round_gate();
+    co_await stack.recv(as_b(span_of(rel, std::min(rel + mask, p))),
+                        (rel - mask + root + p) % p);
+  } else {
+    while (mask < p) mask <<= 1;
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    co_await stack.round_gate();
+    if (rel + mask < p) {
+      co_await stack.send(as_b(std::span<const double>(span_of(
+                              rel + mask, std::min(rel + 2 * mask, p)))),
+                          (rel + mask + root) % p);
+    }
+  }
+}
+
+/// span_of for binomial_down that hands every subtree the whole vector.
+/// Captures by reference: a by-value span grows Broadcast's coroutine frame
+/// into the next frame-arena size class.
+[[nodiscard]] auto whole(std::span<double>& data) {
+  return [&data](int, int) { return data; };
 }
 
 /// Binomial-tree reduce of the full vector to `root` (RCCE_comm's
@@ -96,34 +140,6 @@ sim::Task<> reduce_binomial(Stack& stack, std::span<const double> in,
   }
 }
 
-/// Binomial-tree broadcast of the full vector. The single shared kernel:
-/// both the Allreduce short path and Broadcast's short-vector path use it
-/// (they used to carry byte-identical copies, a drift hazard).
-sim::Task<> bcast_binomial(Stack& stack, std::span<double> data, int root) {
-  const int p = stack.num_cores();
-  const int rel = (stack.rank() - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (rel & mask) {
-      const int src = (rel - mask + root + p) % p;
-      co_await stack.round_gate();
-      co_await stack.recv(as_b(data), src);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    co_await stack.round_gate();
-    if (rel + mask < p) {
-      const int dst = (rel + mask + root) % p;
-      co_await stack.send(as_b(std::span<const double>(data)), dst);
-    }
-    mask >>= 1;
-  }
-  co_return;
-}
-
 }  // namespace
 
 sim::Task<> allgather(Stack& stack, std::span<const double> contribution,
@@ -149,17 +165,9 @@ sim::Task<> allgather(Stack& stack, std::span<const double> contribution,
   co_await charged_copy(api, contribution,
                         gathered.subspan(static_cast<std::size_t>(rank) * n, n));
   if (p == 1) co_return;
-  const int right = (rank + 1) % p;
-  const int left = (rank + p - 1) % p;
-  for (int r = 0; r < p - 1; ++r) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
-    const auto send_of = static_cast<std::size_t>((rank - r + p) % p);
-    const auto recv_of = static_cast<std::size_t>((rank - r - 1 + p) % p);
-    co_await stack.exchange(
-        as_b(std::span<const double>(gathered.subspan(send_of * n, n))), right,
-        as_b(gathered.subspan(recv_of * n, n)), left);
-  }
+  co_await ring_allgather(stack, gathered, 0, [n](int b) {
+    return Block{static_cast<std::size_t>(b) * n, n};
+  });
 }
 
 sim::Task<> alltoall(Stack& stack, std::span<const double> sendbuf,
@@ -287,7 +295,7 @@ sim::Task<> allreduce(Stack& stack, std::span<const double> in,
     // Short vectors: binomial reduce to 0 + binomial broadcast
     // (RCCE_comm's small-message variant).
     co_await reduce_binomial(stack, in, out, op, 0);
-    co_await bcast_binomial(stack, out, 0);
+    co_await binomial_down(stack, 0, whole(out));
     co_return;
   }
   co_await charged_copy(api, in, out);
@@ -295,61 +303,19 @@ sim::Task<> allreduce(Stack& stack, std::span<const double> in,
   const auto blocks = split_blocks(in.size(), p, policy);
   co_await ring_reduce_scatter(stack, out, op, blocks);
   // Core i now owns reduced block (i+1)%p -> allgather with offset 1.
-  co_await ring_allgather_blocks(stack, out, blocks, 1);
+  co_await ring_allgather(stack, out, 1, table_blocks(blocks));
 }
-
-namespace {
-
-/// Binomial-tree scatter: after it, the core with relative rank r holds
-/// block r (relative to root) of `data`.
-sim::Task<> scatter_binomial(Stack& stack, std::span<double> data,
-                             const std::vector<Block>& blocks, int root) {
-  const int p = stack.num_cores();
-  const int rank = stack.rank();
-  const int rel = (rank - root + p) % p;
-  const auto range_bytes = [&](int lo, int hi) {
-    // Element range covering relative blocks [lo, hi).
-    hi = std::min(hi, p);
-    const std::size_t first = blocks[static_cast<std::size_t>(lo)].offset;
-    const Block& last = blocks[static_cast<std::size_t>(hi - 1)];
-    return data.subspan(first, last.offset + last.count - first);
-  };
-  int recv_mask = 0;
-  if (rel != 0) {
-    int mask = 1;
-    while ((rel & mask) == 0) mask <<= 1;
-    const int src = (rel - mask + root + p) % p;
-    co_await stack.round_gate();
-    co_await stack.recv(as_b(range_bytes(rel, rel + mask)), src);
-    recv_mask = mask;
-  } else {
-    recv_mask = 1;
-    while (recv_mask < p) recv_mask <<= 1;
-  }
-  for (int mask = recv_mask >> 1; mask > 0; mask >>= 1) {
-    co_await stack.round_gate();
-    if (rel + mask < p) {
-      const int dst = (rel + mask + root) % p;
-      auto span = range_bytes(rel + mask, rel + 2 * mask);
-      co_await stack.send(as_b(std::span<const double>(span)), dst);
-    }
-  }
-  co_return;
-}
-
-}  // namespace
 
 sim::Task<> broadcast(Stack& stack, std::span<double> data, int root,
                       SplitPolicy policy) {
   auto& api = stack.api();
   const int p = stack.num_cores();
-  const int rank = stack.rank();
   SCC_EXPECTS(root >= 0 && root < p);
   co_await api.overhead(api.cost().sw.coll_call);
   if (p == 1) co_return;
   if (data.size() < kBcastScatterThreshold ||
       data.size() < static_cast<std::size_t>(p)) {
-    co_await bcast_binomial(stack, data, root);
+    co_await binomial_down(stack, root, whole(data));
     co_return;
   }
   // Long-vector path: binomial scatter + ring allgather of blocks. Blocks
@@ -358,13 +324,14 @@ sim::Task<> broadcast(Stack& stack, std::span<double> data, int root,
   // Relative block b covers the same element range for every policy, so the
   // split policy shapes the load balance exactly as in Section IV-C.
   const auto blocks = split_blocks(data.size(), p, policy);
-  co_await scatter_binomial(stack, data, blocks, root);
+  co_await binomial_down(stack, root, [&](int lo, int hi) {
+    return block_range(data, blocks, lo, hi);
+  });
   // Core i now holds block (i - root) mod p: ring-allgather with offset
   // -root (mod p).
-  co_await ring_allgather_blocks(stack, data, blocks, (p - root % p) % p);
-  (void)rank;
+  co_await ring_allgather(stack, data, (p - root % p) % p,
+                          table_blocks(blocks));
 }
-
 
 sim::Task<> scatter(Stack& stack, std::span<const double> send,
                     std::span<double> recv, int root) {
@@ -386,42 +353,13 @@ sim::Task<> scatter(Stack& stack, std::span<const double> send,
   std::span<double> work =
       stack.scratch(n * static_cast<std::size_t>(p), 1);
   if (rank == root) {
-    for (int j = 0; j < p; ++j) {
-      const auto src = static_cast<std::size_t>((root + j) % p) * n;
-      std::copy_n(send.data() + src, n,
-                  work.data() + static_cast<std::size_t>(j) * n);
-    }
-    co_await api.priv_read(send.data(), send.size_bytes());
-    co_await api.priv_write(work.data(), work.size_bytes());
+    co_await permute_blocks(api, send, work, n, p,
+                            [root, p](int j) { return (root + j) % p; });
   }
-  int recv_mask = 0;
-  if (rel != 0) {
-    int mask = 1;
-    while ((rel & mask) == 0) mask <<= 1;
-    const int src_core = (rel - mask + root + p) % p;
-    const int hi = std::min(rel + mask, p);
-    co_await stack.round_gate();
-    co_await stack.recv(
-        as_b(work.subspan(static_cast<std::size_t>(rel) * n,
-                          static_cast<std::size_t>(hi - rel) * n)),
-        src_core);
-    recv_mask = mask;
-  } else {
-    recv_mask = 1;
-    while (recv_mask < p) recv_mask <<= 1;
-  }
-  for (int mask = recv_mask >> 1; mask > 0; mask >>= 1) {
-    co_await stack.round_gate();
-    if (rel + mask < p) {
-      const int dst = (rel + mask + root) % p;
-      const int hi = std::min(rel + 2 * mask, p);
-      co_await stack.send(
-          as_b(std::span<const double>(
-              work.subspan(static_cast<std::size_t>(rel + mask) * n,
-                           static_cast<std::size_t>(hi - rel - mask) * n))),
-          dst);
-    }
-  }
+  co_await binomial_down(stack, root, [work, n](int lo, int hi) {
+    return work.subspan(static_cast<std::size_t>(lo) * n,
+                        static_cast<std::size_t>(hi - lo) * n);
+  });
   co_await charged_copy(
       api, work.subspan(static_cast<std::size_t>(rel) * n, n), recv);
 }
@@ -471,13 +409,8 @@ sim::Task<> gather(Stack& stack, std::span<const double> send,
   }
   if (rank == root) {
     // Rotate relative block order back to rank-major.
-    for (int j = 0; j < p; ++j) {
-      const auto dst = static_cast<std::size_t>((root + j) % p) * n;
-      std::copy_n(work.data() + static_cast<std::size_t>(j) * n, n,
-                  recv.data() + dst);
-    }
-    co_await api.priv_read(work.data(), work.size_bytes());
-    co_await api.priv_write(recv.data(), recv.size_bytes());
+    co_await permute_blocks(api, work, recv, n, p,
+                            [root, p](int j) { return (j - root + p) % p; });
   }
 }
 
@@ -504,7 +437,7 @@ sim::Task<> allgatherv(Stack& stack, std::span<const double> contribution,
                         gathered.subspan(mine.offset, mine.count));
   if (p == 1) co_return;
   // Ring: core i initially holds block i (offset 0 in the table).
-  co_await ring_allgather_blocks(stack, gathered, blocks, 0);
+  co_await ring_allgather(stack, gathered, 0, table_blocks(blocks));
 }
 
 sim::Task<> barrier(Stack& stack) {

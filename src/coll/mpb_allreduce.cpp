@@ -24,14 +24,18 @@ void vec_to_window(std::span<const double> in, std::span<std::byte> window) {
 }  // namespace
 
 MpbAllreduce::BufferGeometry MpbAllreduce::geometry(
-    const std::vector<Block>& blocks) const {
+    const std::vector<Block>& blocks) {
   BufferGeometry g;
   for (const Block& b : blocks) g.max_block = std::max(g.max_block, b.count);
   const std::size_t raw = g.max_block * sizeof(double);
   g.buf_bytes = (raw + mem::kCacheLineBytes - 1) / mem::kCacheLineBytes *
                 mem::kCacheLineBytes;
-  SCC_EXPECTS(2 * g.buf_bytes <= layout_->payload_bytes());
   return g;
+}
+
+bool MpbAllreduce::fits(const rcce::Layout& layout,
+                        const std::vector<Block>& blocks) {
+  return 2 * geometry(blocks).buf_bytes <= layout.payload_bytes();
 }
 
 sim::Task<> MpbAllreduce::acquire_local_buffer(int buf) {
@@ -76,6 +80,7 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
     co_return;
   }
   const auto blocks = split_blocks(in.size(), p, policy);
+  SCC_EXPECTS(fits(*layout_, blocks));
   const BufferGeometry g = geometry(blocks);
   if (scratch_.size() < g.max_block) scratch_.resize(g.max_block);
   std::span<double> scratch(scratch_.data(), g.max_block);
@@ -107,26 +112,8 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
         std::as_writable_bytes(std::span<double>(scratch.data(), b.count)));
     // ... operand 2 is the local input vector's block ...
     co_await api.priv_read(in.data() + b.offset, b.count * sizeof(double));
-    {
-      std::span<double> acc(scratch.data(), b.count);
-      std::span<const double> local = in.subspan(b.offset, b.count);
-      switch (op) {
-        case rcce::ReduceOp::kSum:
-          for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += local[i];
-          break;
-        case rcce::ReduceOp::kMax:
-          for (std::size_t i = 0; i < acc.size(); ++i)
-            acc[i] = std::max(acc[i], local[i]);
-          break;
-        case rcce::ReduceOp::kMin:
-          for (std::size_t i = 0; i < acc.size(); ++i)
-            acc[i] = std::min(acc[i], local[i]);
-          break;
-        case rcce::ReduceOp::kProd:
-          for (std::size_t i = 0; i < acc.size(); ++i) acc[i] *= local[i];
-          break;
-      }
-    }
+    rcce::reduce_into(std::span<double>(scratch.data(), b.count),
+                      in.subspan(b.offset, b.count), op);
     co_await api.compute(b.count * api.cost().sw.reduce_cycles_per_element);
     // ... and the result lands directly in the local MPB, word by word
     // (the expensive step while the arbiter-bug workaround is active).

@@ -48,15 +48,22 @@ class MpbAllreduce {
       : api_(&api), layout_(&layout) {}
 
   /// SPMD entry: every core calls run with its own input/output vectors.
+  /// The vector's blocks must fit (see fits()).
   sim::Task<> run(std::span<const double> in, std::span<double> out,
                   rcce::ReduceOp op, SplitPolicy policy);
+
+  /// True when the largest of `blocks` can be double-buffered in
+  /// `layout`'s MPB payload.
+  [[nodiscard]] static bool fits(const rcce::Layout& layout,
+                                 const std::vector<Block>& blocks);
 
  private:
   struct BufferGeometry {
     std::size_t buf_bytes = 0;  // size of each half (32-byte aligned)
     std::size_t max_block = 0;  // elements
   };
-  [[nodiscard]] BufferGeometry geometry(const std::vector<Block>& blocks) const;
+  [[nodiscard]] static BufferGeometry geometry(
+      const std::vector<Block>& blocks);
 
   [[nodiscard]] mem::MpbAddr buf_addr(int core, int buf,
                                       const BufferGeometry& g) const {

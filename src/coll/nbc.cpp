@@ -80,8 +80,8 @@ sim::Task<> CollRequest::wait() {
   return engine_->wait(id_);
 }
 
-ProgressEngine::ProgressEngine(machine::CoreApi& api, Prims prims, int lanes)
-    : api_(api), prims_(prims) {
+ProgressEngine::ProgressEngine(machine::CoreApi& api, Prims prims,
+                               int lanes) {
   SCC_EXPECTS(lanes >= 1);
   // The blocking layer's synchronous handshake has no completion point that
   // can poll-and-yield, so a blocked step pins the core and a multi-lane
@@ -101,11 +101,6 @@ ProgressEngine::ProgressEngine(machine::CoreApi& api, Prims prims, int lanes)
     // Yielder::cooperative); one lane keeps blocking-API-identical timing.
     lanes_.back()->yielder.set_cooperative(lanes > 1);
   }
-}
-
-Stack& ProgressEngine::lane_stack(int lane) {
-  SCC_EXPECTS(lane >= 0 && lane < lanes());
-  return lanes_[static_cast<std::size_t>(lane)]->stack;
 }
 
 // Requests go round-robin over lanes by initiation index; the i*() helpers

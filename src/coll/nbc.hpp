@@ -157,11 +157,6 @@ class ProgressEngine {
   ProgressEngine(const ProgressEngine&) = delete;
   ProgressEngine& operator=(const ProgressEngine&) = delete;
 
-  [[nodiscard]] int lanes() const { return static_cast<int>(lanes_.size()); }
-  [[nodiscard]] Prims prims() const { return prims_; }
-  /// The lane's Stack (tests peek layouts; traffic reuses scratch).
-  [[nodiscard]] Stack& lane_stack(int lane);
-
   // --- initiation (no simulated time charged; the kernel's coll_call
   // overhead lands on the first step) ------------------------------------
   // Default algorithms mirror the blocking API exactly, so an nbc call with
@@ -226,8 +221,6 @@ class ProgressEngine {
   CollRequest enqueue(Sched sched);
   [[nodiscard]] sim::Task<> step_lane(Lane& lane);
 
-  machine::CoreApi& api_;
-  Prims prims_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   RequestId next_id_ = 0;
 };

@@ -88,7 +88,6 @@ class Stack {
   [[nodiscard]] int num_cores() const { return rcce_.num_cores(); }
   [[nodiscard]] Prims prims() const { return prims_; }
   [[nodiscard]] machine::CoreApi& api() { return rcce_.api(); }
-  [[nodiscard]] rcce::Rcce& rcce() { return rcce_; }
   [[nodiscard]] const rcce::Layout& layout() const { return rcce_.layout(); }
 
   /// One ring/pairwise round: send `sbuf` to `dest` while receiving `rbuf`
@@ -149,7 +148,6 @@ class Stack {
   };
   [[nodiscard]] RoundGate round_gate() const { return RoundGate{yielder_}; }
   void set_yielder(Yielder* y) { yielder_ = y; }
-  [[nodiscard]] Yielder* yielder() const { return yielder_; }
 
   /// Persistent per-core scratch for the collective algorithms. Temporaries
   /// must not be heap-allocated per call: the cache model keys on host

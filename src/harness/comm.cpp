@@ -80,8 +80,7 @@ sim::Task<int> Comm::run(Collective c, std::span<const double> in,
       co_await coll::reduce(stack_, in, out, kSum, root, split_);
       co_return -1;
     case Collective::kAllreduce:
-      if (variant_ == PaperVariant::kMpb &&
-          in.size() >= static_cast<std::size_t>(stack_.num_cores())) {
+      if (mpb_direct(variant_, in.size(), stack_.num_cores())) {
         co_await mpb_.run(in, out, kSum, split_);
       } else {
         co_await coll::allreduce(stack_, in, out, kSum, split_,

@@ -62,9 +62,9 @@ class Comm {
   /// place on `out`; Allgatherv takes the per-core `counts`. Returns the
   /// ReduceScatter block this core owns, -1 for every other collective.
   ///
-  /// `mpb` runs its Allreduce MPB-direct only when every core owns at least
-  /// one element (n >= p); below that it takes the balanced ring, which is
-  /// faster there on the paper's 6x4 mesh (68 us against 155 us at n=1).
+  /// `mpb` runs its Allreduce MPB-direct only where mpb_direct() says so;
+  /// below that it takes the balanced ring, which is faster there on the
+  /// paper's 6x4 mesh (68 us against 155 us at n=1).
   sim::Task<int> run(Collective c, std::span<const double> in,
                      std::span<double> out, int root = 0,
                      std::span<const std::size_t> counts = {});

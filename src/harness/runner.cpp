@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "harness/comm.hpp"
@@ -207,11 +208,34 @@ std::optional<coll::CollKind> algo_kind(Collective c) {
   }
 }
 
-RunResult run_collective(const RunSpec& spec) {
+void parse_mesh(std::string_view value, machine::SccConfig& config) {
+  const auto mesh = split(value, 'x');
+  if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
+  const int w = parse_int_in(mesh[0], "--mesh width", 1);
+  const int h = parse_int_in(mesh[1], "--mesh height", 1);
+  const std::int64_t cores =
+      std::int64_t{w} * std::int64_t{h} * config.cores_per_tile;
+  if (cores > rcce::Layout::max_cores()) {
+    throw std::runtime_error(strprintf(
+        "--mesh=%dx%d has %lld cores; the %zu-byte MPB holds at most %d",
+        w, h, static_cast<long long>(cores), mem::kMpbBytesPerCore,
+        rcce::Layout::max_cores()));
+  }
+  config.tiles_x = w;
+  config.tiles_y = h;
+}
+
+void check_spec(const RunSpec& spec) {
   if (spec.variant == PaperVariant::kMpb &&
       spec.collective != Collective::kAllreduce) {
     throw std::runtime_error(
         "the MPB-direct variant exists only for Allreduce (paper IV-D)");
+  }
+  if (spec.variant == PaperVariant::kRckmpi &&
+      spec.collective > Collective::kAllreduce) {
+    throw std::runtime_error(strprintf(
+        "rckmpi has no %s (only the Fig. 9 collectives are wired up)",
+        std::string(collective_name(spec.collective)).c_str()));
   }
   if (spec.algo) {
     // Algorithm overrides exist on the Stack-based (RCCE-family) paths
@@ -255,6 +279,29 @@ RunResult run_collective(const RunSpec& spec) {
           "handshake has no poll-and-yield completion); use --nbc-lanes=1");
     }
   }
+  const int p = spec.config.num_cores();
+  if (spec.variant == PaperVariant::kRckmpi &&
+      p > rckmpi::ChannelLayout::max_cores()) {
+    throw std::runtime_error(strprintf(
+        "rckmpi runs on at most %d cores (two MPB lines per peer ring); "
+        "the mesh has %d",
+        rckmpi::ChannelLayout::max_cores(), p));
+  }
+  if (mpb_direct(spec.variant, spec.elements, p) &&
+      !coll::MpbAllreduce::fits(
+          rcce::Layout(p),
+          coll::split_blocks(spec.elements, p,
+                             spec.split_override.value_or(
+                                 split_of(spec.variant))))) {
+    throw std::runtime_error(strprintf(
+        "%zu elements on %d cores: the MPB-direct Allreduce cannot "
+        "double-buffer its largest block in the MPB",
+        spec.elements, p));
+  }
+}
+
+RunResult run_collective(const RunSpec& spec) {
+  check_spec(spec);
   SCC_EXPECTS(spec.repetitions >= 1);
 
   machine::SccConfig config = spec.config;

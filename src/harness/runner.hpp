@@ -107,6 +107,13 @@ inline constexpr std::array<Collective, 9> kAllCollectives = {
   return v != PaperVariant::kRckmpi && v != PaperVariant::kMpb;
 }
 
+/// True when `v` runs an n-element Allreduce on p cores MPB-direct: only
+/// when every core owns at least one element (Comm::run).
+[[nodiscard]] constexpr bool mpb_direct(PaperVariant v, std::size_t n,
+                                        int p) {
+  return v == PaperVariant::kMpb && n >= static_cast<std::size_t>(p);
+}
+
 /// Collectives with a non-blocking i*() entry point (coll/nbc.hpp).
 [[nodiscard]] constexpr bool nbc_supported(Collective c) {
   return c == Collective::kAllgather || c == Collective::kAlltoall ||
@@ -205,8 +212,22 @@ struct RunResult {
   std::optional<metrics::TimeSeries> timeseries;
 };
 
-/// Runs the experiment on a fresh machine. Throws std::runtime_error on
-/// simulation deadlock and on verification failure.
+/// Parses a --mesh=WxH value into config.tiles_x and config.tiles_y. The
+/// core count W*H*cores_per_tile is computed in 64 bits and must fit the
+/// RCCE MPB layout (rcce::Layout::max_cores()); anything else throws
+/// std::runtime_error naming the flag.
+void parse_mesh(std::string_view value, machine::SccConfig& config);
+
+/// Throws std::runtime_error when run_collective cannot run `spec`: a
+/// variant, collective, algorithm or nbc combination that does not exist,
+/// rckmpi on more cores than its channel holds, or MPB-direct blocks that
+/// cannot be double-buffered in the payload. The mesh itself is checked
+/// by parse_mesh.
+void check_spec(const RunSpec& spec);
+
+/// Runs the experiment on a fresh machine. Throws std::runtime_error on a
+/// spec check_spec rejects, on simulation deadlock and on verification
+/// failure.
 [[nodiscard]] RunResult run_collective(const RunSpec& spec);
 
 }  // namespace scc::harness

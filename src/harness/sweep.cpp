@@ -44,13 +44,6 @@ std::pair<double, std::size_t> SweepResult::max_speedup_vs_blocking(
   return {best, at};
 }
 
-double SweepResult::mean_latency_us(PaperVariant v) const {
-  const std::size_t idx = variant_index(*this, v);
-  double sum = 0.0;
-  for (const SweepPoint& pt : points) sum += pt.latency_us[idx];
-  return sum / static_cast<double>(points.size());
-}
-
 Table SweepResult::to_table() const {
   std::vector<std::string> header{"elements"};
   for (const PaperVariant v : variants)

@@ -66,7 +66,6 @@ struct SweepResult {
   /// Maximum pointwise speedup and where it occurs.
   [[nodiscard]] std::pair<double, std::size_t> max_speedup_vs_blocking(
       PaperVariant v) const;
-  [[nodiscard]] double mean_latency_us(PaperVariant v) const;
 
   /// size column + one latency column per variant (microseconds).
   [[nodiscard]] Table to_table() const;

@@ -198,12 +198,6 @@ sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
   co_return machine_->flags().value(ref);
 }
 
-FlagReadCharge CoreApi::flag_read(FlagRef ref) {
-  const SimTime t = machine_->latency().mpb_line_access(rank_, ref.owner_core,
-                                                        /*is_read=*/true);
-  return {charge_impl(Phase::kFlagOp, t), {&machine_->flags(), ref}};
-}
-
 FlagValue CoreApi::flag_peek(FlagRef ref) const {
   return machine_->flags().value(ref);
 }

@@ -73,23 +73,16 @@ struct FlagDeposit {
   FlagValue value;
   void operator()() const { flags->deposit(ref, value); }
 };
-struct FlagLoad {
-  const FlagFile* flags;
-  FlagRef ref;
-  [[nodiscard]] FlagValue operator()() const { return flags->value(ref); }
-};
 
 /// A charge with no completion effect is the bare sleep.
 using Charge = sim::Engine::Sleep;
 using MpbStoreCharge = ChargeAwaiter<MpbStore>;
 using MpbLoadCharge = ChargeAwaiter<MpbLoad>;
 using FlagSetCharge = ChargeAwaiter<FlagDeposit>;
-using FlagReadCharge = ChargeAwaiter<FlagLoad>;
 static_assert(std::is_trivially_copyable_v<Charge>);
 static_assert(std::is_trivially_copyable_v<MpbStoreCharge>);
 static_assert(std::is_trivially_copyable_v<MpbLoadCharge>);
 static_assert(std::is_trivially_copyable_v<FlagSetCharge>);
-static_assert(std::is_trivially_copyable_v<FlagReadCharge>);
 
 class CoreApi {
  public:
@@ -158,8 +151,6 @@ class CoreApi {
   /// miss intermediate values.
   [[nodiscard]] sim::Task<FlagValue> flag_wait_change(FlagRef ref,
                                                       FlagValue last_seen);
-  /// Non-blocking probe: charges one flag read, returns current value.
-  FlagReadCharge flag_read(FlagRef ref);
   /// Zero-cost peek for simulator-internal decisions (not charged).
   [[nodiscard]] FlagValue flag_peek(FlagRef ref) const;
 

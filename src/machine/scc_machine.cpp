@@ -64,11 +64,4 @@ void SccMachine::attach_trace(trace::Recorder* recorder) {
   contention_.set_trace(recorder);
 }
 
-void launch_spmd(SccMachine& machine,
-                 const std::function<sim::Task<>(CoreApi&)>& factory) {
-  for (int rank = 0; rank < machine.num_cores(); ++rank) {
-    machine.launch(rank, factory(machine.core(rank)));
-  }
-}
-
 }  // namespace scc::machine

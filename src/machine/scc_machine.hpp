@@ -7,7 +7,6 @@
 // machines (exec::for_each_index, --jobs; DESIGN.md §11 and §14).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -108,10 +107,5 @@ class SccMachine {
   HarnessBarrier barrier_;
   trace::Recorder* trace_ = nullptr;
 };
-
-/// Launches the same program factory on every core (SPMD style) -- the
-/// factory receives the core's CoreApi and must return that core's program.
-void launch_spmd(SccMachine& machine,
-                 const std::function<sim::Task<>(CoreApi&)>& factory);
 
 }  // namespace scc::machine

@@ -81,15 +81,6 @@ void Sampler::tick(SimTime t) {
   ++series_.decimations;
 }
 
-SimTime Sampler::effective_interval() const {
-  const std::uint64_t fs = series_.interval.femtoseconds();
-  const std::uint64_t factor = stride_;
-  if (fs != 0 && factor > SimTime::max().femtoseconds() / fs) {
-    return SimTime::max();
-  }
-  return SimTime{fs * factor};
-}
-
 TimeSeries Sampler::take() {
   TimeSeries out = std::move(series_);
   out.columns.clear();

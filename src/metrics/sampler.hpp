@@ -86,8 +86,6 @@ class Sampler {
   [[nodiscard]] std::uint64_t decimations() const {
     return series_.decimations;
   }
-  /// Effective accepted cadence: base interval * 2^decimations.
-  [[nodiscard]] SimTime effective_interval() const;
 
   /// Finalizes and moves the collected series out (the sampler is empty
   /// afterwards). Columns stay registered.

@@ -33,31 +33,29 @@ namespace scc::rcce {
 
 class Layout {
  public:
-  explicit Layout(int num_cores,
-                  std::size_t mpb_bytes = mem::kMpbBytesPerCore)
+  explicit Layout(int num_cores)
       : num_cores_(num_cores),
-        mpb_bytes_(mpb_bytes),
-        payload_base_(static_cast<std::size_t>(num_cores) *
-                      mem::kCacheLineBytes),
-        payload_end_(mpb_bytes) {
-    SCC_EXPECTS(num_cores > 0);
-    SCC_EXPECTS(payload_bytes() >= mem::kCacheLineBytes);
+        payload_base_(flag_lines_bytes(num_cores)),
+        payload_end_(mem::kMpbBytesPerCore) {
+    SCC_EXPECTS(num_cores > 0 && num_cores <= max_cores());
+  }
+
+  /// Largest core count whose flag lines leave at least one payload line
+  /// in the MPB.
+  [[nodiscard]] static constexpr int max_cores() {
+    return static_cast<int>(
+        (mem::kMpbBytesPerCore - mem::kCacheLineBytes) / mem::kCacheLineBytes);
   }
 
   /// Lane `which` of `lanes` equal sublayouts of the same MPB (see the file
   /// comment). Lane payload cuts are cache-line aligned; the machine's
   /// flags_per_core must cover lane `lanes-1`'s flags_needed().
-  [[nodiscard]] static Layout lane(int num_cores, int which, int lanes,
-                                   std::size_t mpb_bytes =
-                                       mem::kMpbBytesPerCore) {
+  [[nodiscard]] static Layout lane(int num_cores, int which, int lanes) {
     SCC_EXPECTS(lanes >= 1);
     SCC_EXPECTS(which >= 0 && which < lanes);
     Layout l(num_cores);
-    l.mpb_bytes_ = mpb_bytes;
-    const std::size_t shared =
-        static_cast<std::size_t>(num_cores) * mem::kCacheLineBytes;
-    SCC_EXPECTS(mpb_bytes > shared);
-    const std::size_t per_lane = ((mpb_bytes - shared) /
+    const std::size_t shared = flag_lines_bytes(num_cores);
+    const std::size_t per_lane = ((mem::kMpbBytesPerCore - shared) /
                                   static_cast<std::size_t>(lanes)) &
                                  ~(mem::kCacheLineBytes - 1);
     SCC_EXPECTS(per_lane >= mem::kCacheLineBytes);
@@ -127,8 +125,12 @@ class Layout {
     SCC_EXPECTS(core >= 0 && core < num_cores_);
   }
 
+  /// One reserved flag line per remote writer precedes the payload.
+  [[nodiscard]] static constexpr std::size_t flag_lines_bytes(int num_cores) {
+    return static_cast<std::size_t>(num_cores) * mem::kCacheLineBytes;
+  }
+
   int num_cores_;
-  std::size_t mpb_bytes_;
   std::size_t payload_base_;
   std::size_t payload_end_;
   int flag_base_ = 0;

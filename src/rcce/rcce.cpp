@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/aligned.hpp"
 #include "rcce/protocol.hpp"
 
 namespace scc::rcce {
@@ -59,52 +58,9 @@ sim::Task<> Rcce::barrier() {
   }
 }
 
-sim::Task<> Rcce::bcast_naive(std::span<std::byte> data, int root) {
-  if (rank() == root) {
-    for (int peer = 0; peer < num_cores(); ++peer) {
-      if (peer == root) continue;
-      co_await send(data, peer);
-    }
-  } else {
-    co_await recv(data, root);
-  }
-}
-
-sim::Task<> Rcce::reduce_naive(std::span<const double> in,
-                               std::span<double> out, ReduceOp op, int root,
-                               bool all) {
-  SCC_EXPECTS(in.size() == out.size());
-  const auto bytes = [](std::span<double> s) {
-    return std::as_writable_bytes(s);
-  };
-  if (rank() == root) {
-    std::copy(in.begin(), in.end(), out.begin());
-    co_await api_->priv_read(in.data(), in.size_bytes());
-    co_await api_->priv_write(out.data(), out.size_bytes());
-    aligned_vector<double> tmp(in.size());
-    for (int peer = 0; peer < num_cores(); ++peer) {
-      if (peer == root) continue;
-      co_await recv(bytes(tmp), peer);
-      co_await apply_reduce(*api_, tmp, out, op);
-    }
-    if (all) {
-      for (int peer = 0; peer < num_cores(); ++peer) {
-        if (peer == root) continue;
-        co_await send(std::as_bytes(out), peer);
-      }
-    }
-  } else {
-    co_await send(std::as_bytes(in), root);
-    if (all) co_await recv(bytes(out), root);
-  }
-}
-
-sim::Task<> apply_reduce(machine::CoreApi& api, std::span<const double> value,
-                         std::span<double> acc, ReduceOp op) {
+void reduce_into(std::span<double> acc, std::span<const double> value,
+                 ReduceOp op) {
   SCC_EXPECTS(value.size() == acc.size());
-  if (value.empty()) co_return;
-  co_await api.priv_read(value.data(), value.size_bytes());
-  co_await api.priv_read(acc.data(), acc.size_bytes());
   switch (op) {
     case ReduceOp::kSum:
       for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += value[i];
@@ -121,6 +77,15 @@ sim::Task<> apply_reduce(machine::CoreApi& api, std::span<const double> value,
       for (std::size_t i = 0; i < acc.size(); ++i) acc[i] *= value[i];
       break;
   }
+}
+
+sim::Task<> apply_reduce(machine::CoreApi& api, std::span<const double> value,
+                         std::span<double> acc, ReduceOp op) {
+  SCC_EXPECTS(value.size() == acc.size());
+  if (value.empty()) co_return;
+  co_await api.priv_read(value.data(), value.size_bytes());
+  co_await api.priv_read(acc.data(), acc.size_bytes());
+  reduce_into(acc, value, op);
   co_await api.compute(value.size() * api.cost().sw.reduce_cycles_per_element);
   co_await api.priv_write(acc.data(), acc.size_bytes());
 }

@@ -7,9 +7,7 @@
 //    receiver picked it up;
 //  - the receiver must know the sender and the exact size "in advance";
 //  - messages larger than the MPB payload chunk are split into chunks,
-//    each individually handshaked;
-//  - the library ships naive collectives in which the root communicates
-//    with the other cores serially (Section III).
+//    each individually handshaked.
 //
 // One Rcce object exists per simulated core (SPMD style).
 #pragma once
@@ -45,23 +43,19 @@ class Rcce {
   /// Dissemination barrier over MPB flags.
   sim::Task<> barrier();
 
-  /// Plain-RCCE broadcast: the root sends to every other core in turn.
-  sim::Task<> bcast_naive(std::span<std::byte> data, int root);
-
-  /// Plain-RCCE reduce: every core sends its vector to the root, which
-  /// performs the whole reduction by itself (paper, Section III). With
-  /// `all` set the root then broadcasts the result (naive Allreduce).
-  sim::Task<> reduce_naive(std::span<const double> in, std::span<double> out,
-                           ReduceOp op, int root, bool all);
-
  private:
   machine::CoreApi* api_;
   const Layout* layout_;
   std::uint8_t barrier_epoch_ = 0;
 };
 
-/// Applies `op` element-wise: acc[i] = acc[i] op value[i]. Charges compute
-/// cycles; callers charge the memory traffic. Shared by all layers.
+/// The one element-wise reduction loop: acc[i] = acc[i] op value[i].
+/// Charges nothing.
+void reduce_into(std::span<double> acc, std::span<const double> value,
+                 ReduceOp op);
+
+/// reduce_into plus its cost: reads of both operands, the per-element
+/// compute cycles and the write of `acc`. Shared by all layers.
 sim::Task<> apply_reduce(machine::CoreApi& api, std::span<const double> value,
                          std::span<double> acc, ReduceOp op);
 

@@ -10,19 +10,32 @@ namespace scc::rckmpi {
 namespace {
 /// Duplex progress loop poll spacing when neither direction can move.
 constexpr std::uint64_t kDuplexPollCycles = 150;
-}  // namespace
+/// A ring holds a header line plus at least one payload line.
+constexpr std::uint32_t kMinRingLines = 2;
 
-ChannelLayout::ChannelLayout(const rcce::Layout& base)
-    : base_(&base), flag_base_(base.flags_needed()) {
-  // Divide the payload area into one ring per peer, whole lines each.
+/// Divides the payload area into one ring per peer, whole lines each.
+std::uint32_t ring_lines_of(const rcce::Layout& base) {
   const std::size_t per_peer =
       base.payload_bytes() / static_cast<std::size_t>(base.num_cores());
-  ring_lines_ = static_cast<std::uint32_t>(per_peer / mem::kCacheLineBytes);
   // In-flight lines must stay well under the mod-256 counter ambiguity;
   // tiny meshes would otherwise get huge rings (the real RCKMPI also caps
   // its per-peer region).
-  ring_lines_ = std::min<std::uint32_t>(ring_lines_, 64);
-  SCC_EXPECTS(ring_lines_ >= 2);  // header + at least one payload line
+  return std::min<std::uint32_t>(
+      static_cast<std::uint32_t>(per_peer / mem::kCacheLineBytes), 64);
+}
+}  // namespace
+
+ChannelLayout::ChannelLayout(const rcce::Layout& base)
+    : base_(&base),
+      flag_base_(base.flags_needed()),
+      ring_lines_(ring_lines_of(base)) {
+  SCC_EXPECTS(ring_lines_ >= kMinRingLines);
+}
+
+int ChannelLayout::max_cores() {
+  int p = rcce::Layout::max_cores();
+  while (p > 1 && ring_lines_of(rcce::Layout(p)) < kMinRingLines) --p;
+  return p;
 }
 
 mem::MpbAddr ChannelLayout::ring_line(int at_core, int from,

@@ -53,6 +53,10 @@ class ChannelLayout {
  public:
   explicit ChannelLayout(const rcce::Layout& base);
 
+  /// Largest core count whose rcce::Layout leaves every peer a ring of at
+  /// least two lines (header + one payload line).
+  [[nodiscard]] static int max_cores();
+
   [[nodiscard]] int num_cores() const { return base_->num_cores(); }
   /// Ring capacity per ordered pair, in cache lines (header included).
   [[nodiscard]] std::uint32_t ring_lines() const { return ring_lines_; }

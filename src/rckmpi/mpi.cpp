@@ -14,7 +14,6 @@ namespace {
 // Internal tags per collective (MPICH reserves a context-id space; a fixed
 // tag per operation suffices here because our communicators are global and
 // calls are ordered per pair).
-constexpr int kTagP2P = 100;
 constexpr int kTagBcast = 101;
 constexpr int kTagReduce = 102;
 constexpr int kTagAllreduce = 103;
@@ -31,19 +30,6 @@ constexpr int kTagBarrier = 107;
 }
 
 }  // namespace
-
-sim::Task<> Mpi::send(std::span<const double> data, int dest, int tag) {
-  co_await channel_.send(as_b(data), dest, tag);
-}
-
-sim::Task<> Mpi::recv(std::span<double> data, int src, int tag) {
-  co_await channel_.recv(as_b(data), src, tag);
-}
-
-sim::Task<> Mpi::sendrecv(std::span<const double> sdata, int dest,
-                          std::span<double> rdata, int src, int tag) {
-  co_await channel_.sendrecv(as_b(sdata), dest, as_b(rdata), src, tag);
-}
 
 namespace detail {
 

@@ -1,5 +1,5 @@
-// RCKMPI-style MPI layer: typed point-to-point + MPICH-flavoured
-// collectives over the packetized SCCMPB channel.
+// RCKMPI-style MPI layer: MPICH-flavoured collectives over the packetized
+// SCCMPB channel (point-to-point goes through channel() directly).
 //
 // This is the paper's comparison baseline ("a standard MPI implementation",
 // Section V). The algorithms are the classic MPICH choices:
@@ -37,12 +37,6 @@ class Mpi {
   [[nodiscard]] int size() const { return channel_.layout().num_cores(); }
   [[nodiscard]] Channel& channel() { return channel_; }
   [[nodiscard]] machine::CoreApi& api() { return channel_.api(); }
-
-  // --- point-to-point ----------------------------------------------------
-  sim::Task<> send(std::span<const double> data, int dest, int tag);
-  sim::Task<> recv(std::span<double> data, int src, int tag);
-  sim::Task<> sendrecv(std::span<const double> sdata, int dest,
-                       std::span<double> rdata, int src, int tag);
 
   // --- collectives ---------------------------------------------------------
   sim::Task<> bcast(std::span<double> data, int root);

@@ -189,15 +189,9 @@ class [[nodiscard]] Task<void> {
     return handle_;
   }
 
-  void rethrow_if_failed() {
-    SCC_EXPECTS(done());
-    if (handle_.promise().exception)
-      std::rethrow_exception(handle_.promise().exception);
-  }
-
-  /// The captured exception, or nullptr if none (or the task never ran).
-  /// Non-throwing counterpart of rethrow_if_failed() for callers that must
-  /// scan several roots before deciding which failure to surface.
+  /// The captured exception, or nullptr if none (or the task never ran),
+  /// for callers that must scan several roots before deciding which
+  /// failure to surface.
   [[nodiscard]] std::exception_ptr failure() const {
     return handle_ ? handle_.promise().exception : nullptr;
   }

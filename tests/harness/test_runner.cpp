@@ -104,6 +104,32 @@ TEST(Runner, MpbBelowCoreCountRunsTheBalancedRing) {
             run(PaperVariant::kLwBalanced, 8).mean_latency);
 }
 
+// Sizes the 8 KB MPB cannot hold are rejected up front, at limits derived
+// from the layout code; the largest size that fits still passes.
+TEST(Runner, RejectsSizesTheMpbCannotHold) {
+  machine::SccConfig mesh;
+  EXPECT_NO_THROW(parse_mesh("127x1", mesh));  // 254 cores
+  EXPECT_THROW(parse_mesh("16x8", mesh), std::runtime_error);
+  EXPECT_THROW(parse_mesh("65536x65536", mesh), std::runtime_error);
+
+  RunSpec spec;  // 48 cores
+  spec.variant = PaperVariant::kMpb;
+  spec.elements = 19968;
+  EXPECT_NO_THROW(check_spec(spec));
+  spec.elements = 19969;
+  EXPECT_THROW(check_spec(spec), std::runtime_error);
+
+  spec.variant = PaperVariant::kRckmpi;
+  spec.config.tiles_x = 7;
+  spec.config.tiles_y = 6;  // 84 cores
+  EXPECT_NO_THROW(check_spec(spec));
+  spec.config.tiles_y = 7;  // 98 cores
+  EXPECT_THROW(check_spec(spec), std::runtime_error);
+  spec.config = machine::SccConfig::paper_default();
+  spec.collective = Collective::kScatter;  // no RCKMPI counterpart
+  EXPECT_THROW(check_spec(spec), std::runtime_error);
+}
+
 TEST(Sweep, ProducesOnePointPerSize) {
   SweepSpec spec;
   spec.collective = Collective::kAllreduce;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "machine/scc_machine.hpp"
@@ -166,75 +165,6 @@ TEST(Rcce, RepeatedBarriersStayAligned) {
   }
   machine.run();  // 300 barriers exercise the epoch wrap (mod 255)
   SUCCEED();
-}
-
-sim::Task<> bcast_program(machine::CoreApi& api, const Layout* layout,
-                          std::vector<std::byte>* data, int root) {
-  Rcce rcce(api, *layout);
-  co_await rcce.bcast_naive(*data, root);
-}
-
-TEST(Rcce, NaiveBroadcastDistributesData) {
-  machine::SccMachine machine(small_config());
-  const int p = machine.num_cores();
-  const Layout layout(p);
-  const int root = 3;
-  std::vector<std::vector<std::byte>> data(static_cast<std::size_t>(p),
-                                           std::vector<std::byte>(96));
-  data[root] = pattern(96, 9);
-  for (int r = 0; r < p; ++r)
-    machine.launch(r, bcast_program(machine.core(r), &layout,
-                                    &data[static_cast<std::size_t>(r)], root));
-  machine.run();
-  for (int r = 0; r < p; ++r)
-    EXPECT_EQ(data[static_cast<std::size_t>(r)], data[root]);
-}
-
-sim::Task<> naive_reduce_program(machine::CoreApi& api, const Layout* layout,
-                                 const std::vector<double>* in,
-                                 std::vector<double>* out, bool all) {
-  Rcce rcce(api, *layout);
-  co_await rcce.reduce_naive(*in, *out, ReduceOp::kSum, 0, all);
-}
-
-TEST(Rcce, NaiveReduceSumsAtRoot) {
-  machine::SccMachine machine(small_config());
-  const int p = machine.num_cores();
-  const Layout layout(p);
-  std::vector<std::vector<double>> in, out;
-  for (int r = 0; r < p; ++r) {
-    in.emplace_back(10, static_cast<double>(r + 1));
-    out.emplace_back(10, 0.0);
-  }
-  for (int r = 0; r < p; ++r)
-    machine.launch(r, naive_reduce_program(machine.core(r), &layout,
-                                           &in[static_cast<std::size_t>(r)],
-                                           &out[static_cast<std::size_t>(r)],
-                                           false));
-  machine.run();
-  const double want = p * (p + 1) / 2.0;
-  for (double v : out[0]) EXPECT_DOUBLE_EQ(v, want);
-}
-
-TEST(Rcce, NaiveAllreduceGivesEveryoneTheSum) {
-  machine::SccMachine machine(small_config());
-  const int p = machine.num_cores();
-  const Layout layout(p);
-  std::vector<std::vector<double>> in, out;
-  for (int r = 0; r < p; ++r) {
-    in.emplace_back(5, static_cast<double>(r));
-    out.emplace_back(5, 0.0);
-  }
-  for (int r = 0; r < p; ++r)
-    machine.launch(r, naive_reduce_program(machine.core(r), &layout,
-                                           &in[static_cast<std::size_t>(r)],
-                                           &out[static_cast<std::size_t>(r)],
-                                           true));
-  machine.run();
-  const double want = p * (p - 1) / 2.0;
-  for (int r = 0; r < p; ++r)
-    for (double v : out[static_cast<std::size_t>(r)])
-      EXPECT_DOUBLE_EQ(v, want);
 }
 
 TEST(Rcce, PartialLineMessagesCostMore) {
