@@ -9,21 +9,6 @@ namespace scc::coll::nbc {
 
 namespace {
 
-/// Dissemination ibarrier: ceil(log2 p) zero-length shift exchanges. The
-/// protocol performs at least one flag handshake even for an empty message,
-/// so each round synchronizes exactly like a dissemination-barrier round,
-/// but over the lane's own flags and with a round gate per round.
-Sched run_barrier(Stack& stack) {
-  auto& api = stack.api();
-  co_await api.overhead(api.cost().sw.coll_call);
-  const int p = stack.num_cores();
-  for (int d = 1; d < p; d <<= 1) {
-    co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
-    co_await stack.exchange_shift({}, {}, d);
-  }
-}
-
 Sched run_bcast(Stack& stack, std::span<double> data, int root,
                 SplitPolicy policy) {
   co_await broadcast(stack, data, root, policy);
@@ -70,11 +55,6 @@ bool CollRequest::done() const {
   return engine_->done(id_);
 }
 
-sim::Task<bool> CollRequest::test() {
-  SCC_EXPECTS(engine_ != nullptr);
-  return engine_->test(id_);
-}
-
 sim::Task<> CollRequest::wait() {
   SCC_EXPECTS(engine_ != nullptr);
   return engine_->wait(id_);
@@ -115,10 +95,6 @@ CollRequest ProgressEngine::enqueue(Sched sched) {
   const RequestId id = next_id_++;
   lane.queue.push_back(Pending{id, std::move(sched)});
   return CollRequest{this, id};
-}
-
-CollRequest ProgressEngine::ibarrier() {
-  return enqueue(run_barrier(next_lane().stack));
 }
 
 CollRequest ProgressEngine::ibcast(std::span<double> data, int root,
@@ -184,17 +160,8 @@ bool ProgressEngine::idle() const {
   return true;
 }
 
-sim::Task<> ProgressEngine::wait_all() {
-  while (!idle()) co_await progress();
-}
-
 sim::Task<> ProgressEngine::wait(RequestId id) {
   while (!done(id)) co_await progress();
-}
-
-sim::Task<bool> ProgressEngine::test(RequestId id) {
-  if (!done(id)) co_await progress();
-  co_return done(id);
 }
 
 }  // namespace scc::coll::nbc

@@ -27,9 +27,9 @@
 //
 // Request lifecycle: i*() enqueues a suspended schedule and returns a
 // CollRequest. No simulated time is charged at initiation; the kernel's
-// own coll_call overhead lands on the first step. test() runs one progress
-// pass (each lane head advances one round) and reports completion; wait()
-// loops progress until done. See DESIGN.md §17.
+// own coll_call overhead lands on the first step. progress() runs one pass
+// (each lane head advances one round), done() reports completion without
+// progressing, and wait() loops progress until done. See DESIGN.md §17.
 #pragma once
 
 #include <coroutine>
@@ -138,8 +138,6 @@ class CollRequest {
   [[nodiscard]] RequestId id() const { return id_; }
   /// Completed without further progress? (Zero-cost peek.)
   [[nodiscard]] bool done() const;
-  /// One progress pass over all lanes, then the completion check.
-  [[nodiscard]] sim::Task<bool> test();
   /// Progress until this request completes.
   [[nodiscard]] sim::Task<> wait();
 
@@ -161,7 +159,6 @@ class ProgressEngine {
   // overhead lands on the first step) ------------------------------------
   // Default algorithms mirror the blocking API exactly, so an nbc call with
   // defaulted algo runs the same schedule as its blocking counterpart.
-  CollRequest ibarrier();
   CollRequest ibcast(std::span<double> data, int root, SplitPolicy policy);
   CollRequest iallreduce(std::span<const double> in, std::span<double> out,
                          ReduceOp op, SplitPolicy policy,
@@ -180,12 +177,8 @@ class ProgressEngine {
   [[nodiscard]] bool done(RequestId id) const;
   /// True when no schedule is in flight.
   [[nodiscard]] bool idle() const;
-  /// Progress until everything in flight has completed.
-  [[nodiscard]] sim::Task<> wait_all();
   /// Progress until `id` has completed.
   [[nodiscard]] sim::Task<> wait(RequestId id);
-  /// One progress pass, then the completion check for `id`.
-  [[nodiscard]] sim::Task<bool> test(RequestId id);
 
  private:
   /// Yielder bridging a lane's Stack to the schedule currently stepping.

@@ -1,30 +1,10 @@
 #include "coll/stack.hpp"
 
-#include <array>
 #include <numeric>
 
+#include "rcce/protocol.hpp"
+
 namespace scc::coll {
-
-namespace {
-/// Probe spacing (core cycles) of cooperative poll-and-yield completion
-/// loops; matches the iRCCE wildcard poll spacing so multi-lane progress
-/// costs the same per probe as any other busy-poll in the model.
-constexpr std::uint64_t kCoopPollCycles = 300;
-}  // namespace
-
-sim::Task<> Stack::coop_wait_ircce(std::span<const ircce::RequestId> ids) {
-  auto& api = rcce_.api();
-  for (;;) {
-    bool all_done = true;
-    for (const ircce::RequestId id : ids) {
-      if (!co_await ircce_->test(id)) all_done = false;
-    }
-    if (all_done) co_return;
-    co_await api.charge(machine::Phase::kFlagWait,
-                        api.cost().hw.core_clock().cycles(kCoopPollCycles));
-    co_await round_gate();
-  }
-}
 
 sim::Task<> Stack::coop_wait_lwnb(bool pending_recv, bool pending_send) {
   auto& api = rcce_.api();
@@ -33,58 +13,38 @@ sim::Task<> Stack::coop_wait_lwnb(bool pending_recv, bool pending_send) {
     if (pending_send && co_await lwnb_->test_send()) pending_send = false;
     if (!pending_recv && !pending_send) co_return;
     co_await api.charge(machine::Phase::kFlagWait,
-                        api.cost().hw.core_clock().cycles(kCoopPollCycles));
+                        api.cost().hw.core_clock().cycles(rcce::kPollCycles));
     co_await round_gate();
   }
 }
 
 sim::Task<> Stack::exchange(std::span<const std::byte> sbuf, int dest,
                             std::span<std::byte> rbuf, int src) {
-  switch (prims_) {
-    case Prims::kBlocking: {
-      // Odd-even ordering (paper Fig. 4): odd IDs receive first.
-      if (rank() % 2 == 1) {
-        co_await rcce_.recv(rbuf, src);
-        co_await rcce_.send(sbuf, dest);
-      } else {
-        co_await rcce_.send(sbuf, dest);
-        co_await rcce_.recv(rbuf, src);
-      }
-      co_return;
+  if (prims_ == Prims::kBlocking) {
+    // Odd-even ordering (paper Fig. 4): odd IDs receive first.
+    if (rank() % 2 == 1) {
+      co_await rcce_.recv(rbuf, src);
+      co_await rcce_.send(sbuf, dest);
+    } else {
+      co_await rcce_.send(sbuf, dest);
+      co_await rcce_.recv(rbuf, src);
     }
-    case Prims::kIrcce: {
-      const auto sid = co_await ircce_->isend(sbuf, dest);
-      const auto rid = co_await ircce_->irecv(rbuf, src);
-      // Posted-but-not-completed is the overlap window the non-blocking
-      // layers exist for: under a progress engine, yield here so other
-      // in-flight schedules advance while the peer drains the post.
-      co_await round_gate();
-      // Cooperative single-chunk completion polls-and-yields so the other
-      // lanes of a multi-lane engine keep advancing; oversized messages
-      // fall back to the interleaved blocking path (wait_all's exchange
-      // fast path), which cannot yield mid-message.
-      if (cooperative() && sbuf.size() <= layout().chunk_bytes() &&
-          rbuf.size() <= layout().chunk_bytes()) {
-        const std::array<ircce::RequestId, 2> ids{rid, sid};
-        co_await coop_wait_ircce(ids);
-      } else {
-        const std::array<ircce::RequestId, 2> ids{sid, rid};
-        co_await ircce_->wait_all(ids);
-      }
-      co_return;
-    }
-    case Prims::kLightweight: {
-      co_await lwnb_->isend(sbuf, dest);
-      co_await lwnb_->irecv(rbuf, src);
-      co_await round_gate();
-      if (cooperative() && sbuf.size() <= layout().chunk_bytes() &&
-          rbuf.size() <= layout().chunk_bytes()) {
-        co_await coop_wait_lwnb(true, true);
-      } else {
-        co_await lwnb_->wait_both();
-      }
-      co_return;
-    }
+    co_return;
+  }
+  co_await lwnb_->isend(sbuf, dest);
+  co_await lwnb_->irecv(rbuf, src);
+  // Posted-but-not-completed is the overlap window the non-blocking layers
+  // exist for: under a progress engine, yield here so other in-flight
+  // schedules advance while the peer drains the post.
+  co_await round_gate();
+  // Cooperative single-chunk completion polls-and-yields so the other lanes
+  // of a multi-lane engine keep advancing; oversized messages fall back to
+  // wait_both's interleaved blocking path, which cannot yield mid-message.
+  if (cooperative() && sbuf.size() <= layout().chunk_bytes() &&
+      rbuf.size() <= layout().chunk_bytes()) {
+    co_await coop_wait_lwnb(true, true);
+  } else {
+    co_await lwnb_->wait_both();
   }
 }
 
@@ -129,58 +89,30 @@ sim::Task<> Stack::exchange_shift(std::span<const std::byte> sbuf,
 }
 
 sim::Task<> Stack::send(std::span<const std::byte> data, int dest) {
-  switch (prims_) {
-    case Prims::kBlocking:
-      co_await rcce_.send(data, dest);
-      co_return;
-    case Prims::kIrcce: {
-      const auto sid = co_await ircce_->isend(data, dest);
-      co_await round_gate();
-      if (cooperative() && data.size() <= layout().chunk_bytes()) {
-        const std::array<ircce::RequestId, 1> ids{sid};
-        co_await coop_wait_ircce(ids);
-      } else {
-        co_await ircce_->wait(sid);
-      }
-      co_return;
-    }
-    case Prims::kLightweight:
-      co_await lwnb_->isend(data, dest);
-      co_await round_gate();
-      if (cooperative() && data.size() <= layout().chunk_bytes()) {
-        co_await coop_wait_lwnb(false, true);
-      } else {
-        co_await lwnb_->wait_send();
-      }
-      co_return;
+  if (prims_ == Prims::kBlocking) {
+    co_await rcce_.send(data, dest);
+    co_return;
+  }
+  co_await lwnb_->isend(data, dest);
+  co_await round_gate();
+  if (cooperative() && data.size() <= layout().chunk_bytes()) {
+    co_await coop_wait_lwnb(false, true);
+  } else {
+    co_await lwnb_->wait_send();
   }
 }
 
 sim::Task<> Stack::recv(std::span<std::byte> data, int src) {
-  switch (prims_) {
-    case Prims::kBlocking:
-      co_await rcce_.recv(data, src);
-      co_return;
-    case Prims::kIrcce: {
-      const auto rid = co_await ircce_->irecv(data, src);
-      co_await round_gate();
-      if (cooperative() && data.size() <= layout().chunk_bytes()) {
-        const std::array<ircce::RequestId, 1> ids{rid};
-        co_await coop_wait_ircce(ids);
-      } else {
-        co_await ircce_->wait(rid);
-      }
-      co_return;
-    }
-    case Prims::kLightweight:
-      co_await lwnb_->irecv(data, src);
-      co_await round_gate();
-      if (cooperative() && data.size() <= layout().chunk_bytes()) {
-        co_await coop_wait_lwnb(true, false);
-      } else {
-        co_await lwnb_->wait_recv();
-      }
-      co_return;
+  if (prims_ == Prims::kBlocking) {
+    co_await rcce_.recv(data, src);
+    co_return;
+  }
+  co_await lwnb_->irecv(data, src);
+  co_await round_gate();
+  if (cooperative() && data.size() <= layout().chunk_bytes()) {
+    co_await coop_wait_lwnb(true, false);
+  } else {
+    co_await lwnb_->wait_recv();
   }
 }
 

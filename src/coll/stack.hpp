@@ -13,7 +13,6 @@
 
 #include "common/aligned.hpp"
 
-#include "ircce/ircce.hpp"
 #include "lwnb/lwnb.hpp"
 #include "rcce/rcce.hpp"
 #include "sim/task.hpp"
@@ -22,7 +21,7 @@ namespace scc::coll {
 
 enum class Prims {
   kBlocking,     // RCCE send/recv with odd-even ordering (Fig. 4)
-  kIrcce,        // iRCCE isend/irecv + wait_all (Fig. 5)
+  kIrcce,        // iRCCE isend/irecv + wait_all (Fig. 5), at iRCCE's cost
   kLightweight,  // the paper's single-slot non-blocking primitives
 };
 
@@ -78,10 +77,17 @@ class Yielder {
 
 class Stack {
  public:
+  /// Both non-blocking rungs run the single-slot engine (lwnb/lwnb.hpp);
+  /// they differ only in its per-call (issue, complete) cycles.
   Stack(machine::CoreApi& api, const rcce::Layout& layout, Prims prims)
       : rcce_(api, layout), prims_(prims) {
-    if (prims == Prims::kIrcce) ircce_.emplace(rcce_);
-    if (prims == Prims::kLightweight) lwnb_.emplace(rcce_);
+    const auto& sw = api.cost().sw;
+    if (prims == Prims::kIrcce) {
+      lwnb_.emplace(rcce_, sw.ircce_issue, sw.ircce_complete);
+    }
+    if (prims == Prims::kLightweight) {
+      lwnb_.emplace(rcce_, sw.lwnb_issue, sw.lwnb_complete);
+    }
   }
 
   [[nodiscard]] int rank() const { return rcce_.rank(); }
@@ -166,16 +172,13 @@ class Stack {
   [[nodiscard]] bool cooperative() const {
     return yielder_ != nullptr && yielder_->cooperative();
   }
-  /// Poll-and-yield completion of iRCCE requests: test each id, and while
-  /// any is incomplete charge one poll tick and yield the schedule so the
-  /// engine's other lanes keep making progress. Ids are tested in the order
-  /// given (receives first mirrors wait_all's completion policy).
-  sim::Task<> coop_wait_ircce(std::span<const ircce::RequestId> ids);
-  /// Same poll-and-yield discipline over the lightweight layer's slots.
+  /// Poll-and-yield completion of the pending slots: test each (the
+  /// receive first, like wait_both), and while either is incomplete charge
+  /// one poll tick and yield the schedule so the engine's other lanes keep
+  /// making progress.
   sim::Task<> coop_wait_lwnb(bool pending_recv, bool pending_send);
 
   rcce::Rcce rcce_;
-  std::optional<ircce::Ircce> ircce_;
   std::optional<lwnb::Lwnb> lwnb_;
   Prims prims_;
   Yielder* yielder_ = nullptr;

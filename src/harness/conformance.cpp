@@ -41,7 +41,9 @@ RunSpec base_run_spec(const ConformanceSpec& spec, PaperVariant variant,
   run.seed = spec.engine_seed;
   run.verify = true;  // every run is also checked against the serial model
   run.capture_outputs = true;
-  run.collect_metrics = spec.compare_metrics;
+  // Snapshot every run: the seed-invariant (volume-type) half of each
+  // perturbed run's metrics is diffed against its cell's baseline.
+  run.collect_metrics = true;
   run.split_override = spec.split;
   run.algo = algo;
   run.trace = spec.trace;
@@ -89,8 +91,13 @@ std::vector<Cell> build_cells(const ConformanceSpec& spec,
                          base_run_spec(spec, v, algo),
                          /*cross_check=*/true});
   }
+  // RCKMPI joins as a fourth cell when the collective has an MPI
+  // counterpart and no algorithm override is set (it runs MPICH's own
+  // schedules). Its outputs join the cross-stack diff only for the value-
+  // deterministic collectives: Reduce and ReduceScatter leave schedule-
+  // dependent garbage outside the owned regions.
   const std::vector<PaperVariant> plotted = variants_for(spec.collective);
-  if (spec.check_rckmpi && !algo &&
+  if (!algo &&
       std::find(plotted.begin(), plotted.end(), PaperVariant::kRckmpi) !=
           plotted.end()) {
     cells.push_back(Cell{"rckmpi",
@@ -285,7 +292,7 @@ ConformanceReport run_conformance(const ConformanceSpec& spec) {
                          static_cast<unsigned long long>(
                              baseline.line_hops)));
       }
-      if (spec.compare_metrics && baseline.metrics && perturbed.metrics) {
+      if (baseline.metrics && perturbed.metrics) {
         const std::vector<std::string> drift =
             metrics::MetricsRegistry::diff_invariant(*baseline.metrics,
                                                      *perturbed.metrics);

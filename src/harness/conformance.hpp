@@ -71,11 +71,6 @@ struct ConformanceSpec {
   faults::FaultSpec faults;
   int repetitions = 1;
   int warmup = 0;
-  /// Diffs the seed-invariant (volume-type) half of every perturbed run's
-  /// metrics snapshot against the stack's unperturbed baseline. On by
-  /// default: it subsumes the traffic-drift check and costs one snapshot
-  /// per run.
-  bool compare_metrics = true;
   /// When non-null, every run (baselines and perturbed replays) is traced
   /// into this recorder, each as its own run scope -- useful to visually
   /// compare the interleaving a failing perturbation seed produced.
@@ -86,21 +81,6 @@ struct ConformanceSpec {
   /// order, so the report (runs, failures, summary) is identical for every
   /// jobs value. A non-null `trace` recorder forces serial execution.
   int jobs = 1;
-  /// Adds the RCKMPI baseline as a fourth conformance cell whenever the
-  /// collective has an MPI counterpart and no algorithm override is set
-  /// (RCKMPI runs MPICH's own schedules, so per-algorithm cells make no
-  /// sense there). The cell gets the full per-cell treatment -- serial-
-  /// reference verify, perturbed-vs-baseline result diff, traffic and
-  /// metric drift -- and its outputs are additionally cross-checked against
-  /// the RCCE stacks' shared reference for the value-deterministic
-  /// collectives (allgather/alltoall/broadcast/allreduce; integer inputs
-  /// make every reduction order bit-equal). Reduce and ReduceScatter leave
-  /// schedule-dependent garbage outside the owned regions, so their RCKMPI
-  /// cells skip only the cross-stack diff. Long conformance runs also
-  /// re-exercise the channel's mod-256 sequence wraparound under real
-  /// collective traffic (cumulative line counters persist across
-  /// repetitions).
-  bool check_rckmpi = true;
   /// Adds one non-blocking cell per RCCE stack (RunSpec::nonblocking at one
   /// lane) for the collectives with an i*() entry point (coll/nbc.hpp).
   /// One lane replays the blocking wire schedule exactly, so these cells
@@ -127,8 +107,8 @@ struct ConformanceReport {
   int runs = 0;  // simulations executed (3 stacks x (1 baseline + K))
   std::vector<ConformanceFailure> failures;
   /// Full metrics snapshot of the first stack's unperturbed baseline (the
-  /// run every other run is diffed against); populated when
-  /// spec.compare_metrics. Lets soak drivers export what was checked.
+  /// run every other run is diffed against). Lets soak drivers export what
+  /// was checked.
   std::optional<metrics::MetricsRegistry> baseline_metrics;
   /// Name of every conformance cell of this configuration, in matrix order:
   /// the three RCCE stacks, then "rckmpi" (when present), then the

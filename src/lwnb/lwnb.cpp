@@ -6,17 +6,11 @@
 
 namespace scc::lwnb {
 
-namespace {
-/// Probe spacing (core cycles) of the interleaved oversized-exchange
-/// completion loop (matches the iRCCE engine's wildcard poll spacing).
-constexpr std::uint64_t kProgressPollCycles = 300;
-}  // namespace
-
 sim::Task<> Lwnb::isend(std::span<const std::byte> data, int dest) {
   SCC_EXPECTS(!send_pending_);
   SCC_EXPECTS(dest >= 0 && dest < rcce_->num_cores() && dest != rank());
   auto& api = rcce_->api();
-  co_await api.overhead(api.cost().sw.lwnb_issue);
+  co_await api.overhead(issue_cycles_);
   sdata_ = data;
   sdest_ = dest;
   send_pending_ = true;
@@ -30,7 +24,7 @@ sim::Task<> Lwnb::irecv(std::span<std::byte> data, int src) {
   SCC_EXPECTS(!recv_pending_);
   SCC_EXPECTS(src >= 0 && src < rcce_->num_cores() && src != rank());
   auto& api = rcce_->api();
-  co_await api.overhead(api.cost().sw.lwnb_issue);
+  co_await api.overhead(issue_cycles_);
   rdata_ = data;
   rsrc_ = src;
   recv_pending_ = true;
@@ -49,7 +43,7 @@ sim::Task<> Lwnb::wait_send() {
     co_await rcce::await_ack(api, layout, sdest_);
     done += len;
   }
-  co_await api.overhead(api.cost().sw.lwnb_complete);
+  co_await api.overhead(complete_cycles_);
   send_pending_ = false;
 }
 
@@ -65,7 +59,7 @@ sim::Task<> Lwnb::wait_recv() {
     co_await rcce::ack_sender(api, layout, rsrc_);
     done += len;
   } while (done < rdata_.size());
-  co_await api.overhead(api.cost().sw.lwnb_complete);
+  co_await api.overhead(complete_cycles_);
   recv_pending_ = false;
 }
 
@@ -81,9 +75,9 @@ sim::Task<> Lwnb::wait_both() {
     auto& api = rcce_->api();
     co_await rcce::complete_exchange(api, rcce_->layout(), sdata_,
                                      std::min(chunk, sdata_.size()), sdest_,
-                                     rdata_, rsrc_, kProgressPollCycles);
-    co_await api.overhead(api.cost().sw.lwnb_complete);  // the receive's
-    co_await api.overhead(api.cost().sw.lwnb_complete);  // the send's
+                                     rdata_, rsrc_);
+    co_await api.overhead(complete_cycles_);  // the receive's
+    co_await api.overhead(complete_cycles_);  // the send's
     recv_pending_ = false;
     send_pending_ = false;
     co_return;
@@ -99,7 +93,7 @@ sim::Task<bool> Lwnb::test_send() {
   if (sdata_.size() > layout.chunk_bytes()) co_return false;
   if (api.flag_peek(layout.ready_flag(rank(), sdest_)) == 0) co_return false;
   co_await rcce::await_ack(api, layout, sdest_);  // flag up: no wait
-  co_await api.overhead(api.cost().sw.lwnb_complete);
+  co_await api.overhead(complete_cycles_);
   send_pending_ = false;
   co_return true;
 }
@@ -112,7 +106,7 @@ sim::Task<bool> Lwnb::test_recv() {
   if (!rcce::sent_is_up(api, layout, rsrc_)) co_return false;
   co_await rcce::await_and_fetch(api, layout, rdata_, rsrc_);
   co_await rcce::ack_sender(api, layout, rsrc_);
-  co_await api.overhead(api.cost().sw.lwnb_complete);
+  co_await api.overhead(complete_cycles_);
   recv_pending_ = false;
   co_return true;
 }

@@ -1,17 +1,22 @@
-// Lightweight non-blocking primitives (the paper's Section IV-B).
+// Single-slot non-blocking primitives (the paper's Section IV-B), the one
+// engine behind both non-blocking rungs of the variant ladder.
 //
 // The insight: collective algorithms organized in rounds exchange at most
 // one message per peer per round, so the general iRCCE machinery (request
 // lists, wildcards, cancellation, dynamic memory) is pure overhead there.
 // This layer supports exactly ONE outstanding send and ONE outstanding
-// receive, held in fixed slots -- no allocation, no list walking -- and
-// charges correspondingly small per-call costs.
+// receive, held in fixed slots -- no allocation, no list walking.
 //
-// The wire protocol is the identical Fig. 3 flag handshake, so the blocking
-// / iRCCE / lightweight layers are interchangeable correctness-wise; only
-// the software path length differs.
+// The collectives never use what the general engine adds beyond that, so
+// iRCCE's generality is modelled by its per-call cost alone: the engine is
+// built with the (issue, complete) cycles of the rung it serves --
+// SwCostModel's ircce_* for the iRCCE variant, lwnb_* for the lightweight
+// one -- and runs the identical Fig. 3 flag handshake either way, so the
+// blocking and non-blocking layers are interchangeable correctness-wise;
+// only the software path length differs.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "rcce/rcce.hpp"
@@ -21,7 +26,13 @@ namespace scc::lwnb {
 
 class Lwnb {
  public:
-  explicit Lwnb(rcce::Rcce& rcce) : rcce_(&rcce) {}
+  /// `issue_cycles` is charged by each isend/irecv, `complete_cycles` by
+  /// each completed request.
+  Lwnb(rcce::Rcce& rcce, std::uint32_t issue_cycles,
+       std::uint32_t complete_cycles)
+      : rcce_(&rcce),
+        issue_cycles_(issue_cycles),
+        complete_cycles_(complete_cycles) {}
 
   [[nodiscard]] int rank() const { return rcce_->rank(); }
 
@@ -57,6 +68,8 @@ class Lwnb {
 
  private:
   rcce::Rcce* rcce_;
+  std::uint32_t issue_cycles_;
+  std::uint32_t complete_cycles_;
   std::span<const std::byte> sdata_;
   std::span<std::byte> rdata_;
   int sdest_ = -1;

@@ -54,8 +54,7 @@ bool sent_is_up(machine::CoreApi& api, const Layout& layout, int src) {
 sim::Task<> complete_exchange(machine::CoreApi& api, const Layout& layout,
                               std::span<const std::byte> sdata,
                               std::size_t staged, int dest,
-                              std::span<std::byte> rdata, int src,
-                              std::uint64_t poll_cycles) {
+                              std::span<std::byte> rdata, int src) {
   const int self = api.rank();
   std::size_t sdone = staged;
   std::size_t rdone = 0;
@@ -88,7 +87,7 @@ sim::Task<> complete_exchange(machine::CoreApi& api, const Layout& layout,
     }
     if (!progressed) {
       co_await api.charge(machine::Phase::kFlagWait,
-                          api.cost().hw.core_clock().cycles(poll_cycles));
+                          api.cost().hw.core_clock().cycles(kPollCycles));
     }
   }
 }

@@ -1,5 +1,5 @@
 // The RCCE wire protocol (Fig. 3 of the paper), factored into the four
-// half-steps shared by the blocking, iRCCE-style and lightweight layers:
+// half-steps shared by the blocking and the non-blocking (lwnb) layers:
 //
 //   sender:    stage_and_signal .................. await_ack
 //   receiver:  ............ await_and_fetch + ack_sender
@@ -17,6 +17,7 @@
 // is the source of the period-4 latency spikes in Fig. 9.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "machine/core_api.hpp"
@@ -43,22 +44,27 @@ sim::Task<> await_and_fetch(machine::CoreApi& api, const Layout& layout,
 /// Receiver half-step 2: raise `ready` at the sender.
 sim::Task<> ack_sender(machine::CoreApi& api, const Layout& layout, int src);
 
+/// Probe spacing (core cycles) of the non-blocking completion loops:
+/// complete_exchange below and coll::Stack's cooperative poll-and-yield.
+inline constexpr std::uint64_t kPollCycles = 300;
+
 /// True if `sent` from `src` is already raised (zero-cost probe used by the
-/// non-blocking engines' test paths; the charged read happens on fetch).
+/// non-blocking engine's test paths; the charged read happens on fetch).
 [[nodiscard]] bool sent_is_up(machine::CoreApi& api, const Layout& layout,
                               int src);
 
 /// Completes an in-flight bidirectional exchange whose messages may exceed
 /// one MPB chunk: alternates between fetching available receive chunks from
 /// `src` and, on ack, staging further send chunks to `dest`, polling every
-/// `poll_cycles` core cycles when neither side is ready.
+/// kPollCycles core cycles when neither side is ready.
 ///
 /// Completing the receive *before* pushing the remaining send chunks (what
-/// the engines' plain wait paths do) deadlocks for multi-chunk messages in
+/// the engine's plain wait paths do) deadlocks for multi-chunk messages in
 /// any exchange cycle -- pairwise included: each peer waits for its
 /// source's next chunk while its own next chunk sits unstaged behind the
-/// completed-receive-first policy. Engines call this only for the oversized
-/// case, keeping single-chunk wait sequences (and their timing) unchanged.
+/// completed-receive-first policy. The engine calls this only for the
+/// oversized case, keeping single-chunk wait sequences (and their timing)
+/// unchanged.
 ///
 /// Preconditions: the first send chunk (`staged` bytes, min(chunk, total))
 /// is already staged and signalled; the receive has fetched nothing yet.
@@ -68,7 +74,6 @@ sim::Task<> ack_sender(machine::CoreApi& api, const Layout& layout, int src);
 sim::Task<> complete_exchange(machine::CoreApi& api, const Layout& layout,
                               std::span<const std::byte> sdata,
                               std::size_t staged, int dest,
-                              std::span<std::byte> rdata, int src,
-                              std::uint64_t poll_cycles);
+                              std::span<std::byte> rdata, int src);
 
 }  // namespace scc::rcce

@@ -1,7 +1,7 @@
 // Direct tests of the non-blocking collective API (coll/nbc.hpp): result
 // equivalence with the blocking schedules, lanes=1 timing bit-identity,
-// overlapping-collectives interleave grid, ibarrier, and the overlap win
-// (lower makespan than serialized blocking calls on a non-blocking stack).
+// overlapping-collectives interleave grid, and the overlap win (lower
+// makespan than serialized blocking calls on a non-blocking stack).
 #include "coll/nbc.hpp"
 
 #include <gtest/gtest.h>
@@ -128,9 +128,8 @@ sim::Task<> nbc_grid_program(machine::CoreApi& api, Prims prims, int lanes,
                                      ReduceOp::kSum, SplitPolicy::kStandard);
   CollRequest a2a = engine.ialltoall(bufs->a2a_in, bufs->a2a_out);
   CollRequest bc = engine.ibcast(bufs->bc_data, 1, SplitPolicy::kStandard);
-  // Drive completion out of initiation order through test()+wait().
-  while (!(co_await a2a.test())) {
-  }
+  // Drive completion out of initiation order through progress()+wait().
+  while (!a2a.done()) co_await engine.progress();
   co_await bc.wait();
   co_await ag.wait();
   co_await ar.wait();
@@ -208,39 +207,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(prims_name(std::get<0>(param.param))) + "_lanes" +
              std::to_string(std::get<1>(param.param));
     });
-
-// --- ibarrier ------------------------------------------------------------
-
-sim::Task<> ibarrier_program(machine::CoreApi& api, Prims prims,
-                             std::vector<SimTime>* after) {
-  ProgressEngine engine(api, prims, prims == Prims::kBlocking ? 1 : 2);
-  // Stagger arrival so the barrier has real work to do.
-  co_await api.compute(static_cast<std::uint64_t>(api.rank()) * 5000);
-  CollRequest req = engine.ibarrier();
-  co_await req.wait();
-  (*after)[static_cast<std::size_t>(api.rank())] = api.now();
-}
-
-TEST(NbcBarrier, NoCoreLeavesBeforeLastEnters) {
-  for (const Prims prims : kAllPrims) {
-    machine::SccMachine machine(mesh(3, 1, 2));  // 6 cores
-    const int p = machine.num_cores();
-    std::vector<SimTime> after(static_cast<std::size_t>(p), SimTime::zero());
-    for (int r = 0; r < p; ++r) {
-      machine.launch(r, ibarrier_program(machine.core(r), prims, &after));
-    }
-    machine.run();
-    // The slowest core computes (p-1)*5000 cycles before entering; nobody
-    // may leave the barrier before that point in simulated time.
-    SimTime slowest_entry = SimTime::zero();
-    const auto clock = machine.config().cost.hw.core_clock();
-    slowest_entry = clock.cycles(static_cast<std::uint64_t>(p - 1) * 5000);
-    for (int r = 0; r < p; ++r) {
-      EXPECT_GE(after[static_cast<std::size_t>(r)], slowest_entry)
-          << prims_name(prims) << " rank " << r;
-    }
-  }
-}
 
 // --- overlap win ---------------------------------------------------------
 
