@@ -1,5 +1,6 @@
 #include "gcmc/app.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -25,12 +26,12 @@ enum class Action { kTranslate, kInsert, kDelete };
 /// Per-core application state. Every core tracks the global alive bitmap
 /// (updated deterministically from the shared RNG stream and the shared
 /// accept/reject decisions); only the owner holds particle coordinates.
+/// Each core has `slots` particle slots (see run_app).
 struct CoreState {
-  explicit CoreState(const AppParams& params, const KSpace& basis, int p)
-      : local(params.model, params.max_local_particles),
+  CoreState(const AppParams& params, const KSpace& basis, int p, int slots)
+      : local(params.model, slots),
         alive(static_cast<std::size_t>(p),
-              std::vector<bool>(
-                  static_cast<std::size_t>(params.max_local_particles), false)),
+              std::vector<bool>(static_cast<std::size_t>(slots), false)),
         rng(params.seed),
         f_local(static_cast<std::size_t>(params.model.kmaxvecs)),
         f_total(static_cast<std::size_t>(params.model.kmaxvecs)),
@@ -143,7 +144,7 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
   for (int g = 0; g < params.particles_total; ++g) {
     const int owner = g % p;
     const int slot = g / p;
-    SCC_EXPECTS(slot < params.max_local_particles);
+    SCC_EXPECTS(slot < st.local.capacity());
     Particle particle = st.local.make_particle(st.rng);
     st.alive[static_cast<std::size_t>(owner)][static_cast<std::size_t>(slot)] =
         true;
@@ -283,13 +284,21 @@ AppResult run_app(const AppParams& params, harness::PaperVariant variant,
   const int p = config.num_cores();
   SCC_EXPECTS(std::int64_t{params.particles_total} <=
               std::int64_t{params.max_local_particles} * p);
+  // A core never holds more than its initial share plus one insertion per
+  // move, and inserts take the lowest free slot, so slots past that bound
+  // are never touched: allocate up to the bound, not the whole capacity. A
+  // capacity below the bound still auto-rejects inserts into a full core.
+  const std::int64_t bound =
+      (std::int64_t{params.particles_total} + p - 1) / p + params.cycles;
+  const int slots = static_cast<int>(std::max<std::int64_t>(
+      1, std::min<std::int64_t>(params.max_local_particles, bound)));
   const harness::CommLayout layout(config, variant);
   machine::SccMachine machine(config);
 
   const KSpace kspace(params.model);
   std::vector<CoreState> states;
   states.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) states.emplace_back(params, kspace, p);
+  for (int r = 0; r < p; ++r) states.emplace_back(params, kspace, p, slots);
 
   for (int r = 0; r < p; ++r) {
     machine.launch(r, gcmc_core(machine.core(r), layout, params, variant,

@@ -32,7 +32,8 @@ struct AppParams {
   /// the compute/communication ratio is calibrated so the long-range
   /// evaluation dominates runtime as profiled in the paper).
   int particles_total = 240;
-  /// Capacity per core (insertions beyond this are auto-rejected).
+  /// Capacity per core (insertions beyond this are auto-rejected). A core
+  /// allocates only the slots the run can fill (run_app).
   int max_local_particles = 12;
   int cycles = 40;  // GCMC moves
   std::uint64_t seed = 2012;

@@ -91,12 +91,6 @@ SimTime LatencyCalculator::mpb_word_stream(int accessor, int mpb_owner,
                                      hops * hw_->mesh_cycles_per_hop);
 }
 
-SimTime LatencyCalculator::mesh_transit(int from, int to) const {
-  return fractional_cycles(hw_->mesh_clock(),
-                           effective_hops(from, to) *
-                               hw_->mesh_cycles_per_hop);
-}
-
 SimTime LatencyCalculator::priv_access(int core,
                                        const CacheAccessResult& r) const {
   const Clock core_clk = hw_->core_clock();

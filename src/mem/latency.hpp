@@ -57,27 +57,15 @@ class LatencyCalculator {
   [[nodiscard]] SimTime mpb_word_stream(int accessor, int mpb_owner,
                                         std::size_t bytes, bool is_read) const;
 
-  /// Mesh transit delay from core a's router to core b's (used for the
-  /// visibility delay of posted flag writes).
-  [[nodiscard]] SimTime mesh_transit(int from, int to) const;
-
   /// Cacheable private-memory access, costed from a cache classification.
   [[nodiscard]] SimTime priv_access(int core, const CacheAccessResult& r) const;
 
-  /// Plain compute: n core cycles (healthy machine; no core attribution).
-  [[nodiscard]] SimTime core_cycles(std::uint64_t n) const {
-    return hw_->core_clock().cycles(n);
-  }
-
   /// Plain compute at a specific core: n core cycles, stretched by the
-  /// core's fault factor (straggler / DVFS). Identical to core_cycles(n)
-  /// when the core is healthy.
+  /// core's fault factor (straggler / DVFS). Exactly n core cycles when the
+  /// core is healthy.
   [[nodiscard]] SimTime core_cycles(std::uint64_t n, int core) const {
     return scale_core(hw_->core_clock().cycles(n), core);
   }
-
-  [[nodiscard]] const HwCostModel& hw() const { return *hw_; }
-  [[nodiscard]] const faults::FaultModel* faults() const { return faults_; }
 
  private:
   /// t stretched by `factor`; exactly t when factor == 1 (the healthy-path

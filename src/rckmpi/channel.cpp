@@ -92,12 +92,6 @@ std::uint32_t Channel::rx_available(int src) const {
   return pair.lines_written - pair.lines_consumed;
 }
 
-bool Channel::incoming(int src) const {
-  auto* self = const_cast<Channel*>(this);
-  self->refresh_rx(src);
-  return rx_available(src) > 0;
-}
-
 sim::Task<> Channel::push_burst(int dest, std::span<const std::byte> payload,
                                 int tag, std::uint32_t& line_cursor,
                                 std::uint32_t max_lines) {
@@ -241,7 +235,7 @@ sim::Task<> Channel::recv(std::span<std::byte> data, int src, int tag) {
   SCC_EXPECTS(src >= 0 && src < layout_->num_cores() && src != rank());
   co_await api_->overhead(api_->cost().sw.mpi_call);
   const PacketHeader header = co_await read_header(src);
-  SCC_EXPECTS(tag == kAnyTag || header.tag == tag);
+  SCC_EXPECTS(header.tag == tag);
   SCC_EXPECTS(header.bytes == data.size());
   std::size_t cursor = 0;
   auto& pair = rx_[static_cast<std::size_t>(src)];
@@ -281,7 +275,7 @@ sim::Task<> Channel::sendrecv(std::span<const std::byte> sdata, int dest,
       if (rx_available(src) > 0) {
         if (!header_done) {
           const PacketHeader header = co_await read_header(src);
-          SCC_EXPECTS(tag == kAnyTag || header.tag == tag);
+          SCC_EXPECTS(header.tag == tag);
           SCC_EXPECTS(header.bytes == rdata.size());
           header_done = true;
         } else {

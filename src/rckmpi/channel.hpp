@@ -30,9 +30,6 @@
 
 namespace scc::rckmpi {
 
-/// Wildcard tag for receives.
-inline constexpr int kAnyTag = -1;
-
 /// Cumulative transport counters, aggregated over every core's Channel
 /// endpoint (the shared ChannelLayout owns them so the harness can read
 /// totals after the per-core endpoints are gone). `messages`, `header_lines`
@@ -115,8 +112,8 @@ class Channel {
   /// ring's capacity).
   sim::Task<> send(std::span<const std::byte> data, int dest, int tag);
 
-  /// Receives a message from `src`; `tag` must match the sender's (or be
-  /// kAnyTag). The per-pair ring is ordered, so matching is by position.
+  /// Receives a message from `src`; `tag` must match the sender's. The
+  /// per-pair ring is ordered, so matching is by position.
   sim::Task<> recv(std::span<std::byte> data, int src, int tag);
 
   /// Full-duplex exchange: pushes the outgoing message and drains the
@@ -128,9 +125,6 @@ class Channel {
   sim::Task<> sendrecv(std::span<const std::byte> sdata, int dest,
                        std::span<std::byte> rdata, int src, int tag,
                        std::uint32_t call_overhead_cycles = 0);
-
-  /// True when a header line from `src` is waiting (zero-cost probe).
-  [[nodiscard]] bool incoming(int src) const;
 
   /// Folds the (mod-256) flag value into the 32-bit cumulative counter.
   /// Public (and static) so tests can exercise the wraparound arithmetic

@@ -2,14 +2,17 @@
 // SCCMPB channel (point-to-point goes through channel() directly).
 //
 // This is the paper's comparison baseline ("a standard MPI implementation",
-// Section V). The algorithms are the classic MPICH choices:
-//   Bcast          -- binomial tree
-//   Reduce         -- binomial tree (commutative ops)
-//   Allreduce      -- recursive doubling (short) / Reduce+Bcast (long)
+// Section V). The algorithms are MPICH's, with RCKMPI's SCC tuning for long
+// vectors:
+//   Bcast          -- binomial tree (short) / binomial scatter + ring
+//                     allgather of the blocks (long: n >= 4p)
+//   Reduce         -- binomial tree (short: n < p) / ring ReduceScatter +
+//                     the owned blocks sent to the root (long)
+//   Allreduce      -- recursive doubling (short: n <= 256 or n < p) / ring
+//                     ReduceScatter + ring Allgather (long)
 //   Allgather      -- ring over duplex sendrecv
 //   Alltoall       -- pairwise tournament over duplex sendrecv
-//   ReduceScatter  -- Reduce to 0 + linear Scatterv (simplification of
-//                     MPICH's recursive halving; noted in DESIGN.md)
+//   ReduceScatter  -- ring (bucket) algorithm
 //   Barrier        -- dissemination with zero-byte messages
 // The heavy per-message cost (MPI call entry, per-packet processing,
 // matching) comes from the channel + the SwCostModel's mpi_* constants.

@@ -51,7 +51,7 @@ void Engine::schedule_resume(SimTime when, std::coroutine_handle<> h) {
   push_event(when, address);
 }
 
-void Engine::schedule_call(SimTime when, SmallCallable fn) {
+void Engine::schedule_call(SimTime when, std::function<void()> fn) {
   SCC_EXPECTS(when >= now_);
   SCC_EXPECTS(static_cast<bool>(fn));
   std::uint32_t slot;
@@ -136,7 +136,7 @@ void Engine::dispatch(Event ev) {
   // may schedule further callables, which can reuse the slot or grow (and
   // so relocate) the slab. A throwing call then leaves no slot behind.
   const auto slot = static_cast<std::uint32_t>(ev.payload >> 1);
-  SmallCallable call = std::move(calls_[slot]);
+  std::function<void()> call = std::move(calls_[slot]);
   free_slots_.push_back(slot);
   call();
 }

@@ -26,7 +26,6 @@
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
-#include "sim/callable.hpp"
 #include "sim/event_heap.hpp"
 #include "sim/task.hpp"
 #include "trace/recorder.hpp"
@@ -120,9 +119,8 @@ class Engine {
   void schedule_resume(SimTime when, std::coroutine_handle<> h);
 
   /// Run `fn` at absolute time `when` (must be >= now()). The callable is
-  /// invoked exactly once; captures up to SmallCallable::kInlineBytes stay
-  /// allocation-free.
-  void schedule_call(SimTime when, SmallCallable fn);
+  /// invoked exactly once.
+  void schedule_call(SimTime when, std::function<void()> fn);
 
   /// Awaitable: suspend the current coroutine for `duration`.
   /// Zero-duration sleeps still round-trip through the queue so two tasks
@@ -215,7 +213,7 @@ class Engine {
   // Callable slab: schedule_call parks its callable here and the event
   // carries the slot index. Slots are recycled through free_slots_, so the
   // slab grows to the peak number of pending callables and no further.
-  std::vector<SmallCallable> calls_;
+  std::vector<std::function<void()>> calls_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<Root> roots_;
   SimTime now_ = SimTime::zero();

@@ -24,7 +24,7 @@
 namespace scc::sim {
 
 /// Counters for the calling thread's arena (tests assert steady-state
-/// reuse; selfperf reports them).
+/// reuse and pin the frames a run allocates; hostbench reports them).
 struct FrameArenaStats {
   std::uint64_t allocs = 0;    // frame allocations served (any path)
   std::uint64_t reuses = 0;    // ... of which came from a free list

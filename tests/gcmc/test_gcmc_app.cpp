@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace scc::gcmc {
 namespace {
@@ -32,6 +33,35 @@ TEST(GcmcApp, RunsAndProducesFiniteEnergy) {
   EXPECT_LE(r.accepted, r.attempted);
   EXPECT_GT(r.runtime, SimTime::zero());
   EXPECT_EQ(r.profiles.size(), 8u);
+}
+
+TEST(GcmcApp, CapacityAboveWhatTheRunFillsChangesNothing) {
+  // 16 cycles: a core could reach 2 + 16 particles, so capacity 12 caps
+  // the slots and INT_MAX does not; no core fills 12, so every result must
+  // agree. INT_MAX slots per core would not fit in memory.
+  AppParams params = tiny_app();
+  params.cycles = 16;
+  for (const harness::PaperVariant v :
+       {harness::PaperVariant::kBlocking, harness::PaperVariant::kLwBalanced}) {
+    params.max_local_particles = 12;
+    const AppResult a = run_app(params, v, mesh8());
+    params.max_local_particles = std::numeric_limits<int>::max();
+    const AppResult b = run_app(params, v, mesh8());
+    EXPECT_EQ(a.runtime, b.runtime) << harness::variant_name(v);
+    EXPECT_EQ(a.final_energy, b.final_energy) << harness::variant_name(v);
+    EXPECT_EQ(a.accepted, b.accepted) << harness::variant_name(v);
+    EXPECT_EQ(a.attempted, b.attempted) << harness::variant_name(v);
+    EXPECT_EQ(a.final_particles, b.final_particles)
+        << harness::variant_name(v);
+    ASSERT_EQ(a.profiles.size(), b.profiles.size());
+    for (std::size_t r = 0; r < a.profiles.size(); ++r) {
+      for (int ph = 0; ph < static_cast<int>(machine::Phase::kCount); ++ph) {
+        const auto phase = static_cast<machine::Phase>(ph);
+        EXPECT_EQ(a.profiles[r].get(phase), b.profiles[r].get(phase))
+            << harness::variant_name(v) << " core " << r;
+      }
+    }
+  }
 }
 
 TEST(GcmcApp, DeterministicForSameSeed) {

@@ -5,7 +5,9 @@
 // non-power-of-two core count (the fold/unfold and rotation paths). A
 // kernel refactor that moves a charge or a peer shows up here as a changed
 // mean latency or event count (round gates cost nothing on a blocking run;
-// the nbc tiers and digests cover them).
+// the nbc tiers and digests cover them). The last two tests pin the host's
+// work on the paper's spotlight Allreduce: events dispatched and coroutine
+// frames allocated, so a change that adds either to the hot path fails.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +15,8 @@
 #include <string>
 
 #include "harness/runner.hpp"
+#include "harness/sweep.hpp"
+#include "sim/frame_arena.hpp"
 
 namespace scc::harness {
 namespace {
@@ -116,6 +120,40 @@ TEST(TimingPins, UnbaselinedSchedulesKeepTheirSimulatedTime) {
     EXPECT_EQ(r.mean_latency.femtoseconds(), pin.mean_fs) << label;
     EXPECT_EQ(r.events, pin.events) << label;
   }
+}
+
+// Frames are counted by sim::frame_arena_stats() on this thread (a serial
+// run allocates every frame here). The counts depend on how the compiler
+// allocates coroutine frames; these are GCC 12's.
+std::uint64_t frames_allocated() { return sim::frame_arena_stats().allocs; }
+
+TEST(TimingPins, SpotlightAllreduceWork) {
+  RunSpec spec;
+  spec.collective = Collective::kAllreduce;
+  spec.variant = PaperVariant::kLwBalanced;
+  spec.elements = 552;
+  spec.repetitions = 1;
+  spec.warmup = 0;
+  spec.verify = false;
+  const std::uint64_t frames0 = frames_allocated();
+  const RunResult r = run_collective(spec);
+  EXPECT_EQ(r.events, 85'444u);
+  EXPECT_EQ(frames_allocated() - frames0, 56'784u);
+}
+
+TEST(TimingPins, SerialAllreduceSweepFrames) {
+  SweepSpec sweep;
+  sweep.collective = Collective::kAllreduce;
+  sweep.from = 540;
+  sweep.to = 580;
+  sweep.step = 20;
+  sweep.repetitions = 1;
+  sweep.warmup = 1;
+  sweep.verify = false;
+  sweep.jobs = 1;
+  const std::uint64_t frames0 = frames_allocated();
+  (void)run_sweep(sweep);
+  EXPECT_EQ(frames_allocated() - frames0, 1'568'665u);
 }
 
 }  // namespace

@@ -120,12 +120,6 @@ TEST_F(LatencyTest, PrivMissIncludesDramAndMeshTerms) {
   EXPECT_NEAR(calc.priv_access(0, one_miss).ns(), want, 0.01);
 }
 
-TEST_F(LatencyTest, MeshTransitProportionalToHops) {
-  const LatencyCalculator calc(hw_, topo_);
-  EXPECT_EQ(calc.mesh_transit(0, 1), SimTime::zero());
-  EXPECT_NEAR(calc.mesh_transit(0, 47).ns(), mesh_cc_ns(hw_, 8 * 4), 0.01);
-}
-
 TEST(LatencyHelpers, LinesFor) {
   EXPECT_EQ(lines_for(0), 0u);
   EXPECT_EQ(lines_for(1), 1u);

@@ -80,17 +80,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(0, 1, 31, 32, 33, 100, 1000, 5600, 50000),
     [](const auto& param_info) { return "bytes_" + std::to_string(param_info.param); });
 
-TEST(Channel, WildcardTagAccepted) {
-  Fixture f;
-  const auto data = pattern(64, 1);
-  std::vector<std::byte> received(64);
-  f.machine->launch(0, chan_send(f.machine->core(0), f.layout.get(), &data, 1, 9));
-  f.machine->launch(1, chan_recv(f.machine->core(1), f.layout.get(), &received,
-                                 0, kAnyTag));
-  f.machine->run();
-  EXPECT_EQ(received, data);
-}
-
 TEST(ChannelDeath, TagMismatchDetected) {
   EXPECT_DEATH(
       {
@@ -301,29 +290,6 @@ TEST(Channel, CounterWrapUnderPerturbation) {
 TEST(Channel, CounterWrapUnderPerturbationWithDelays) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed)
     run_wrap_stream(seed, 1'000'000);  // up to 1 ns injected per event
-}
-
-TEST(Channel, IncomingProbe) {
-  Fixture f;
-  struct P {
-    static sim::Task<> probe(machine::CoreApi& api, const ChannelLayout* l,
-                             bool* before, bool* after) {
-      Channel channel(api, *l);
-      *before = channel.incoming(1);
-      co_await api.compute(1000000);  // let the sender run
-      *after = channel.incoming(1);
-      std::vector<std::byte> sink(16);
-      co_await channel.recv(sink, 1, 3);
-    }
-  };
-  const auto data = pattern(16, 4);
-  bool before = true, after = false;
-  f.machine->launch(0, P::probe(f.machine->core(0), f.layout.get(), &before,
-                                &after));
-  f.machine->launch(1, chan_send(f.machine->core(1), f.layout.get(), &data, 0, 3));
-  f.machine->run();
-  EXPECT_FALSE(before);
-  EXPECT_TRUE(after);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/frame_arena.hpp"
 #include "sim/wait_queue.hpp"
 
 namespace scc::sim {
@@ -421,16 +422,17 @@ TEST(EngineCallSlab, PerturbedInterleaveReproducesFromTheSeed) {
 TEST(EngineCallSlab, CallableSchedulingAtNowKeepsItsOwnCaptures) {
   // Each link schedules a burst of callables at now() -- reusing the slot
   // it was dispatched from and growing the slab -- then reads its own
-  // capture. The running callable must not live in the slab it grows.
+  // capture. The running callable must not live in the slab it grows, and
+  // draining callables allocates no coroutine frame.
   Engine engine;
   std::vector<std::string> seen;
   int fired = 0;
-  struct Link {  // fits SmallCallable's inline buffer
+  struct Link {
     Engine* engine;
     std::vector<std::string>* seen;
     int* fired;
     int depth;
-    std::unique_ptr<std::string> name;
+    std::shared_ptr<std::string> name;
     void operator()() {
       ++*fired;
       if (depth > 0) {
@@ -440,17 +442,18 @@ TEST(EngineCallSlab, CallableSchedulingAtNowKeepsItsOwnCaptures) {
         engine->schedule_call(
             engine->now(),
             Link{engine, seen, fired, depth - 1,
-                 std::make_unique<std::string>(*name +
+                 std::make_shared<std::string>(*name +
                                                std::to_string(depth))});
       }
       seen->push_back(*name);
     }
   };
-  static_assert(sizeof(Link) <= SmallCallable::kInlineBytes);
   engine.schedule_call(SimTime{5},
                        Link{&engine, &seen, &fired, 6,
-                            std::make_unique<std::string>(40, 'x')});
+                            std::make_shared<std::string>(40, 'x')});
+  const std::uint64_t frames0 = frame_arena_stats().allocs;
   engine.run();
+  EXPECT_EQ(frame_arena_stats().allocs - frames0, 0u);
   EXPECT_EQ(fired, 7 + 6 * 40);
   ASSERT_EQ(seen.size(), 7u);
   EXPECT_EQ(seen.front(), std::string(40, 'x'));
@@ -474,7 +477,7 @@ TEST(EngineCallSlab, OversizedCaptureDestroyedExactlyOnce) {
   int calls = 0;
   {
     Engine engine;
-    std::array<std::uint64_t, 16> big{};  // > SmallCallable::kInlineBytes
+    std::array<std::uint64_t, 16> big{};
     big[15] = 99;
     engine.schedule_call(SimTime{3},
                          [token = LiveCount(&live), big, &calls] {
@@ -514,7 +517,7 @@ TEST(EngineCallSlab, ThrowingCallableKeepsPendingCallables) {
 }
 
 TEST(EngineCallSlab, DestroyedEngineFreesPendingCallables) {
-  // Never-run callables, inline and heap-fallback, are destroyed with the
+  // Never-run callables, small and large captures, are destroyed with the
   // engine (the asan build reports any leak).
   int live = 0;
   {
@@ -522,7 +525,7 @@ TEST(EngineCallSlab, DestroyedEngineFreesPendingCallables) {
     for (int i = 0; i < 8; ++i) {
       engine.schedule_call(SimTime{static_cast<std::uint64_t>(i)},
                            [token = LiveCount(&live),
-                            owned = std::make_unique<int>(i)] {});
+                            owned = std::make_shared<int>(i)] {});
       engine.schedule_call(SimTime{static_cast<std::uint64_t>(i)},
                            [token = LiveCount(&live),
                             big = std::array<std::uint64_t, 16>{},

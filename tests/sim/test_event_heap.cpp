@@ -1,12 +1,9 @@
-// Unit tests for the engine's hot-path building blocks: the move-based
-// event heap (pop order must equal std::priority_queue's under a total
-// order) and the small-buffer move-only callable that replaced
-// std::function per event.
+// Unit tests for the engine's move-based event heap: its pop order must
+// equal std::priority_queue's under a total order.
 #include "sim/event_heap.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -15,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/callable.hpp"
 
 namespace scc::sim {
 namespace {
@@ -145,65 +141,6 @@ TEST(MoveHeap, MinPeeksWithoutPopping) {
   EXPECT_EQ(heap.size(), 3u);  // peek must not consume
   EXPECT_EQ(heap.pop_min(), 2);
   EXPECT_EQ(heap.min(), 7);
-}
-
-TEST(SmallCallable, InvokesInlineCapture) {
-  int hits = 0;
-  SmallCallable fn([&hits] { ++hits; });
-  ASSERT_TRUE(static_cast<bool>(fn));
-  fn();
-  fn();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(SmallCallable, MoveTransfersOwnership) {
-  int hits = 0;
-  SmallCallable a([&hits] { ++hits; });
-  SmallCallable b = std::move(a);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(hits, 1);
-  SmallCallable c;
-  c = std::move(b);
-  c();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(SmallCallable, OversizedCaptureFallsBackToHeapAndStillRuns) {
-  // > kInlineBytes of capture: must take the heap path transparently.
-  std::array<std::uint64_t, 16> payload{};
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = i * 3 + 1;
-  static_assert(sizeof(payload) > SmallCallable::kInlineBytes);
-  std::uint64_t sum = 0;
-  SmallCallable fn([payload, &sum] {
-    for (const std::uint64_t v : payload) sum += v;
-  });
-  SmallCallable moved = std::move(fn);
-  moved();
-  EXPECT_EQ(sum, 376u);  // sum of 3i+1 for i in [0, 16)
-}
-
-TEST(SmallCallable, DestroysCaptureExactlyOnce) {
-  int alive = 0;
-  struct Tracker {
-    int* alive;
-    explicit Tracker(int* a) : alive(a) { ++*alive; }
-    Tracker(const Tracker& o) : alive(o.alive) { ++*alive; }
-    Tracker(Tracker&& o) noexcept : alive(o.alive) { ++*alive; }
-    ~Tracker() { --*alive; }
-    void operator()() const {}
-  };
-  {
-    SmallCallable fn(Tracker{&alive});
-    EXPECT_EQ(alive, 1);
-    SmallCallable moved = std::move(fn);
-    EXPECT_EQ(alive, 1);  // relocate destroys the source capture
-    moved();
-    EXPECT_EQ(alive, 1);
-  }
-  EXPECT_EQ(alive, 0);  // both wrappers gone, no leak / double destroy
 }
 
 }  // namespace
