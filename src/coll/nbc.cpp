@@ -1,5 +1,7 @@
 #include "coll/nbc.hpp"
 
+#include <coroutine>
+#include <exception>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -9,41 +11,21 @@ namespace scc::coll::nbc {
 
 namespace {
 
-Sched run_bcast(Stack& stack, std::span<double> data, int root,
-                SplitPolicy policy) {
-  co_await broadcast(stack, data, root, policy);
-}
-
-Sched run_allreduce(Stack& stack, std::span<const double> in,
-                    std::span<double> out, ReduceOp op, SplitPolicy policy,
-                    Algo algo) {
-  co_await allreduce(stack, in, out, op, policy, algo);
-}
-
-Sched run_allgather(Stack& stack, std::span<const double> contribution,
-                    std::span<double> gathered, Algo algo) {
-  co_await allgather(stack, contribution, gathered, algo);
-}
-
-Sched run_alltoall(Stack& stack, std::span<const double> sendbuf,
-                   std::span<double> recvbuf, Algo algo) {
-  co_await alltoall(stack, sendbuf, recvbuf, algo);
-}
-
-/// Awaiting a step transfers into the schedule's resume point; the schedule
-/// returns control either through a round gate (LaneYielder::on_round) or
-/// through its FinalAwaiter. Completion status and exceptions are inspected
-/// by the stepper afterwards, never thrown here, so the engine can restore
-/// its invariants before propagating a failure.
+/// Awaiting a step transfers into the lane head's resume point (its own
+/// Task frame on the first step). The schedule comes back either through a
+/// round gate, which parks it in the lane's LaneYield, or through its
+/// Task's final awaiter. Completion and failure are read by progress()
+/// afterwards, never thrown here, so the engine can retire the request
+/// before propagating a failure.
 struct StepAwaiter {
-  Sched::promise_type* promise;
-  [[nodiscard]] bool await_ready() const noexcept {
-    return promise->finished;
-  }
+  LaneYield& lane;
+  std::coroutine_handle<sim::Task<>::promise_type> schedule;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
   [[nodiscard]] std::coroutine_handle<> await_suspend(
       std::coroutine_handle<> stepper) const noexcept {
-    promise->step_continuation = stepper;
-    return promise->resume_point;
+    lane.stepper = stepper;
+    schedule.promise().continuation = stepper;
+    return lane.resume ? lane.resume : schedule;
   }
   void await_resume() const noexcept {}
 };
@@ -75,82 +57,72 @@ ProgressEngine::ProgressEngine(machine::CoreApi& api, Prims prims,
               api.machine().config().flags_per_core);
   lanes_.reserve(static_cast<std::size_t>(lanes));
   for (int which = 0; which < lanes; ++which) {
-    lanes_.push_back(std::make_unique<Lane>(
-        api, rcce::Layout::lane(p, which, lanes), prims));
     // Multi-lane interleaving needs poll-and-yield completions (see
-    // Yielder::cooperative); one lane keeps blocking-API-identical timing.
-    lanes_.back()->yielder.set_cooperative(lanes > 1);
+    // LaneYield::cooperative); one lane keeps blocking-API-identical timing.
+    lanes_.push_back(std::make_unique<Lane>(
+        api, rcce::Layout::lane(p, which, lanes), prims, lanes > 1));
   }
 }
 
-// Requests go round-robin over lanes by initiation index; the i*() helpers
-// must build the schedule against the SAME lane enqueue() will file it in.
-ProgressEngine::Lane& ProgressEngine::next_lane() {
+// Requests go round-robin over lanes by id; the i*() helpers must build
+// the schedule against the SAME lane enqueue() will file it in.
+ProgressEngine::Lane& ProgressEngine::lane_of(RequestId id) const {
   return *lanes_[static_cast<std::size_t>(
-      next_id_ % static_cast<RequestId>(lanes_.size()))];
+      id % static_cast<RequestId>(lanes_.size()))];
 }
 
-CollRequest ProgressEngine::enqueue(Sched sched) {
-  Lane& lane = next_lane();
+CollRequest ProgressEngine::enqueue(sim::Task<> schedule) {
   const RequestId id = next_id_++;
-  lane.queue.push_back(Pending{id, std::move(sched)});
+  lane_of(id).queue.push_back(Pending{id, std::move(schedule)});
   return CollRequest{this, id};
 }
 
 CollRequest ProgressEngine::ibcast(std::span<double> data, int root,
                                    SplitPolicy policy) {
-  return enqueue(run_bcast(next_lane().stack, data, root, policy));
+  return enqueue(broadcast(lane_of(next_id_).stack, data, root, policy));
 }
 
 CollRequest ProgressEngine::iallreduce(std::span<const double> in,
                                        std::span<double> out, ReduceOp op,
                                        SplitPolicy policy, Algo algo) {
-  return enqueue(run_allreduce(next_lane().stack, in, out, op, policy, algo));
+  return enqueue(
+      allreduce(lane_of(next_id_).stack, in, out, op, policy, algo));
 }
 
 CollRequest ProgressEngine::iallgather(std::span<const double> contribution,
                                        std::span<double> gathered, Algo algo) {
-  return enqueue(run_allgather(next_lane().stack, contribution, gathered,
-                               algo));
+  return enqueue(
+      allgather(lane_of(next_id_).stack, contribution, gathered, algo));
 }
 
 CollRequest ProgressEngine::ialltoall(std::span<const double> sendbuf,
                                       std::span<double> recvbuf, Algo algo) {
-  return enqueue(run_alltoall(next_lane().stack, sendbuf, recvbuf, algo));
-}
-
-sim::Task<> ProgressEngine::step_lane(Lane& lane) {
-  SCC_EXPECTS(!lane.queue.empty());
-  // No re-entrant stepping: a schedule must not call back into the engine.
-  SCC_EXPECTS(lane.yielder.active == nullptr);
-  Pending& head = lane.queue.front();
-  Sched::promise_type& promise = head.sched.promise();
-  lane.yielder.active = &promise;
-  co_await StepAwaiter{&promise};
-  lane.yielder.active = nullptr;
-  if (promise.finished) {
-    // Retire before propagating any failure so the engine stays usable.
-    std::exception_ptr failure = promise.exception;
-    lane.queue.pop_front();
-    if (failure) std::rethrow_exception(failure);
-  }
+  return enqueue(alltoall(lane_of(next_id_).stack, sendbuf, recvbuf, algo));
 }
 
 sim::Task<> ProgressEngine::progress() {
   for (auto& lane : lanes_) {
     if (lane->queue.empty()) continue;
-    co_await step_lane(*lane);
+    // No re-entrant stepping: a schedule must not call back into the engine.
+    SCC_EXPECTS(!lane->yield.stepper);
+    sim::Task<>& schedule = lane->queue.front().schedule;
+    co_await StepAwaiter{lane->yield, schedule.native_handle()};
+    lane->yield.stepper = {};
+    if (schedule.done()) {
+      // Retire before propagating any failure so the engine stays usable.
+      lane->yield.resume = {};
+      const std::exception_ptr failure = schedule.failure();
+      lane->queue.pop_front();
+      if (failure) std::rethrow_exception(failure);
+    }
   }
 }
 
 bool ProgressEngine::done(RequestId id) const {
   SCC_EXPECTS(id < next_id_);
-  for (const auto& lane : lanes_) {
-    for (const Pending& p : lane->queue) {
-      if (p.id == id) return false;
-    }
-  }
-  return true;
+  // Each lane retires its requests in id order.
+  const auto& queue = lane_of(id).queue;
+  return queue.empty() || queue.front().id > id;
 }
 
 bool ProgressEngine::idle() const {

@@ -1,14 +1,17 @@
-// Non-blocking collectives (coll::nbc): resumable schedule state machines
-// over the existing Stack abstraction, driven by a per-core ProgressEngine.
+// Non-blocking collectives (coll::nbc): the collective kernels' own
+// coroutines, stepped round by round by a per-core ProgressEngine over the
+// existing Stack abstraction.
 //
-// A collective schedule is an ordinary kernel coroutine (the same code the
+// A collective schedule is an ordinary kernel Task (the same code the
 // blocking API runs) whose round boundaries `co_await stack.round_gate()`.
-// With a Yielder attached, each gate suspends the schedule and symmetric-
-// transfers control back to the engine's stepper, so one core can hold any
-// number of collectives in flight and advance them round by round between
-// slices of compute. Detached (the blocking API), every gate is a free
-// no-op -- zero events, zero simulated time -- so blocking behaviour and
-// committed baselines are untouched.
+// With a LaneYield attached, each gate parks the suspended frame in the
+// lane and symmetric-transfers back to the progress pass stepping it; a
+// finished schedule returns through its Task's own final awaiter, and its
+// exception through Task::failure(). So one core can hold any number of
+// collectives in flight and advance them round by round between slices of
+// compute. Detached (the blocking API), every gate is a free no-op -- zero
+// events, zero simulated time -- so blocking behaviour and committed
+// baselines are untouched.
 //
 // Concurrency model -- lanes. The RCCE-family wire protocol is untagged:
 // each (src, dst) pair shares one FIFO flag channel, so two collectives
@@ -17,7 +20,7 @@
 // the flag index space and MPB payload into `lanes` sublayouts
 // (rcce::Layout::lane); each lane owns a full Stack and executes its queue
 // strictly FIFO (only the head schedule is stepped). Requests are assigned
-// lanes round-robin by initiation index, which is globally consistent
+// lanes round-robin by id (initiation index), which is globally consistent
 // because initiation order is SPMD: every core must initiate the same
 // collectives in the same order, exactly as with the blocking API. Within
 // a lane, messages serialize in schedule order; across lanes nothing is
@@ -25,17 +28,17 @@
 // blocking traffic bit-exactly; more lanes buy real overlap at the price
 // of a smaller per-lane chunk size.
 //
-// Request lifecycle: i*() enqueues a suspended schedule and returns a
+// Request lifecycle: i*() queues the kernel's suspended Task and returns a
 // CollRequest. No simulated time is charged at initiation; the kernel's
 // own coll_call overhead lands on the first step. progress() runs one pass
 // (each lane head advances one round), done() reports completion without
-// progressing, and wait() loops progress until done. See DESIGN.md §17.
+// progressing, and wait() loops progress until done. Because lane
+// `id % lanes` holds request `id` and retires in id order, done(id) reads
+// one queue head. See DESIGN.md §17.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <memory>
 #include <span>
 #include <vector>
@@ -43,83 +46,9 @@
 #include "coll/collectives.hpp"
 #include "coll/stack.hpp"
 #include "rcce/layout.hpp"
-#include "sim/frame_arena.hpp"
 #include "sim/task.hpp"
 
 namespace scc::coll::nbc {
-
-/// Root coroutine of one in-flight collective schedule. Lazily started;
-/// each step runs from the stored resume point to the next round gate (or
-/// to completion). The promise is the Yielder bridge: on_round stores the
-/// suspended frame here and transfers back to the stepper.
-class Sched {
- public:
-  struct promise_type {
-    static void* operator new(std::size_t bytes) {
-      return sim::frame_alloc(bytes);
-    }
-    static void operator delete(void* block, std::size_t bytes) noexcept {
-      sim::frame_free(block, bytes);
-    }
-
-    std::coroutine_handle<> resume_point;      // next step resumes here
-    std::coroutine_handle<> step_continuation; // stepper awaiting this step
-    std::exception_ptr exception;
-    bool finished = false;
-
-    Sched get_return_object() {
-      auto h = std::coroutine_handle<promise_type>::from_promise(*this);
-      resume_point = h;  // first step starts the root coroutine
-      return Sched{h};
-    }
-    [[nodiscard]] std::suspend_always initial_suspend() const noexcept {
-      return {};
-    }
-    struct FinalAwaiter {
-      [[nodiscard]] bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<promise_type> h) noexcept {
-        h.promise().finished = true;
-        return h.promise().step_continuation;
-      }
-      void await_resume() const noexcept {}
-    };
-    [[nodiscard]] FinalAwaiter final_suspend() const noexcept { return {}; }
-    void return_void() const noexcept {}
-    void unhandled_exception() noexcept {
-      exception = std::current_exception();
-    }
-  };
-
-  Sched() = default;
-  Sched(Sched&& other) noexcept
-      : handle_(std::exchange(other.handle_, {})) {}
-  Sched& operator=(Sched&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Sched(const Sched&) = delete;
-  Sched& operator=(const Sched&) = delete;
-  ~Sched() { destroy(); }
-
-  [[nodiscard]] promise_type& promise() const { return handle_.promise(); }
-  [[nodiscard]] bool finished() const {
-    return handle_ && handle_.promise().finished;
-  }
-
- private:
-  explicit Sched(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-  std::coroutine_handle<promise_type> handle_;
-};
 
 /// Engine-issued request id; strictly increasing per (core, engine) in
 /// initiation order, identical across cores for an SPMD program.
@@ -181,38 +110,30 @@ class ProgressEngine {
   [[nodiscard]] sim::Task<> wait(RequestId id);
 
  private:
-  /// Yielder bridging a lane's Stack to the schedule currently stepping.
-  class LaneYielder final : public Yielder {
-   public:
-    Sched::promise_type* active = nullptr;
-    [[nodiscard]] std::coroutine_handle<> on_round(
-        std::coroutine_handle<> frame) noexcept override {
-      active->resume_point = frame;
-      return active->step_continuation;
-    }
-  };
-
   struct Pending {
     RequestId id;
-    Sched sched;
+    sim::Task<> schedule;
   };
 
-  /// One lane: a full sublayout Stack plus its FIFO of schedules. Heap-
-  /// allocated so the Layout address handed to Rcce stays stable.
+  /// One lane: a full sublayout Stack, the yield state its round gates
+  /// write, and its FIFO of schedules. Heap-allocated so the Layout and
+  /// LaneYield addresses handed to the Stack stay stable.
   struct Lane {
-    Lane(machine::CoreApi& api, rcce::Layout lay, Prims prims)
+    Lane(machine::CoreApi& api, rcce::Layout lay, Prims prims,
+         bool cooperative)
         : layout(lay), stack(api, layout, prims) {
-      stack.set_yielder(&yielder);
+      yield.cooperative = cooperative;
+      stack.attach(&yield);
     }
     rcce::Layout layout;
-    LaneYielder yielder;
+    LaneYield yield;
     Stack stack;
     std::deque<Pending> queue;
   };
 
-  [[nodiscard]] Lane& next_lane();
-  CollRequest enqueue(Sched sched);
-  [[nodiscard]] sim::Task<> step_lane(Lane& lane);
+  /// The lane that holds request `id` (round-robin by id).
+  [[nodiscard]] Lane& lane_of(RequestId id) const;
+  CollRequest enqueue(sim::Task<> schedule);
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   RequestId next_id_ = 0;

@@ -40,39 +40,21 @@ inline constexpr std::array<Prims, 3> kAllPrims = {
   return "?";
 }
 
-/// Cooperative yield hook for resumable collective schedules (coll/nbc.hpp).
-/// When attached to a Stack, every round boundary inside the collective
-/// kernels suspends the running schedule and symmetric-transfers control
-/// back to the progress engine's stepper; detached (the default), round
-/// boundaries are free no-ops, so blocking calls are bit-identical to a
-/// build without the hook.
-class Yielder {
- public:
-  Yielder() = default;
-  Yielder(const Yielder&) = delete;
-  Yielder& operator=(const Yielder&) = delete;
-
-  /// Called at a round boundary with the deepest suspended frame; returns
-  /// the coroutine to transfer control to (the stepper's continuation).
-  [[nodiscard]] virtual std::coroutine_handle<> on_round(
-      std::coroutine_handle<> frame) noexcept = 0;
-
-  /// Cooperative mode: set when the attached engine interleaves MORE than
-  /// one lane on this core. A schedule step that blocks on a peer's flag
-  /// then pins the whole core and can close a cross-lane wait cycle (core A
-  /// stuck in lane 0 waiting on B while B is stuck in lane 1 waiting on A),
-  /// so in cooperative mode the non-blocking layers must poll-and-yield at
-  /// completion points instead of blocking mid-step. Single-lane engines
-  /// leave this false and keep the blocking waits -- and their bit-exact
+/// The yield state of one progress-engine lane (coll/nbc.hpp), written by
+/// the round gates of the Stack attached to it. Detached (the default),
+/// round boundaries are free no-ops, so blocking calls are bit-identical
+/// to a build without the hook.
+struct LaneYield {
+  std::coroutine_handle<> resume;   // where the lane's next step resumes
+  std::coroutine_handle<> stepper;  // the progress pass running this step
+  /// Set when the engine interleaves MORE than one lane on this core. A
+  /// schedule step that blocks on a peer's flag then pins the whole core
+  /// and can close a cross-lane wait cycle (core A stuck in lane 0 waiting
+  /// on B while B is stuck in lane 1 waiting on A), so cooperative lanes
+  /// poll-and-yield at completion points instead of blocking mid-step.
+  /// Single-lane engines keep the blocking waits -- and their bit-exact
   /// blocking-API timing.
-  [[nodiscard]] bool cooperative() const { return cooperative_; }
-  void set_cooperative(bool on) { cooperative_ = on; }
-
- protected:
-  ~Yielder() = default;
-
- private:
-  bool cooperative_ = false;
+  bool cooperative = false;
 };
 
 class Stack {
@@ -137,23 +119,23 @@ class Stack {
   sim::Task<> barrier() { return rcce_.barrier(); }
 
   /// Round-boundary awaitable. The collective kernels `co_await` this once
-  /// per communication round: with no yielder attached it is ready
+  /// per communication round: with no lane attached it is ready
   /// immediately (zero events, zero simulated time -- the blocking path is
-  /// unchanged); with one attached it suspends the schedule so the
-  /// non-blocking progress engine can interleave other work (DESIGN.md §17).
+  /// unchanged); with one attached it parks the suspended frame in the lane
+  /// and transfers back to the stepping progress pass, so the non-blocking
+  /// engine can interleave other work (DESIGN.md §17).
   struct RoundGate {
-    Yielder* yielder;
-    [[nodiscard]] bool await_ready() const noexcept {
-      return yielder == nullptr;
-    }
+    LaneYield* lane;
+    [[nodiscard]] bool await_ready() const noexcept { return lane == nullptr; }
     [[nodiscard]] std::coroutine_handle<> await_suspend(
         std::coroutine_handle<> frame) const noexcept {
-      return yielder->on_round(frame);
+      lane->resume = frame;
+      return lane->stepper;
     }
     void await_resume() const noexcept {}
   };
-  [[nodiscard]] RoundGate round_gate() const { return RoundGate{yielder_}; }
-  void set_yielder(Yielder* y) { yielder_ = y; }
+  [[nodiscard]] RoundGate round_gate() const { return RoundGate{lane_}; }
+  void attach(LaneYield* lane) { lane_ = lane; }
 
   /// Persistent per-core scratch for the collective algorithms. Temporaries
   /// must not be heap-allocated per call: the cache model keys on host
@@ -170,7 +152,7 @@ class Stack {
  private:
   /// True when completion points must poll-and-yield (multi-lane engine).
   [[nodiscard]] bool cooperative() const {
-    return yielder_ != nullptr && yielder_->cooperative();
+    return lane_ != nullptr && lane_->cooperative;
   }
   /// Poll-and-yield completion of the pending slots: test each (the
   /// receive first, like wait_both), and while either is incomplete charge
@@ -181,7 +163,7 @@ class Stack {
   rcce::Rcce rcce_;
   std::optional<lwnb::Lwnb> lwnb_;
   Prims prims_;
-  Yielder* yielder_ = nullptr;
+  LaneYield* lane_ = nullptr;
   std::array<aligned_vector<double>, 3> scratch_;
 };
 

@@ -108,7 +108,6 @@ std::vector<Cell> build_cells(const ConformanceSpec& spec,
   if (spec.check_nbc && nbc_supported(spec.collective)) {
     for (const PaperVariant v : kStacks) {
       RunSpec run = base_run_spec(spec, v, algo);
-      run.nonblocking = true;
       run.nbc_lanes = 1;
       cells.push_back(Cell{std::string(variant_name(v)) + "-nbc", run,
                            /*cross_check=*/true});

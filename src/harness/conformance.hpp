@@ -81,9 +81,9 @@ struct ConformanceSpec {
   /// order, so the report (runs, failures, summary) is identical for every
   /// jobs value. A non-null `trace` recorder forces serial execution.
   int jobs = 1;
-  /// Adds one non-blocking cell per RCCE stack (RunSpec::nonblocking at one
-  /// lane) for the collectives with an i*() entry point (coll/nbc.hpp).
-  /// One lane replays the blocking wire schedule exactly, so these cells
+  /// Adds one non-blocking cell per RCCE stack (RunSpec::nbc_lanes = 1)
+  /// for the collectives with an i*() entry point (coll/nbc.hpp). One lane
+  /// replays the blocking wire schedule exactly, so these cells
   /// cross-check bit-for-bit against the shared reference and must show
   /// zero traffic drift under every perturbation seed.
   bool check_nbc = false;

@@ -32,7 +32,7 @@ std::string run_label(const RunSpec& spec) {
     label += strprintf(" algo=%s",
                        std::string(coll::algo_name(*spec.algo)).c_str());
   }
-  if (spec.nonblocking) {
+  if (spec.nbc_lanes > 0) {
     label += strprintf(" nbc lanes=%d", spec.nbc_lanes);
   }
   if (!spec.config.faults.empty()) {
@@ -104,12 +104,12 @@ sim::Task<> core_program(machine::CoreApi& api, const CommLayout& layout,
                          const RunSpec& spec, CoreData& data) {
   Comm comm(api, layout, spec.variant,
             spec.split_override.value_or(split_of(spec.variant)), spec.algo,
-            spec.nonblocking ? spec.nbc_lanes : 0);
+            spec.nbc_lanes);
   const int total = spec.warmup + spec.repetitions;
   for (int rep = 0; rep < total; ++rep) {
     co_await api.sync_barrier();
     const SimTime start = api.now();
-    if (spec.nonblocking) {
+    if (spec.nbc_lanes > 0) {
       // Initiate, then drive the engine to completion: one lane replays
       // the blocking wire schedule exactly, under the same verify, metrics
       // and perturbation plumbing.
@@ -259,10 +259,14 @@ void check_spec(const RunSpec& spec) {
           std::string(collective_name(spec.collective)).c_str()));
     }
   }
-  if (spec.nonblocking) {
+  if (spec.nbc_lanes < 0) {
+    throw std::runtime_error("RunSpec::nbc_lanes must be >= 0");
+  }
+  if (spec.nbc_lanes > 0) {
     if (!stack_based(spec.variant)) {
       throw std::runtime_error(strprintf(
-          "--nbc is not supported for the %s variant (no i*() entry point)",
+          "RunSpec::nbc_lanes is not supported for the %s variant (no i*() "
+          "entry point)",
           std::string(variant_name(spec.variant)).c_str()));
     }
     if (!nbc_supported(spec.collective)) {
@@ -270,13 +274,11 @@ void check_spec(const RunSpec& spec) {
           "%s has no non-blocking entry point (coll/nbc.hpp)",
           std::string(collective_name(spec.collective)).c_str()));
     }
-    if (spec.nbc_lanes < 1) {
-      throw std::runtime_error("--nbc-lanes must be >= 1");
-    }
     if (spec.nbc_lanes > 1 && spec.variant == PaperVariant::kBlocking) {
       throw std::runtime_error(
           "the blocking stack cannot interleave lanes (its synchronous "
-          "handshake has no poll-and-yield completion); use --nbc-lanes=1");
+          "handshake has no poll-and-yield completion); use "
+          "RunSpec::nbc_lanes = 1");
     }
   }
   const int p = spec.config.num_cores();
@@ -306,8 +308,7 @@ RunResult run_collective(const RunSpec& spec) {
 
   machine::SccConfig config = spec.config;
   const int p = config.num_cores();
-  const CommLayout layout(config, spec.variant,
-                          spec.nonblocking ? spec.nbc_lanes : 0);
+  const CommLayout layout(config, spec.variant, spec.nbc_lanes);
   machine::SccMachine machine(config);
   if (spec.trace) {
     spec.trace->begin_run(run_label(spec));

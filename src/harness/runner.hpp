@@ -171,18 +171,17 @@ struct RunSpec {
   /// machine's phase intervals, scheduler instants and link windows are
   /// recorded (see trace/recorder.hpp). Tracing never changes timing.
   trace::Recorder* trace = nullptr;
-  /// Runs the collective through the non-blocking API (coll/nbc.hpp): each
-  /// repetition initiates an i*() request on a per-core ProgressEngine and
-  /// drives it to completion with wait(). Only the RCCE-family variants
-  /// (blocking/ircce/lightweight/lw-balanced) and the collectives with an
-  /// i*() entry point (allgather, alltoall, broadcast, allreduce) support
-  /// this; results must be identical to the blocking path.
-  bool nonblocking = false;
-  /// Progress-engine lanes when nonblocking (see coll/nbc.hpp). One lane is
-  /// bit-identical to the blocking schedule; more lanes change the flag/MPB
-  /// partitioning (and need a non-blocking stack). flags_per_core is raised
-  /// automatically to cover the widest lane.
-  int nbc_lanes = 1;
+  /// 0 runs the blocking call. N >= 1 runs the collective through the
+  /// non-blocking API (coll/nbc.hpp) on an N-lane per-core ProgressEngine:
+  /// each repetition initiates an i*() request and drives it to completion
+  /// with wait(). Only the RCCE-family variants (blocking/ircce/lightweight/
+  /// lw-balanced) and the collectives with an i*() entry point (allgather,
+  /// alltoall, broadcast, allreduce) support this; results must be
+  /// identical to the blocking path. One lane is bit-identical to the
+  /// blocking schedule; more lanes change the flag/MPB partitioning (and
+  /// need a non-blocking stack). flags_per_core is raised automatically to
+  /// cover the widest lane.
+  int nbc_lanes = 0;
   machine::SccConfig config = machine::SccConfig::paper_default();
 };
 

@@ -226,12 +226,14 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
         "traffic_gen supports the RCCE-family variants only, not %s",
         std::string(variant_name(spec.variant)).c_str()));
   }
-  if (spec.lanes < 1) throw std::runtime_error("--lanes must be >= 1");
+  if (spec.lanes < 1) {
+    throw std::runtime_error("TrafficSpec::lanes must be >= 1");
+  }
   if (!spec.serialize && spec.lanes > 1 &&
       spec.variant == PaperVariant::kBlocking) {
     throw std::runtime_error(
         "the blocking stack cannot interleave lanes (no poll-and-yield "
-        "completion); use --lanes=1 or a non-blocking variant");
+        "completion); use TrafficSpec::lanes = 1 or a non-blocking variant");
   }
   if (spec.elements < 1) throw std::runtime_error("--elements must be >= 1");
 
@@ -247,7 +249,8 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
         // a lane step, which can deadlock across lanes -- reject up front.
         throw std::runtime_error(strprintf(
             "elements=%zu (%zu bytes/message) exceeds lane %d's MPB chunk "
-            "(%zu bytes) at --lanes=%d; shrink the message or the lane count",
+            "(%zu bytes) at TrafficSpec::lanes = %d; shrink the message or "
+            "the lane count",
             spec.elements, spec.elements * sizeof(double), lane,
             sub.chunk_bytes(), spec.lanes));
       }

@@ -85,9 +85,8 @@ struct HwCostModel {
   /// Cached write (write-back): cycles per line at the core.
   std::uint32_t cache_write_core_cycles = 4;
 
-  // --- cache geometry (per core; unified model of the 256 KB L2) ---
+  // --- cache capacity (per core; fully associative, see mem/cache.hpp) ---
   std::uint32_t cache_bytes = 256 * 1024;
-  std::uint32_t cache_ways = 4;
 
   [[nodiscard]] Clock core_clock() const { return Clock{core_hz}; }
   [[nodiscard]] Clock mesh_clock() const { return Clock{mesh_hz}; }

@@ -115,7 +115,8 @@ class [[nodiscard]] Task {
     return Awaiter{handle_};
   }
 
-  /// For the engine only: the raw handle (used to start root tasks).
+  /// The raw handle, for the two places that resume tasks themselves:
+  /// sim::Engine starts root tasks, coll::nbc steps collective schedules.
   [[nodiscard]] std::coroutine_handle<promise_type> native_handle() const {
     return handle_;
   }
@@ -185,6 +186,7 @@ class [[nodiscard]] Task<void> {
     return Awaiter{handle_};
   }
 
+  /// As Task<T>::native_handle(): for sim::Engine and coll::nbc only.
   [[nodiscard]] std::coroutine_handle<promise_type> native_handle() const {
     return handle_;
   }

@@ -1,11 +1,14 @@
 // Direct tests of the non-blocking collective API (coll/nbc.hpp): result
 // equivalence with the blocking schedules, lanes=1 timing bit-identity,
-// overlapping-collectives interleave grid, and the overlap win (lower
-// makespan than serialized blocking calls on a non-blocking stack).
+// overlapping-collectives interleave grid, done() at the moment of
+// completion under a backlog, and the overlap win (lower makespan than
+// serialized blocking calls on a non-blocking stack).
 #include "coll/nbc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "coll/collectives.hpp"
@@ -120,6 +123,47 @@ struct GridBufs {
   std::vector<double> bc_data;
 };
 
+constexpr std::size_t kGridN = 24;
+constexpr int kGridRoot = 1;
+
+/// Rank r's buffers for one allgather, allreduce, alltoall and broadcast
+/// (from kGridRoot); inputs use salts salt..salt+3.
+GridBufs grid_bufs(int r, int p, int salt) {
+  const std::size_t n = kGridN;
+  const std::size_t np = n * static_cast<std::size_t>(p);
+  GridBufs b;
+  b.ag_in = input_for(r, n, salt);
+  b.ag_out.assign(np, -1.0);
+  b.ar_in = input_for(r, n, salt + 1);
+  b.ar_out.assign(n, -1.0);
+  b.a2a_in = input_for(r, np, salt + 2);
+  b.a2a_out.assign(np, -1.0);
+  b.bc_data = r == kGridRoot ? input_for(r, 4 * n, salt + 3)
+                             : std::vector<double>(4 * n, -1.0);
+  return b;
+}
+
+/// Rank r's outputs against the serial reference.
+void expect_grid_outputs(const GridBufs& b, int r, int p, int salt) {
+  const std::size_t n = kGridN;
+  const std::size_t mine = static_cast<std::size_t>(r) * n;
+  std::vector<double> ag, ar(n, 0.0), a2a;
+  for (int s = 0; s < p; ++s) {
+    const auto contribution = input_for(s, n, salt);
+    ag.insert(ag.end(), contribution.begin(), contribution.end());
+    const auto in = input_for(s, n, salt + 1);
+    for (std::size_t i = 0; i < n; ++i) ar[i] += in[i];
+    const auto sent = input_for(s, n * static_cast<std::size_t>(p), salt + 2);
+    a2a.insert(a2a.end(), sent.begin() + static_cast<std::ptrdiff_t>(mine),
+               sent.begin() + static_cast<std::ptrdiff_t>(mine + n));
+  }
+  EXPECT_EQ(b.ag_out, ag) << "allgather rank " << r;
+  EXPECT_EQ(b.ar_out, ar) << "allreduce rank " << r;
+  EXPECT_EQ(b.a2a_out, a2a) << "alltoall rank " << r;
+  EXPECT_EQ(b.bc_data, input_for(kGridRoot, 4 * n, salt + 3))
+      << "broadcast rank " << r;
+}
+
 sim::Task<> nbc_grid_program(machine::CoreApi& api, Prims prims, int lanes,
                              GridBufs* bufs) {
   ProgressEngine engine(api, prims, lanes);
@@ -127,7 +171,8 @@ sim::Task<> nbc_grid_program(machine::CoreApi& api, Prims prims, int lanes,
   CollRequest ar = engine.iallreduce(bufs->ar_in, bufs->ar_out,
                                      ReduceOp::kSum, SplitPolicy::kStandard);
   CollRequest a2a = engine.ialltoall(bufs->a2a_in, bufs->a2a_out);
-  CollRequest bc = engine.ibcast(bufs->bc_data, 1, SplitPolicy::kStandard);
+  CollRequest bc =
+      engine.ibcast(bufs->bc_data, kGridRoot, SplitPolicy::kStandard);
   // Drive completion out of initiation order through progress()+wait().
   while (!a2a.done()) co_await engine.progress();
   co_await bc.wait();
@@ -143,48 +188,15 @@ TEST_P(NbcInterleave, FourOverlappingCollectivesAllCorrect) {
   const auto [prims, lanes] = GetParam();
   machine::SccMachine machine(mesh(2, 2, lanes));
   const int p = machine.num_cores();
-  const std::size_t n = 24;
-  std::vector<GridBufs> bufs(static_cast<std::size_t>(p));
+  std::vector<GridBufs> bufs;
+  for (int r = 0; r < p; ++r) bufs.push_back(grid_bufs(r, p, 1));
   for (int r = 0; r < p; ++r) {
-    auto& b = bufs[static_cast<std::size_t>(r)];
-    b.ag_in = input_for(r, n, 1);
-    b.ag_out.assign(n * static_cast<std::size_t>(p), -1.0);
-    b.ar_in = input_for(r, n, 2);
-    b.ar_out.assign(n, -1.0);
-    b.a2a_in = input_for(r, n * static_cast<std::size_t>(p), 3);
-    b.a2a_out.assign(n * static_cast<std::size_t>(p), -1.0);
-    b.bc_data = r == 1 ? input_for(r, 4 * n, 4)
-                       : std::vector<double>(4 * n, -1.0);
-    machine.launch(r, nbc_grid_program(machine.core(r), prims, lanes, &b));
+    machine.launch(r, nbc_grid_program(machine.core(r), prims, lanes,
+                                       &bufs[static_cast<std::size_t>(r)]));
   }
   machine.run();
   for (int r = 0; r < p; ++r) {
-    const auto& b = bufs[static_cast<std::size_t>(r)];
-    for (int s = 0; s < p; ++s) {
-      const auto contribution = input_for(s, n, 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(b.ag_out[static_cast<std::size_t>(s) * n + i],
-                  contribution[i])
-            << "allgather rank " << r;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      double want = 0.0;
-      for (int s = 0; s < p; ++s) want += input_for(s, n, 2)[i];
-      ASSERT_EQ(b.ar_out[i], want) << "allreduce rank " << r;
-    }
-    for (int s = 0; s < p; ++s) {
-      const auto sent = input_for(s, n * static_cast<std::size_t>(p), 3);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(b.a2a_out[static_cast<std::size_t>(s) * n + i],
-                  sent[static_cast<std::size_t>(r) * n + i])
-            << "alltoall rank " << r;
-      }
-    }
-    const auto root_data = input_for(1, 4 * n, 4);
-    for (std::size_t i = 0; i < 4 * n; ++i) {
-      ASSERT_EQ(b.bc_data[i], root_data[i]) << "broadcast rank " << r;
-    }
+    expect_grid_outputs(bufs[static_cast<std::size_t>(r)], r, p, 1);
   }
 }
 
@@ -207,6 +219,71 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(prims_name(std::get<0>(param.param))) + "_lanes" +
              std::to_string(std::get<1>(param.param));
     });
+
+// --- done() under a backlog ----------------------------------------------
+
+// Two grid sets, eight requests up front on two lanes; done() is queried
+// for every request after every pass until the engine is idle.
+sim::Task<> backlog_program(machine::CoreApi& api, Prims prims, GridBufs* a,
+                            GridBufs* b) {
+  ProgressEngine engine(api, prims, 2);
+  const auto split = SplitPolicy::kStandard;
+  // Ids alternate lanes, so each lane holds all four kinds in a different
+  // order. A braced list initiates in order.
+  const std::vector<std::pair<CollRequest, std::span<const double>>> reqs = {
+      {engine.iallgather(a->ag_in, a->ag_out), a->ag_out},
+      {engine.iallreduce(a->ar_in, a->ar_out, ReduceOp::kSum, split),
+       a->ar_out},
+      {engine.ialltoall(a->a2a_in, a->a2a_out), a->a2a_out},
+      {engine.ibcast(a->bc_data, kGridRoot, split), a->bc_data},
+      {engine.ibcast(b->bc_data, kGridRoot, split), b->bc_data},
+      {engine.ialltoall(b->a2a_in, b->a2a_out), b->a2a_out},
+      {engine.iallreduce(b->ar_in, b->ar_out, ReduceOp::kSum, split),
+       b->ar_out},
+      {engine.iallgather(b->ag_in, b->ag_out), b->ag_out}};
+  std::vector<std::vector<double>> snapshots(reqs.size());
+  std::vector<bool> seen(reqs.size(), false);
+  while (!engine.idle()) {
+    co_await engine.progress();
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const bool done = reqs[i].first.done();
+      EXPECT_TRUE(done || !seen[i]) << "request " << i << " un-completed";
+      if (!done || seen[i]) continue;
+      EXPECT_TRUE(i < 2 || seen[i - 2])
+          << "request " << i << " retired before " << i - 2;
+      seen[i] = true;
+      snapshots[i].assign(reqs[i].second.begin(), reqs[i].second.end());
+    }
+  }
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(snapshots[i], std::vector<double>(reqs[i].second.begin(),
+                                                reqs[i].second.end()))
+        << "rank " << api.rank() << " request " << i
+        << ": done() held before the output was final";
+  }
+}
+
+TEST(NbcBacklog, DoneIsNeverEarlyAndLanesRetireInOrder) {
+  for (const Prims prims : {Prims::kIrcce, Prims::kLightweight}) {
+    SCOPED_TRACE(prims_name(prims));
+    machine::SccMachine machine(mesh(2, 2, 2));
+    const int p = machine.num_cores();
+    std::vector<GridBufs> a, b;
+    for (int r = 0; r < p; ++r) {
+      a.push_back(grid_bufs(r, p, 1));
+      b.push_back(grid_bufs(r, p, 5));
+    }
+    for (int r = 0; r < p; ++r) {
+      const auto k = static_cast<std::size_t>(r);
+      machine.launch(r, backlog_program(machine.core(r), prims, &a[k], &b[k]));
+    }
+    machine.run();
+    for (int r = 0; r < p; ++r) {
+      expect_grid_outputs(a[static_cast<std::size_t>(r)], r, p, 1);
+      expect_grid_outputs(b[static_cast<std::size_t>(r)], r, p, 5);
+    }
+  }
+}
 
 // --- overlap win ---------------------------------------------------------
 

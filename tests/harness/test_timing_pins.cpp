@@ -5,9 +5,11 @@
 // non-power-of-two core count (the fold/unfold and rotation paths). A
 // kernel refactor that moves a charge or a peer shows up here as a changed
 // mean latency or event count (round gates cost nothing on a blocking run;
-// the nbc tiers and digests cover them). The last two tests pin the host's
-// work on the paper's spotlight Allreduce: events dispatched and coroutine
-// frames allocated, so a change that adds either to the hot path fails.
+// the nbc tiers and digests cover them). The last three tests pin the
+// host's work -- events dispatched and coroutine frames allocated -- on the
+// paper's spotlight Allreduce and on two-lane non-blocking traffic, so a
+// change that adds either to the blocking hot path or to the progress
+// engine's steps fails.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
+#include "harness/traffic.hpp"
 #include "sim/frame_arena.hpp"
 
 namespace scc::harness {
@@ -154,6 +157,15 @@ TEST(TimingPins, SerialAllreduceSweepFrames) {
   const std::uint64_t frames0 = frames_allocated();
   (void)run_sweep(sweep);
   EXPECT_EQ(frames_allocated() - frames0, 1'568'665u);
+}
+
+TEST(TimingPins, TrafficTwoLaneWork) {
+  TrafficSpec spec;
+  spec.lanes = 2;
+  const std::uint64_t frames0 = frames_allocated();
+  const TrafficResult r = run_traffic(spec);
+  EXPECT_EQ(r.events, 31'501u);
+  EXPECT_EQ(frames_allocated() - frames0, 30'562u);
 }
 
 }  // namespace

@@ -95,7 +95,6 @@ TEST(NbcRunnerGrid, OneLaneMatchesBlockingBitExactPerAlgorithm) {
         const harness::RunResult want = harness::run_collective(blocking);
 
         harness::RunSpec nbc = blocking;
-        nbc.nonblocking = true;
         nbc.nbc_lanes = 1;
         const harness::RunResult got = harness::run_collective(nbc);
         ASSERT_EQ(got.outputs.size(), want.outputs.size());
