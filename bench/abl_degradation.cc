@@ -31,9 +31,10 @@
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "exec/executor.hpp"
-#include "faults/fault_model.hpp"
+#include "faults/fault_spec.hpp"
 #include "harness/runner.hpp"
 #include "metrics/blame.hpp"
+#include "noc/topology.hpp"
 
 namespace {
 
@@ -96,12 +97,12 @@ int main(int argc, char** argv) {
     const int p = base.config.num_cores();
 
     // Parse + validate every scenario against the actual mesh up front.
-    const noc::Topology topo(base.config.tiles_x, base.config.tiles_y,
-                             base.config.cores_per_tile);
     std::vector<faults::FaultSpec> specs;
     for (const Scenario& s : kScenarios) {
       faults::FaultSpec spec = faults::FaultSpec::parse(s.faults);
-      if (const auto err = faults::FaultModel::check(spec, topo)) {
+      if (const auto err = noc::Topology::check(
+              base.config.tiles_x, base.config.tiles_y,
+              base.config.cores_per_tile, spec)) {
         throw std::runtime_error(strprintf("scenario %s: %s", s.name,
                                            err->c_str()));
       }

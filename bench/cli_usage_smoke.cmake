@@ -5,7 +5,8 @@
 # non-Fig. 9 --collective, out-of-range sweep values and an --algo the
 # collective does not have. Integers inside flag values (--mesh=WxH,
 # --sizes, fault specs) must be whole, in range and not overflow, a fault
-# factor must be a finite number, flags narrowed to int must fit, and the
+# factor must be a finite number, a fault clause must fit the mesh (no
+# straggler on a core it lacks), flags narrowed to int must fit, and the
 # examples must reject bad names and sizes up front instead of crashing.
 # Sizes the 8 KB MPB cannot hold are usage errors too: a mesh with more
 # cores than the RCCE layout has flag lines for, an RCKMPI mesh too large
@@ -77,6 +78,7 @@ binary_path(collective_playground binary)
 expect_usage_error("${binary}" --variant=rckmpi --mesh=7x7)
 expect_usage_error("${binary}" --variant=mpb --elements=19969)
 expect_usage_error("${binary}" --faults=straggler:99999999999x2)
+expect_usage_error("${binary}" --faults=straggler:99x2)
 expect_usage_error("${binary}" --faults=straggler:3x.)
 binary_path(obs_report binary)
 expect_usage_error("${binary}" --out=x.html --reps=4294967296)

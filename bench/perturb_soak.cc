@@ -24,7 +24,7 @@
 // The fault dimension (src/faults) is sampled the same way: about a third
 // of the rounds degrade the machine with 1-2 random clauses (stragglers,
 // DVFS steps, slow links; dead links only on meshes wide enough to
-// reroute), validated against the round's mesh with FaultModel::check --
+// reroute), validated against the round's mesh with Topology::check --
 // an unlucky draw (e.g. dead links that would disconnect the mesh) falls
 // back to the healthy machine rather than aborting. --faults=SPEC pins the
 // dimension for every round ('' = force healthy). Faults stretch timings
@@ -55,8 +55,9 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "exec/executor.hpp"
-#include "faults/fault_model.hpp"
+#include "faults/fault_spec.hpp"
 #include "harness/conformance.hpp"
+#include "noc/topology.hpp"
 #include "trace/chrome_export.hpp"
 
 namespace {
@@ -85,7 +86,7 @@ scc::faults::LinkRef sample_link(scc::Xoshiro256& rng, int tiles_x,
 }
 
 /// The round's draw of the fault dimension: 1-2 random clauses against the
-/// round's mesh. The caller validates with FaultModel::check and falls back
+/// round's mesh. The caller validates with Topology::check and falls back
 /// to the healthy machine when an unlucky draw (e.g. two dead links that
 /// disconnect a 2x2 mesh) is invalid.
 scc::faults::FaultSpec sample_faults(scc::Xoshiro256& rng, int tiles_x,
@@ -234,10 +235,9 @@ int main(int argc, char** argv) {
                                     mesh.x * mesh.y * spec.cores_per_tile);
       }
       if (!spec.faults.empty()) {
-        const scc::noc::Topology topo(spec.tiles_x, spec.tiles_y,
-                                      spec.cores_per_tile);
-        if (const auto err =
-                scc::faults::FaultModel::check(spec.faults, topo)) {
+        if (const auto err = scc::noc::Topology::check(
+                spec.tiles_x, spec.tiles_y, spec.cores_per_tile,
+                spec.faults)) {
           if (fixed_faults) {
             std::fprintf(stderr, "--faults: %s\n", err->c_str());
             return 2;

@@ -61,7 +61,7 @@
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "exec/executor.hpp"
-#include "faults/fault_model.hpp"
+#include "faults/fault_spec.hpp"
 #include "harness/runner.hpp"
 #include "metrics/blame.hpp"
 #include "metrics/histogram.hpp"
@@ -107,16 +107,9 @@ int main(int argc, char** argv) {
       spec.config.cost.hw.mpb_bug_workaround = false;
     }
     const std::string faults_flag = flags.get("faults", "");
-    if (!faults_flag.empty()) {
-      spec.config.faults = faults::FaultSpec::parse(faults_flag);
-      // Report semantic problems (bad core id, disconnected mesh) as a CLI
-      // error instead of tripping the FaultModel's contract check.
-      const noc::Topology topo(spec.config.tiles_x, spec.config.tiles_y,
-                               spec.config.cores_per_tile);
-      if (const auto err = faults::FaultModel::check(spec.config.faults, topo)) {
-        throw std::runtime_error("--faults: " + *err);
-      }
-    }
+    // Semantic problems (bad core id, disconnected mesh) are
+    // run_collective's check_spec errors, which exit 2 like any other.
+    spec.config.faults = faults::FaultSpec::parse(faults_flag);
     const std::string trace_path = flags.get("trace", "");
     const std::string metrics_path = flags.get("metrics", "");
     const bool blame = flags.get_bool("blame", false);

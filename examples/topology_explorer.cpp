@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       int count = 0;
       double ns = 0.0;
       for (int c = 0; c < topo.num_cores(); ++c) {
-        if (topo.hops_to_mc(c) != hops) continue;
+        if (topo.weighted_hops_to_mc(c) != hops) continue;
         mem::CacheAccessResult miss;
         miss.misses = 1;
         ns = calc.priv_access(c, miss).ns();

@@ -71,6 +71,16 @@ class SimTime {
   std::uint64_t fs_ = 0;
 };
 
+/// `t` stretched by a fault factor (truncated to whole femtoseconds);
+/// exactly `t` at factor 1.0, so a healthy core or link keeps the
+/// unscaled arithmetic bit for bit.
+[[nodiscard]] inline SimTime scaled(SimTime t, double factor) {
+  if (factor == 1.0) return t;
+  const long double fs = static_cast<long double>(t.femtoseconds()) *
+                         static_cast<long double>(factor);
+  return SimTime{static_cast<std::uint64_t>(fs)};
+}
+
 /// One clock domain (e.g. the 533 MHz core clock). Converts cycle counts to
 /// SimTime durations without accumulating per-cycle rounding error.
 class Clock {

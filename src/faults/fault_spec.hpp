@@ -1,12 +1,14 @@
 // FaultSpec: a declarative, seed-free description of machine degradation.
 //
 // Generalizes the one-off mpb_bug_workaround toggle into a fault/variability
-// injection layer (ROADMAP item 5): straggler cores, per-link latency
-// multipliers, dead links with static reroute, and stepped DVFS-style
-// frequency scaling. A FaultSpec is pure data -- it is compiled against a
-// concrete mesh by faults::FaultModel (fault_model.hpp), which is where
-// semantic validation (core/link ranges, mesh connectivity) happens via
-// SCC_EXPECTS contract checks.
+// injection layer: straggler cores, per-link latency multipliers, dead
+// links with static reroute, and stepped DVFS-style frequency scaling. A
+// FaultSpec is pure data. noc::Topology builds the mesh its link clauses
+// leave (routes, link factors, weighted hop lengths), mem::LatencyCalculator
+// turns its core clauses into per-core clock factors, and
+// noc::Topology::check is the one semantic validator (core/tile ranges,
+// adjacency, factors, mesh connectivity), which both constructors enforce
+// with SCC_EXPECTS.
 //
 // Text grammar (the --faults= CLI flag; clauses separated by ';'):
 //
@@ -23,11 +25,11 @@
 // failed physical channel). parse() rejects grammar errors with
 // std::runtime_error; values that are lexically valid but semantically
 // wrong (negative factors, out-of-range ids, a dead link that disconnects
-// the mesh) are deferred to FaultModel's contract checks.
+// the mesh) are noc::Topology::check's to report.
 //
-// An empty FaultSpec is the machine running to spec: every consumer treats
-// it as "layer disabled" and produces bit-identical output to a build
-// without the faults subsystem (DESIGN.md §13).
+// An empty FaultSpec is the machine running to spec: the topology and the
+// latency calculator it builds are the healthy ones, with no separate code
+// path (DESIGN.md §13).
 #pragma once
 
 #include <string>

@@ -12,6 +12,7 @@
 #include "harness/comm.hpp"
 #include "machine/scc_machine.hpp"
 #include "metrics/collect.hpp"
+#include "noc/topology.hpp"
 
 namespace scc::harness {
 
@@ -281,7 +282,13 @@ void check_spec(const RunSpec& spec) {
           "RunSpec::nbc_lanes = 1");
     }
   }
-  const int p = spec.config.num_cores();
+  const machine::SccConfig& config = spec.config;
+  if (const auto err = noc::Topology::check(config.tiles_x, config.tiles_y,
+                                            config.cores_per_tile,
+                                            config.faults)) {
+    throw std::runtime_error("faults: " + *err);
+  }
+  const int p = config.num_cores();
   if (spec.variant == PaperVariant::kRckmpi &&
       p > rckmpi::ChannelLayout::max_cores()) {
     throw std::runtime_error(strprintf(

@@ -219,6 +219,7 @@ void parse_mesh(std::string_view value, machine::SccConfig& config);
 
 /// Throws std::runtime_error when run_collective cannot run `spec`: a
 /// variant, collective, algorithm or nbc combination that does not exist,
+/// a config.faults clause the mesh cannot have (noc::Topology::check),
 /// rckmpi on more cores than its channel holds, or MPB-direct blocks that
 /// cannot be double-buffered in the payload. The mesh itself is checked
 /// by parse_mesh.

@@ -20,9 +20,11 @@ struct SccConfig {
   /// (tests/machine/test_config.cpp) so the sites cannot drift apart.
   mem::CostModel cost;
   /// Injected machine degradation (stragglers, DVFS, slow/dead links),
-  /// applied at the latency layer so every stack and algorithm sees the
-  /// same degraded machine. Default-constructed (empty) = healthy machine,
-  /// bit-identical to a build without the faults subsystem. DESIGN.md §13.
+  /// built into the machine's noc::Topology (links) and
+  /// mem::LatencyCalculator (cores), so every stack and algorithm sees the
+  /// same degraded machine. Default-constructed (empty) = the healthy
+  /// machine. Must pass noc::Topology::check on this mesh (run_collective
+  /// checks it up front). DESIGN.md §13.
   faults::FaultSpec faults;
   /// Flags allocatable per core (one-byte flags in MPB space). The default
   /// leaves room for every layer: RCCE needs 2 per partner, RCKMPI one per

@@ -8,10 +8,8 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "faults/fault_model.hpp"
 #include "machine/config.hpp"
 #include "machine/core_api.hpp"
 #include "machine/flags.hpp"
@@ -47,11 +45,6 @@ class SccMachine {
   [[nodiscard]] const mem::LatencyCalculator& latency() const {
     return latency_;
   }
-  /// The compiled fault model, or nullptr on a healthy machine
-  /// (config.faults empty).
-  [[nodiscard]] const faults::FaultModel* fault_model() const {
-    return fault_model_ ? &*fault_model_ : nullptr;
-  }
   [[nodiscard]] CoreApi& core(int rank) {
     SCC_EXPECTS(rank >= 0 && rank < num_cores());
     return *cores_[static_cast<std::size_t>(rank)];
@@ -72,9 +65,6 @@ class SccMachine {
     return engine_.run_detect_deadlock();
   }
 
-  /// Drops all private-memory cache contents (cold-start experiments).
-  void flush_caches();
-
   /// Attaches a trace recorder (nullptr detaches), propagated to the engine
   /// and the contention model. Purely observational: traced and untraced
   /// runs have identical virtual timing.
@@ -91,11 +81,9 @@ class SccMachine {
 
  private:
   SccConfig config_;
+  /// The mesh as config_.faults leaves it; declared (and therefore built)
+  /// before latency_, traffic_ and contention_, which read its tables.
   noc::Topology topology_;
-  /// Compiled from config_.faults; disengaged when the spec is empty so the
-  /// healthy machine takes exactly the pre-fault code paths. Declared (and
-  /// therefore built) before latency_, which captures a pointer to it.
-  std::optional<faults::FaultModel> fault_model_;
   mem::LatencyCalculator latency_;
   sim::Engine engine_;
   mem::MpbStorage mpb_;

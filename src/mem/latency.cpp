@@ -15,20 +15,21 @@ SimTime fractional_cycles(const Clock& clock, double cycles) {
 
 }  // namespace
 
-SimTime LatencyCalculator::scale(SimTime t, double factor) {
-  if (factor == 1.0) return t;  // healthy path: exactly the old arithmetic
-  const long double fs = static_cast<long double>(t.femtoseconds()) *
-                         static_cast<long double>(factor);
-  return SimTime{static_cast<std::uint64_t>(fs)};
-}
-
-SimTime LatencyCalculator::scale_core(SimTime t, int core) const {
-  return faults_ == nullptr ? t : scale(t, faults_->core_factor(core));
-}
-
-double LatencyCalculator::effective_hops(int from, int to) const {
-  if (faults_ == nullptr) return topo_->hops(from, to);
-  return faults_->weighted_hops(from, to);
+LatencyCalculator::LatencyCalculator(const HwCostModel& hw,
+                                     const noc::Topology& topo,
+                                     const faults::FaultSpec& faults)
+    : hw_(&hw),
+      topo_(&topo),
+      core_factor_(static_cast<std::size_t>(topo.num_cores()), 1.0) {
+  SCC_EXPECTS(!noc::Topology::check(topo.tiles_x(), topo.tiles_y(),
+                                    topo.cores_per_tile(), faults)
+                   .has_value());
+  for (const faults::Straggler& f : faults.stragglers) {
+    core_factor_[static_cast<std::size_t>(f.core)] *= f.factor;
+  }
+  for (const faults::Dvfs& f : faults.dvfs) {
+    core_factor_[static_cast<std::size_t>(f.core)] *= f.divisor;
+  }
 }
 
 SimTime LatencyCalculator::mpb_line_access(int accessor, int mpb_owner,
@@ -47,7 +48,7 @@ SimTime LatencyCalculator::mpb_line_access(int accessor, int mpb_owner,
     }
     return scale_core(core.cycles(hw_->mpb_local_core_cycles), accessor);
   }
-  const double hops = effective_hops(accessor, mpb_owner);
+  const double hops = topo_->weighted_hops(accessor, mpb_owner);
   const double directions = is_read ? 2.0 : 1.0;  // reads are round trips
   return scale_core(core.cycles(hw_->mpb_remote_core_cycles), accessor) +
          fractional_cycles(mesh,
@@ -83,7 +84,7 @@ SimTime LatencyCalculator::mpb_word_stream(int accessor, int mpb_owner,
     return scale_core(core.cycles(words * hw_->mpb_word_local_core_cycles),
                       accessor);
   }
-  const double hops = effective_hops(accessor, mpb_owner);
+  const double hops = topo_->weighted_hops(accessor, mpb_owner);
   const double directions = is_read ? 2.0 : 1.0;
   return scale_core(core.cycles(words * hw_->mpb_word_remote_core_cycles),
                     accessor) +
@@ -96,11 +97,7 @@ SimTime LatencyCalculator::priv_access(int core,
   const Clock core_clk = hw_->core_clock();
   const Clock mesh = hw_->mesh_clock();
   const Clock dram = hw_->dram_clock();
-  const double mc_hops =
-      faults_ == nullptr
-          ? static_cast<double>(topo_->hops_to_mc(core))
-          : faults_->weighted_hops_to(core,
-                                      topo_->mc_coord(topo_->mc_of(core)));
+  const double mc_hops = topo_->weighted_hops_to_mc(core);
 
   SimTime t =
       scale_core(core_clk.cycles(r.hits * hw_->cache_hit_core_cycles), core);

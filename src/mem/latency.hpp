@@ -2,21 +2,24 @@
 //
 // Maps memory-system operations (MPB reads/writes, flag writes, cacheable
 // private-memory accesses) to virtual-time durations, composing the clock
-// domains and the hop distances of the mesh. Pure arithmetic -- no state --
+// domains and the hop lengths of the mesh. Immutable after construction,
 // so it can be unit-tested against the documented formulas directly.
 //
-// An optional faults::FaultModel degrades the arithmetic (DESIGN.md §13):
-// per-core factors multiply every core-clock term of the issuing core,
-// per-link multipliers replace the flat hop count with the factor-weighted
-// length of the (possibly rerouted) path. With no fault model attached --
-// or one whose factors are all 1.0 and whose links are all alive -- every
-// formula reduces bit-identically to the healthy machine.
+// Mesh terms are table lookups into noc::Topology: the factor-weighted hop
+// length of the (possibly rerouted) route between two tiles and of each
+// tile's path to its memory controller, which is the plain hop count on a
+// healthy mesh. The calculator owns one factor per core, the product of the
+// straggler and DVFS clauses of a FaultSpec, and stretches every core-clock
+// term of that core by it. A factor of 1.0 leaves the arithmetic exactly
+// unscaled, so an empty FaultSpec is the healthy machine bit for bit
+// (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/time.hpp"
-#include "faults/fault_model.hpp"
+#include "faults/fault_spec.hpp"
 #include "mem/cache.hpp"
 #include "mem/cost_model.hpp"
 #include "noc/topology.hpp"
@@ -36,9 +39,11 @@ namespace scc::mem {
 
 class LatencyCalculator {
  public:
+  /// Cores slowed by the straggler and dvfs clauses of `faults` (clauses on
+  /// one core compose multiplicatively). Precondition (SCC_EXPECTS):
+  /// noc::Topology::check finds nothing wrong with `faults` on `topo`.
   LatencyCalculator(const HwCostModel& hw, const noc::Topology& topo,
-                    const faults::FaultModel* faults = nullptr)
-      : hw_(&hw), topo_(&topo), faults_(faults) {}
+                    const faults::FaultSpec& faults = {});
 
   /// Access by `accessor` to one line of `mpb_owner`'s MPB.
   /// Reads are mesh round trips; writes are posted (one-way cost at the
@@ -68,17 +73,13 @@ class LatencyCalculator {
   }
 
  private:
-  /// t stretched by `factor`; exactly t when factor == 1 (the healthy-path
-  /// bit-identity guarantee).
-  [[nodiscard]] static SimTime scale(SimTime t, double factor);
-  [[nodiscard]] SimTime scale_core(SimTime t, int core) const;
-  /// Effective (factor-weighted, reroute-aware) hop count between two
-  /// cores' routers; the plain Manhattan distance on a healthy mesh.
-  [[nodiscard]] double effective_hops(int from, int to) const;
+  [[nodiscard]] SimTime scale_core(SimTime t, int core) const {
+    return scaled(t, core_factor_[static_cast<std::size_t>(core)]);
+  }
 
   const HwCostModel* hw_;
   const noc::Topology* topo_;
-  const faults::FaultModel* faults_;
+  std::vector<double> core_factor_;  // straggler x DVFS, 1.0 when healthy
 };
 
 }  // namespace scc::mem

@@ -22,10 +22,9 @@
 // (deterministic) transfer sequence.
 #pragma once
 
-#include <functional>
-#include <map>
+#include <algorithm>
 #include <string>
-#include <tuple>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,29 +46,18 @@ struct LinkStats {
 
 class LinkContention {
  public:
-  /// Route override (fault reroutes around dead links); must outlive the
-  /// model. Per-link latency multiplier (slow links); 1.0 = healthy.
-  using RouteFn =
-      std::function<const std::vector<LinkId>&(CoreId, CoreId)>;
-  using LinkFactorFn = std::function<double(const LinkId&)>;
-
+  /// Transfers follow `topo`'s routes, and each link's service window and
+  /// traversal latency stretch by its link factor (exactly unscaled at 1.0).
   LinkContention(const Topology& topo, Clock mesh_clock,
                  std::uint32_t service_cycles_per_line,
                  std::uint32_t hop_mesh_cycles)
       : topo_(&topo),
         mesh_clock_(mesh_clock),
         service_cycles_per_line_(service_cycles_per_line),
-        hop_latency_(mesh_clock.cycles(hop_mesh_cycles)) {}
-
-  /// Install fault hooks (set by SccMachine when a FaultSpec is active):
-  /// transfers then follow the degraded routes, and each link's service
-  /// window and traversal latency stretch by its factor. Empty functions
-  /// reset to the healthy mesh; factor 1.0 everywhere is bit-identical to
-  /// no hooks at all.
-  void set_fault_hooks(RouteFn route, LinkFactorFn factor) {
-    route_fn_ = std::move(route);
-    link_factor_fn_ = std::move(factor);
-  }
+        hop_latency_(mesh_clock.cycles(hop_mesh_cycles)),
+        busy_until_(topo.num_links()),
+        stats_(topo.num_links()),
+        names_(topo.num_links()) {}
 
   /// Registers a transfer of `lines` cache lines from core a's router to
   /// core b's starting at `now`; returns the extra queueing delay the
@@ -82,40 +70,34 @@ class LinkContention {
     return delayed_transfers_;
   }
 
-  /// Per-link cumulative stats, "(x,y)->(x,y)" name first, sorted by link
-  /// coordinates (deterministic order for the metrics snapshot).
+  /// Cumulative stats of every link a transfer has crossed, "(x,y)->(x,y)"
+  /// name first, tile by tile.
   [[nodiscard]] std::vector<std::pair<std::string, LinkStats>> link_stats()
       const;
 
   /// Attaches a trace recorder (nullptr detaches): every occupy() then
   /// records one busy window per crossed link, named "(x,y)->(x,y)".
   void set_trace(trace::Recorder* recorder) {
-    if (recorder != trace_) names_.clear();  // views live in the recorder
+    if (recorder != trace_) {  // views live in the recorder
+      std::fill(names_.begin(), names_.end(), std::string_view{});
+    }
     trace_ = recorder;
   }
 
-  void reset();
-
  private:
-  using Key = std::tuple<int, int, int, int>;  // from.x,from.y,to.x,to.y
-  static Key key_of(const LinkId& link) {
-    return {link.from.x, link.from.y, link.to.x, link.to.y};
-  }
-
   [[nodiscard]] std::string_view link_name(const LinkId& link);
 
   const Topology* topo_;
   Clock mesh_clock_;
   std::uint32_t service_cycles_per_line_;
   SimTime hop_latency_;
-  RouteFn route_fn_;
-  LinkFactorFn link_factor_fn_;
-  std::map<Key, SimTime> busy_until_;
-  std::map<Key, LinkStats> stats_;
+  // Per Topology::link_index.
+  std::vector<SimTime> busy_until_;
+  std::vector<LinkStats> stats_;
+  std::vector<std::string_view> names_;  // interned link names
   SimTime total_delay_;
   std::uint64_t delayed_transfers_ = 0;
   trace::Recorder* trace_ = nullptr;
-  std::map<Key, std::string_view> names_;  // interned link names
 };
 
 }  // namespace scc::noc

@@ -1,6 +1,7 @@
 // FaultSpec clause grammar: parse round-trips, canonical rendering, and
 // rejection of malformed text (label: faults). Semantic validation (ranges,
-// adjacency, connectivity) is FaultModel's job -- see test_fault_model.cpp.
+// adjacency, connectivity) is noc::Topology::check's job -- see
+// test_fault_model.cpp.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -73,8 +74,8 @@ TEST(FaultSpec, ToStringRoundTripsExactly) {
 }
 
 TEST(FaultSpec, RepeatedClausesOnOneTargetAreKept) {
-  // Composition (multiplicative) is FaultModel's semantics; the spec just
-  // records every clause in order.
+  // Composition (multiplicative) is the topology's and the latency
+  // calculator's semantics; the spec just records every clause in order.
   const FaultSpec spec = FaultSpec::parse("straggler:3x2;straggler:3x1.5");
   ASSERT_EQ(spec.stragglers.size(), 2u);
   EXPECT_DOUBLE_EQ(spec.stragglers[0].factor, 2.0);

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
+#include "faults/fault_spec.hpp"
 #include "harness/sweep.hpp"
 
 namespace scc::harness {
@@ -128,6 +131,28 @@ TEST(Runner, RejectsSizesTheMpbCannotHold) {
   spec.config = machine::SccConfig::paper_default();
   spec.collective = Collective::kScatter;  // no RCKMPI counterpart
   EXPECT_THROW(check_spec(spec), std::runtime_error);
+}
+
+// A fault spec the run's mesh cannot have is a std::runtime_error naming
+// the clause, not a failed precondition in the machine's constructor.
+TEST(Runner, RejectsFaultsTheMeshCannotHave) {
+  const auto error_of = [](const char* faults) -> std::string {
+    RunSpec spec;  // 48 cores on 6x4 tiles
+    spec.elements = 8;
+    spec.config.faults = faults::FaultSpec::parse(faults);
+    try {
+      (void)run_collective(spec);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error_of("straggler:99x2").find("straggler core 99 out of range"),
+            std::string::npos);
+  // Killing both links of corner tile (0,0) cuts it off.
+  EXPECT_NE(error_of("deadlink:0,0-1,0;deadlink:0,0-0,1").find("disconnect"),
+            std::string::npos);
+  EXPECT_EQ(error_of("straggler:47x2;deadlink:0,0-1,0"), "");
 }
 
 TEST(Sweep, ProducesOnePointPerSize) {

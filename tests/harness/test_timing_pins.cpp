@@ -9,10 +9,14 @@
 // host's work -- events dispatched and coroutine frames allocated -- on the
 // paper's spotlight Allreduce and on two-lane non-blocking traffic, so a
 // change that adds either to the blocking hot path or to the progress
-// engine's steps fails.
+// engine's steps fails. The spotlight also pins its heap allocations
+// (counted by the operator new this file replaces), so a per-transfer or
+// per-event allocation on the machine model's path fails too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <string>
 
@@ -20,6 +24,36 @@
 #include "harness/sweep.hpp"
 #include "harness/traffic.hpp"
 #include "sim/frame_arena.hpp"
+
+namespace {
+constinit thread_local std::uint64_t tl_heap_allocs = 0;
+
+void* counted_alloc(std::size_t n) {
+  ++tl_heap_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+// The nothrow forms too (std::stable_sort's buffer uses them): a sanitizer
+// runtime replaces them itself, and its blocks must not reach free().
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++tl_heap_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace scc::harness {
 namespace {
@@ -126,8 +160,9 @@ TEST(TimingPins, UnbaselinedSchedulesKeepTheirSimulatedTime) {
 }
 
 // Frames are counted by sim::frame_arena_stats() on this thread (a serial
-// run allocates every frame here). The counts depend on how the compiler
-// allocates coroutine frames; these are GCC 12's.
+// run allocates every frame here), heap allocations by this file's operator
+// new. The counts depend on how the compiler allocates coroutine frames and
+// on the standard library; these are GCC 12's.
 std::uint64_t frames_allocated() { return sim::frame_arena_stats().allocs; }
 
 TEST(TimingPins, SpotlightAllreduceWork) {
@@ -138,10 +173,15 @@ TEST(TimingPins, SpotlightAllreduceWork) {
   spec.repetitions = 1;
   spec.warmup = 0;
   spec.verify = false;
+  // A first run fills the frame arena's free lists, so the measured run's
+  // heap count does not depend on what ran before it on this thread.
+  (void)run_collective(spec);
   const std::uint64_t frames0 = frames_allocated();
+  const std::uint64_t heap0 = tl_heap_allocs;
   const RunResult r = run_collective(spec);
   EXPECT_EQ(r.events, 85'444u);
   EXPECT_EQ(frames_allocated() - frames0, 56'784u);
+  EXPECT_EQ(tl_heap_allocs - heap0, 1'048u);
 }
 
 TEST(TimingPins, SerialAllreduceSweepFrames) {

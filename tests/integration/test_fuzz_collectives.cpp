@@ -10,8 +10,9 @@
 #include <iterator>
 
 #include "common/rng.hpp"
-#include "faults/fault_model.hpp"
+#include "faults/fault_spec.hpp"
 #include "harness/runner.hpp"
+#include "noc/topology.hpp"
 
 namespace scc::harness {
 namespace {
@@ -141,8 +142,7 @@ TEST_P(FuzzCollectives, RandomConfigurationVerifies) {
     // back to the healthy machine instead of aborting the constructor.
     if (rng.below(3) == 0) {
       faults::FaultSpec faults = sample_faults(rng, mesh, p);
-      const noc::Topology topo(mesh.x, mesh.y, 2);
-      if (!faults::FaultModel::check(faults, topo)) {
+      if (!noc::Topology::check(mesh.x, mesh.y, 2, faults)) {
         spec.config.faults = std::move(faults);
       }
     }

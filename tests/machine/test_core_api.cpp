@@ -151,16 +151,6 @@ TEST(CoreApi, SyncBarrierAlignsAllCores) {
   EXPECT_EQ(after[0], Clock{533e6}.cycles(static_cast<std::uint64_t>(p - 1) * 100));
 }
 
-TEST(Machine, FlushCachesRestoresColdState) {
-  SccMachine machine(small_config());
-  std::vector<double> buf(64);
-  SimTime cold1, warm;
-  machine.launch(0, priv_toucher(machine.core(0), &buf, &cold1, &warm));
-  machine.run();
-  machine.flush_caches();
-  EXPECT_EQ(machine.cache(0).resident_lines(), 0u);
-}
-
 TEST(Machine, PaperDefaultHas48Cores) {
   SccMachine machine;
   EXPECT_EQ(machine.num_cores(), 48);

@@ -112,12 +112,14 @@ TEST_F(LatencyTest, PrivMissIncludesDramAndMeshTerms) {
   const LatencyCalculator calc(hw_, topo_);
   CacheAccessResult one_miss;
   one_miss.misses = 1;
-  const int d = topo_.hops_to_mc(0);
+  // Core 47 sits on tile (5,3), one hop from its controller's router
+  // (5,2); core 0's controller is on its own router, which would leave the
+  // mesh term at zero.
+  const double d = 1.0;
   const double want = core_cc_ns(hw_, hw_.dram_core_cycles) +
-                      mesh_cc_ns(hw_, static_cast<double>(d) *
-                                          hw_.dram_mesh_cycles_per_hop) +
+                      mesh_cc_ns(hw_, d * hw_.dram_mesh_cycles_per_hop) +
                       hw_.dram_service_dram_cycles / hw_.dram_hz * 1e9;
-  EXPECT_NEAR(calc.priv_access(0, one_miss).ns(), want, 0.01);
+  EXPECT_NEAR(calc.priv_access(47, one_miss).ns(), want, 0.01);
 }
 
 TEST(LatencyHelpers, LinesFor) {

@@ -53,16 +53,6 @@ TEST(Contention, SameTileTransferNeverQueues) {
   EXPECT_EQ(model.occupy(0, 1, 1000, SimTime::zero()), SimTime::zero());
 }
 
-TEST(Contention, ResetClearsState) {
-  const Topology topo;
-  LinkContention model(topo, Clock{800e6}, 3, 4);
-  model.occupy(0, 4, 100, SimTime::zero());
-  model.occupy(0, 4, 100, SimTime::zero());
-  model.reset();
-  EXPECT_EQ(model.total_delay(), SimTime::zero());
-  EXPECT_EQ(model.occupy(0, 4, 100, SimTime::zero()), SimTime::zero());
-}
-
 // --- hop-offset (wormhole) window timing ---------------------------------
 //
 // Link i of a route is occupied starting hop_latency * i after the

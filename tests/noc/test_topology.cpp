@@ -73,7 +73,8 @@ TEST(Topology, EveryCoreHasAnMcInItsQuadrant) {
     const int mc = t.mc_of(c);
     EXPECT_GE(mc, 0);
     EXPECT_LT(mc, 4);
-    EXPECT_LE(t.hops_to_mc(c), 4);  // worst case inside a 3x2 quadrant
+    // Worst case inside a 3x2 quadrant.
+    EXPECT_LE(t.weighted_hops_to_mc(c), 4.0);
   }
 }
 
@@ -100,6 +101,18 @@ TEST(Topology, RouteIsXThenY) {
               links[static_cast<std::size_t>(i)].to.x);
     EXPECT_NE(links[static_cast<std::size_t>(i)].from.y,
               links[static_cast<std::size_t>(i)].to.y);
+  }
+}
+
+TEST(Topology, RouteIsAViewIntoOneTable) {
+  const Topology t;
+  for (int a = 0; a < t.num_cores(); ++a) {
+    for (int b = 0; b < t.num_cores(); ++b) {
+      // The same storage on every call, shared by the cores of a tile.
+      EXPECT_EQ(t.route(a, b).data(), t.route(a, b).data());
+      EXPECT_EQ(t.route(a, b).data(), t.route(a ^ 1, b ^ 1).data());
+      EXPECT_EQ(t.route(a, b).size(), t.route(a ^ 1, b ^ 1).size());
+    }
   }
 }
 
