@@ -109,22 +109,38 @@ sim::Task<> open_loop_program(machine::CoreApi& api, const CommLayout& layout,
   Comm comm(api, layout, spec.variant, split_of(spec.variant), std::nullopt,
             spec.lanes);
   coll::nbc::ProgressEngine& engine = comm.engine();
+  // In initiation (id) order.
   std::vector<std::pair<std::size_t, coll::nbc::CollRequest>> in_flight;
+  const auto lanes = static_cast<std::size_t>(spec.lanes);
+  std::vector<char> blocked(lanes);
   co_await api.sync_barrier();
   const SimTime t0 = api.now();
+  // Lane `id % lanes` retires in id order, so nothing behind a lane's first
+  // unfinished request is done: the scan skips the rest of a blocked lane
+  // and ends once every lane is blocked. Completions are recorded in id
+  // order.
   const auto reap = [&] {
-    for (auto it = in_flight.begin(); it != in_flight.end();) {
-      if (it->second.done()) {
-        if (api.rank() == 0) {
-          const std::size_t i = it->first;
-          probe.latency[i] = api.now() - (t0 + schedule[i].arrival);
-          probe.completion_order.push_back(i);
+    std::fill(blocked.begin(), blocked.end(), 0);
+    std::size_t open = lanes;
+    auto kept = in_flight.begin();
+    auto it = in_flight.begin();
+    for (; it != in_flight.end() && open > 0; ++it) {
+      char& lane_blocked = blocked[it->second.id() % lanes];
+      if (!lane_blocked) {
+        if (it->second.done()) {
+          if (api.rank() == 0) {
+            const std::size_t i = it->first;
+            probe.latency[i] = api.now() - (t0 + schedule[i].arrival);
+            probe.completion_order.push_back(i);
+          }
+          continue;
         }
-        it = in_flight.erase(it);
-      } else {
-        ++it;
+        lane_blocked = 1;
+        --open;
       }
+      *kept++ = *it;
     }
+    in_flight.erase(kept, it);
   };
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const SimTime target = t0 + schedule[i].arrival;

@@ -18,14 +18,22 @@
 // The model is a timing filter only: it classifies each touched line as
 // hit or miss. Data lives in ordinary host memory.
 //
-// Storage is flat and grows on demand: resident lines are nodes in one
-// vector, LRU-linked by index, found through an open-addressing (linear
-// probing, backward-shift deletion) table of node indices. A miss on a full
-// cache reuses the evicted line's node, so a warm cache allocates nothing,
-// and a core that touches few lines never pays for the capacity it does
-// not use.
+// Storage is flat and grows on demand. Resident lines are nodes in one
+// vector, LRU-linked by index. They are found through pages of kPageLines
+// consecutive lines: a page holds one node slot per line, and an
+// open-addressing (linear probing, backward-shift deletion) table keyed by
+// page number finds a page. A touch looks each page it crosses up once and
+// then reaches every line through its slot; each node records its page and
+// slot, so an eviction clears the slot without a lookup. Pages come from
+// one pooled vector: a page whose last line leaves goes on a free list and
+// out of the table. The pool grows with the node vector, so the number of
+// allocations depends on how many lines are resident, not on where the
+// host allocator put the buffers. A miss on a full cache reuses the evicted
+// line's node, so a warm cache allocates nothing, and a core that touches
+// few lines never pays for the capacity it does not use.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -62,6 +70,10 @@ struct CacheStats {
 
 class CacheModel {
  public:
+  /// Lines per page of the lookup structure: 4 KiB of host memory. Pages
+  /// only find lines; they never change a classification.
+  static constexpr std::size_t kPageLines = 128;
+
   explicit CacheModel(const HwCostModel& hw);
 
   /// Touches [addr, addr+bytes) for reading; classifies each line.
@@ -84,30 +96,44 @@ class CacheModel {
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
   struct Node {
-    std::uintptr_t line;
     std::uint32_t prev;  // toward the most recently used end
     std::uint32_t next;  // toward the least recently used end
+    std::uint32_t page;  // index into pages_
+    std::uint16_t slot;  // the line's slot in its page
     bool dirty;
   };
 
-  [[nodiscard]] std::size_t home(std::uintptr_t line) const;
-  /// Table position holding `line`'s node, or the empty position where the
+  struct Page {
+    /// First line / kPageLines; on the free list, the next free page.
+    std::uintptr_t number;
+    std::uint32_t lines;  // resident lines; 0 on the free list
+    std::array<std::uint32_t, kPageLines> node;  // per line, or kNil
+  };
+
+  [[nodiscard]] std::size_t home(std::uintptr_t number) const;
+  /// Table position holding page `number`, or the empty position where the
   /// probe for it stops.
-  [[nodiscard]] std::size_t probe(std::uintptr_t line) const;
-  /// The node holding `line`, or kNil when it is not resident.
-  [[nodiscard]] std::uint32_t find(std::uintptr_t line) const;
+  [[nodiscard]] std::size_t probe(std::uintptr_t number) const;
+  /// The page `number`, or kNil when none of its lines is resident.
+  [[nodiscard]] std::uint32_t find_page(std::uintptr_t number) const;
+  /// A new empty page `number`, entered in the table.
+  std::uint32_t add_page(std::uintptr_t number);
   void make_mru(std::uint32_t node);
-  /// Inserts `line` as most-recently-used, evicting the LRU line when full.
-  /// Returns true when the eviction wrote back a dirty line.
-  bool insert(std::uintptr_t line);
+  /// Inserts line `slot` of `page` as most-recently-used, evicting the LRU
+  /// line when full. Returns true when the eviction wrote back a dirty line.
+  bool insert(std::uint32_t page, std::size_t slot);
   void unlink(std::uint32_t node);
   void push_front(std::uint32_t node);
   void erase_slot(std::size_t pos);
-  void grow_table();
+  /// Room for `pages` pages in the pool, with the table rebuilt at twice
+  /// that size when the pool grows.
+  void reserve_pages(std::size_t pages);
 
   std::uint64_t capacity_;
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> table_;  // node index per position, or kNil
+  std::vector<Page> pages_;
+  std::uint32_t free_page_ = kNil;    // head of the free list
+  std::vector<std::uint32_t> table_;  // page index per position, or kNil
   unsigned shift_ = 64;               // 64 - log2(table_.size())
   std::uint32_t mru_ = kNil;
   std::uint32_t lru_ = kNil;

@@ -5,16 +5,24 @@
 // domains and the hop lengths of the mesh. Immutable after construction,
 // so it can be unit-tested against the documented formulas directly.
 //
-// Mesh terms are table lookups into noc::Topology: the factor-weighted hop
-// length of the (possibly rerouted) route between two tiles and of each
-// tile's path to its memory controller, which is the plain hop count on a
-// healthy mesh. The calculator owns one factor per core, the product of the
-// straggler and DVFS clauses of a FaultSpec, and stretches every core-clock
-// term of that core by it. A factor of 1.0 leaves the arithmetic exactly
-// unscaled, so an empty FaultSpec is the healthy machine bit for bit
-// (DESIGN.md §13).
+// Mesh terms come from noc::Topology: the factor-weighted hop length of the
+// (possibly rerouted) route between two tiles and of each tile's path to
+// its memory controller, which is the plain hop count on a healthy mesh.
+// The calculator owns one factor per core, the product of the straggler
+// and DVFS clauses of a FaultSpec, and stretches every core-clock term of
+// that core by it. A factor of 1.0 leaves the arithmetic exactly unscaled,
+// so an empty FaultSpec is the healthy machine bit for bit (DESIGN.md §13).
+//
+// Every term that depends only on who talks to whom is built once, at
+// construction, with the same formula and in the same order as a per-call
+// computation would use: per core, its tile, a local MPB line, the core
+// side of a remote one and the first line of an off-chip access; per
+// (tile, tile) pair, the one-way and round-trip mesh terms. So a line
+// access is two loads and an add, and only terms that scale with a byte,
+// word or line count convert cycles to time per call.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,7 +57,12 @@ class LatencyCalculator {
   /// Reads are mesh round trips; writes are posted (one-way cost at the
   /// issuing core). Local accesses honour the arbiter-bug workaround.
   [[nodiscard]] SimTime mpb_line_access(int accessor, int mpb_owner,
-                                        bool is_read) const;
+                                        bool is_read) const {
+    const CoreTerms& a = terms(accessor);
+    const std::size_t owner_tile = terms(mpb_owner).tile;
+    if (a.tile == owner_tile) return a.local;
+    return a.remote + mesh_[a.tile * tiles_ + owner_tile][is_read ? 1 : 0];
+  }
 
   /// Bulk transfer of `bytes` between a core and an MPB: first line pays
   /// the full access latency, subsequent lines pipeline.
@@ -73,13 +86,30 @@ class LatencyCalculator {
   }
 
  private:
+  /// The terms of one core that depend on nothing but the core.
+  struct CoreTerms {
+    std::size_t tile = 0;
+    double factor = 1.0;  // straggler x DVFS, 1.0 when healthy
+    SimTime local;        // one line of the core's own tile's MPB
+    SimTime remote;       // the core side of one line of another tile's MPB
+    SimTime dram;         // the first line of an off-chip access
+  };
+
+  [[nodiscard]] const CoreTerms& terms(int core) const {
+    SCC_EXPECTS(core >= 0 && static_cast<std::size_t>(core) < core_.size());
+    return core_[static_cast<std::size_t>(core)];
+  }
   [[nodiscard]] SimTime scale_core(SimTime t, int core) const {
-    return scaled(t, core_factor_[static_cast<std::size_t>(core)]);
+    return scaled(t, terms(core).factor);
   }
 
   const HwCostModel* hw_;
   const noc::Topology* topo_;
-  std::vector<double> core_factor_;  // straggler x DVFS, 1.0 when healthy
+  std::size_t tiles_;
+  std::vector<CoreTerms> core_;
+  /// Mesh term of one line per (tile, tile) pair, row-major: [0] one way
+  /// (a posted write), [1] the round trip (a read). Zero within a tile.
+  std::vector<std::array<SimTime, 2>> mesh_;
 };
 
 }  // namespace scc::mem

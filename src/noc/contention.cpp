@@ -13,18 +13,17 @@ SimTime LinkContention::occupy(CoreId a, CoreId b, std::uint64_t lines,
   // Head-flit progress: the head reaches link i only after traversing the
   // i preceding links, each at its (possibly fault-stretched) hop latency.
   SimTime head_offset;
-  for (const LinkId& link : topo_->route(a, b)) {
-    const std::size_t index = topo_->link_index(link);
+  for (const std::uint32_t link : topo_->route(a, b)) {
     const double factor = topo_->link_factor(link);
     // The window starts once the head flit arrives (departure + upstream
     // traversal + queueing already accumulated upstream).
     const SimTime arrival = now + delay + head_offset;
     const SimTime link_service = scaled(service, factor);
-    SimTime& busy = busy_until_[index];
+    SimTime& busy = busy_until_[link];
     const SimTime start = std::max(arrival, busy);
     delay += start - arrival;  // residual queueing on this link
     busy = start + link_service;
-    LinkStats& s = stats_[index];
+    LinkStats& s = stats_[link];
     ++s.windows;
     s.busy += link_service;
     s.queue += start - arrival;
@@ -50,24 +49,18 @@ std::string name_of(const LinkId& link) {
 
 }  // namespace
 
-std::string_view LinkContention::link_name(const LinkId& link) {
-  std::string_view& name = names_[topo_->link_index(link)];
-  if (name.empty()) name = trace_->intern(name_of(link));
+std::string_view LinkContention::link_name(std::uint32_t link) {
+  std::string_view& name = names_[link];
+  if (name.empty()) name = trace_->intern(name_of(topo_->link(link)));
   return name;
 }
 
 std::vector<std::pair<std::string, LinkStats>> LinkContention::link_stats()
     const {
   std::vector<std::pair<std::string, LinkStats>> out;
-  for (TileId tile = 0; tile < topo_->num_tiles(); ++tile) {
-    const TileCoord from = topo_->coord_of_tile(tile);
-    for (const TileCoord to : {TileCoord{from.x + 1, from.y},
-                               TileCoord{from.x - 1, from.y},
-                               TileCoord{from.x, from.y + 1},
-                               TileCoord{from.x, from.y - 1}}) {
-      const LinkStats& s = stats_[topo_->link_index({from, to})];
-      if (s.windows > 0) out.emplace_back(name_of({from, to}), s);
-    }
+  for (std::size_t link = 0; link < stats_.size(); ++link) {
+    const LinkStats& s = stats_[link];
+    if (s.windows > 0) out.emplace_back(name_of(topo_->link(link)), s);
   }
   return out;
 }

@@ -85,7 +85,7 @@ class LinkContention {
   }
 
  private:
-  [[nodiscard]] std::string_view link_name(const LinkId& link);
+  [[nodiscard]] std::string_view link_name(std::uint32_t link);
 
   const Topology* topo_;
   Clock mesh_clock_;

@@ -197,8 +197,9 @@ Topology::Topology(int tiles_x, int tiles_y, int cores_per_tile,
       for (TileCoord cur = coord_of_tile(from); cur != dst;) {
         const TileCoord next =
             rerouted ? bfs_step(grid, dead, dist, cur) : xy_step(cur, dst);
-        links_.push_back({cur, next});
-        weight += link_factor_[grid.slot(cur, next)];
+        const std::size_t link = grid.slot(cur, next);
+        links_.push_back(static_cast<std::uint32_t>(link));
+        weight += link_factor_[link];
         cur = next;
       }
       routes_[pair_index(from, to)] = {
@@ -220,6 +221,15 @@ std::size_t Topology::link_index(const LinkId& link) const {
   const Grid grid{tiles_x_, tiles_y_};
   SCC_EXPECTS(grid.contains(link.from) && adjacent(link.from, link.to));
   return grid.slot(link.from, link.to);
+}
+
+LinkId Topology::link(std::size_t index) const {
+  const Grid grid{tiles_x_, tiles_y_};
+  SCC_EXPECTS(index < num_links());
+  const TileCoord from = coord_of_tile(static_cast<TileId>(index / 4));
+  const TileCoord to = neighbours(from)[index % 4];
+  SCC_EXPECTS(grid.contains(to));
+  return {from, to};
 }
 
 TileCoord Topology::mc_coord(int mc_index) const {

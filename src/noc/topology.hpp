@@ -84,10 +84,11 @@ class Topology {
     return coord_of_tile(tile_of(core));
   }
 
-  /// The route between two cores' routers as a sequence of directed links
-  /// (empty when both cores share a tile): a view into the table built at
-  /// construction, the same storage on every call.
-  [[nodiscard]] std::span<const LinkId> route(CoreId a, CoreId b) const {
+  /// The route between two cores' routers as a sequence of directed links,
+  /// each by its link_index (empty when both cores share a tile): a view
+  /// into the table built at construction, the same storage on every call.
+  [[nodiscard]] std::span<const std::uint32_t> route(CoreId a,
+                                                     CoreId b) const {
     const Route& r = routes_[pair_index(tile_of(a), tile_of(b))];
     return {links_.data() + r.begin, r.size};
   }
@@ -122,11 +123,14 @@ class Topology {
   [[nodiscard]] std::size_t num_links() const {
     return 4 * static_cast<std::size_t>(num_tiles());
   }
+  /// The directed link whose link_index is `index`. Precondition: the link
+  /// is on the mesh (an edge tile's outward slots name no link).
+  [[nodiscard]] LinkId link(std::size_t index) const;
 
-  /// Latency multiplier of one directed link; 1.0 unless a slowlink clause
-  /// names it.
-  [[nodiscard]] double link_factor(const LinkId& link) const {
-    return link_factor_[link_index(link)];
+  /// Latency multiplier of the directed link `index` (below num_links(),
+  /// as every route entry is); 1.0 unless a slowlink clause names it.
+  [[nodiscard]] double link_factor(std::size_t index) const {
+    return link_factor_[index];
   }
 
  private:
@@ -146,10 +150,10 @@ class Topology {
   int tiles_x_;
   int tiles_y_;
   int cores_per_tile_;
-  std::vector<LinkId> links_;        // every route, concatenated
-  std::vector<Route> routes_;        // per (tile, tile) pair, row-major
-  std::vector<double> link_factor_;  // per link_index
-  std::vector<double> mc_weight_;    // per tile
+  std::vector<std::uint32_t> links_;  // every route's link indices, concatenated
+  std::vector<Route> routes_;         // per (tile, tile) pair, row-major
+  std::vector<double> link_factor_;   // per link_index
+  std::vector<double> mc_weight_;     // per tile
 };
 
 }  // namespace scc::noc

@@ -7,9 +7,7 @@ namespace scc::noc {
 
 void TrafficMatrix::record_transfer(CoreId a, CoreId b, std::uint64_t lines) {
   lines_sent_ += lines;
-  for (const LinkId& link : topo_->route(a, b)) {
-    link_lines_[topo_->link_index(link)] += lines;
-  }
+  for (const std::uint32_t link : topo_->route(a, b)) link_lines_[link] += lines;
 }
 
 std::uint64_t TrafficMatrix::total_line_hops() const {

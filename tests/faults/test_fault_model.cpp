@@ -6,6 +6,7 @@
 // on specs it rejects.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <vector>
@@ -39,8 +40,12 @@ std::vector<LinkId> xy_route(TileCoord cur, TileCoord dst) {
   return links;
 }
 
-std::vector<LinkId> as_vector(std::span<const LinkId> route) {
-  return {route.begin(), route.end()};
+/// The links of a route, from their indices.
+std::vector<LinkId> links_of(const Topology& topo,
+                             std::span<const std::uint32_t> route) {
+  std::vector<LinkId> links;
+  for (const std::uint32_t link : route) links.push_back(topo.link(link));
+  return links;
 }
 
 TEST(FaultModel, EmptySpecIsTheHealthyMachine) {
@@ -49,10 +54,10 @@ TEST(FaultModel, EmptySpecIsTheHealthyMachine) {
     for (CoreId b = 0; b < topo.num_cores(); ++b) {
       const TileCoord ca = topo.coord_of(a);
       const TileCoord cb = topo.coord_of(b);
-      EXPECT_EQ(as_vector(topo.route(a, b)), xy_route(ca, cb));
+      EXPECT_EQ(links_of(topo, topo.route(a, b)), xy_route(ca, cb));
       EXPECT_DOUBLE_EQ(topo.weighted_hops(a, b),
                        std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y));
-      for (const LinkId& link : topo.route(a, b)) {
+      for (const std::uint32_t link : topo.route(a, b)) {
         EXPECT_DOUBLE_EQ(topo.link_factor(link), 1.0);
       }
     }
@@ -80,11 +85,14 @@ TEST(FaultModel, SlowLinkAppliesToBothDirectionsAndComposes) {
       3, 2, 2, FaultSpec::parse("slowlink:0,0-1,0x4;slowlink:1,0-0,0x2"));
   // Either naming order targets the same physical channel; repeated clauses
   // compose multiplicatively on both directed links.
-  EXPECT_DOUBLE_EQ(topo.link_factor({{0, 0}, {1, 0}}), 8.0);
-  EXPECT_DOUBLE_EQ(topo.link_factor({{1, 0}, {0, 0}}), 8.0);
-  EXPECT_DOUBLE_EQ(topo.link_factor({{1, 0}, {2, 0}}), 1.0);
+  const auto factor = [&](LinkId link) {
+    return topo.link_factor(topo.link_index(link));
+  };
+  EXPECT_DOUBLE_EQ(factor({{0, 0}, {1, 0}}), 8.0);
+  EXPECT_DOUBLE_EQ(factor({{1, 0}, {0, 0}}), 8.0);
+  EXPECT_DOUBLE_EQ(factor({{1, 0}, {2, 0}}), 1.0);
   // Slow links never change paths, only their weight.
-  EXPECT_EQ(as_vector(topo.route(0, 2)), xy_route({0, 0}, {1, 0}));
+  EXPECT_EQ(links_of(topo, topo.route(0, 2)), xy_route({0, 0}, {1, 0}));
   EXPECT_DOUBLE_EQ(topo.weighted_hops(0, 2), 8.0);  // one hop at composed 8x
 }
 
@@ -105,8 +113,8 @@ TEST(FaultModel, DeadLinkReroutesMinimallyAndDeterministically) {
   const Topology topo(2, 2, 2, FaultSpec::parse("deadlink:0,0-1,0"));
   // Tile (0,0) to tile (1,0): the direct hop is dead, so the minimal
   // surviving route detours through row 1 (3 hops), in both directions.
-  const auto forward = topo.route(0, 2);  // cores 0 -> 2 (tiles 0 -> 1)
-  const auto backward = topo.route(2, 0);
+  const auto forward = links_of(topo, topo.route(0, 2));  // tiles 0 -> 1
+  const auto backward = links_of(topo, topo.route(2, 0));
   ASSERT_EQ(forward.size(), 3u);
   ASSERT_EQ(backward.size(), 3u);
   const LinkId dead_fwd{{0, 0}, {1, 0}};
@@ -129,7 +137,8 @@ TEST(FaultModel, DeadLinkReroutesMinimallyAndDeterministically) {
   const Topology again(2, 2, 2, FaultSpec::parse("deadlink:0,0-1,0"));
   for (CoreId a = 0; a < topo.num_cores(); ++a) {
     for (CoreId b = 0; b < topo.num_cores(); ++b) {
-      EXPECT_EQ(as_vector(topo.route(a, b)), as_vector(again.route(a, b)));
+      EXPECT_EQ(links_of(topo, topo.route(a, b)),
+                links_of(again, again.route(a, b)));
     }
   }
 }

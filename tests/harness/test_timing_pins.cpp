@@ -9,9 +9,10 @@
 // host's work -- events dispatched and coroutine frames allocated -- on the
 // paper's spotlight Allreduce and on two-lane non-blocking traffic, so a
 // change that adds either to the blocking hot path or to the progress
-// engine's steps fails. The spotlight also pins its heap allocations
-// (counted by the operator new this file replaces), so a per-transfer or
-// per-event allocation on the machine model's path fails too.
+// engine's steps fails. The spotlight and a cache-heavy Alltoall also pin
+// their heap allocations (counted by the operator new this file replaces),
+// so a per-transfer, per-event, per-touch or per-page allocation on the
+// machine model's path fails too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -181,7 +182,24 @@ TEST(TimingPins, SpotlightAllreduceWork) {
   const RunResult r = run_collective(spec);
   EXPECT_EQ(r.events, 85'444u);
   EXPECT_EQ(frames_allocated() - frames0, 56'784u);
-  EXPECT_EQ(tl_heap_allocs - heap0, 1'048u);
+  EXPECT_EQ(tl_heap_allocs - heap0, 810u);
+}
+
+TEST(TimingPins, CacheHeavyAlltoallHeap) {
+  // Each core's p x n buffers (about 250 KB) fill its 256 KB cache model,
+  // so a per-page or per-touch allocation in the model fails this pin.
+  RunSpec spec;
+  spec.collective = Collective::kAlltoall;
+  spec.variant = PaperVariant::kLwBalanced;
+  spec.elements = 650;
+  spec.repetitions = 1;
+  spec.warmup = 0;
+  spec.verify = false;
+  (void)run_collective(spec);  // fills the frame arena, as above
+  const std::uint64_t heap0 = tl_heap_allocs;
+  const RunResult r = run_collective(spec);
+  EXPECT_EQ(r.events, 39'290u);
+  EXPECT_EQ(tl_heap_allocs - heap0, 1'724u);
 }
 
 TEST(TimingPins, SerialAllreduceSweepFrames) {

@@ -192,21 +192,63 @@ class ReferenceLru {
   CacheStats stats_;
 };
 
-void expect_same(const CacheAccessResult& got, const CacheAccessResult& want) {
-  EXPECT_EQ(got.hits, want.hits);
-  EXPECT_EQ(got.misses, want.misses);
-  EXPECT_EQ(got.writebacks, want.writebacks);
-  EXPECT_EQ(got.uncached_writes, want.uncached_writes);
-}
+/// The model and the reference side by side: every touch must classify
+/// the same, and the cumulative state must agree after it.
+class Differential {
+ public:
+  explicit Differential(const HwCostModel& hw) : cache_(hw), reference_(hw) {}
+
+  ::testing::AssertionResult touch(bool read, std::uintptr_t addr,
+                                   std::size_t bytes) {
+    const CacheAccessResult got = read ? cache_.touch_read(addr, bytes)
+                                       : cache_.touch_write(addr, bytes);
+    const CacheAccessResult want = read ? reference_.touch_read(addr, bytes)
+                                        : reference_.touch_write(addr, bytes);
+    if (got.hits != want.hits || got.misses != want.misses ||
+        got.writebacks != want.writebacks ||
+        got.uncached_writes != want.uncached_writes) {
+      return ::testing::AssertionFailure()
+             << (read ? "read " : "write ") << bytes << " B at " << addr
+             << " classified differently";
+    }
+    return agree();
+  }
+
+  ::testing::AssertionResult flush_all() {
+    cache_.flush_all();
+    reference_.flush_all();
+    return agree();
+  }
+
+  [[nodiscard]] const CacheModel& cache() const { return cache_; }
+
+ private:
+  ::testing::AssertionResult agree() const {
+    const CacheStats& a = cache_.stats();
+    const CacheStats& b = reference_.stats();
+    if (cache_.resident_lines() != reference_.resident_lines() ||
+        a.hits != b.hits || a.misses != b.misses ||
+        a.writebacks != b.writebacks ||
+        a.uncached_writes != b.uncached_writes) {
+      return ::testing::AssertionFailure() << "cumulative state differs";
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  CacheModel cache_;
+  ReferenceLru reference_;
+};
+
+constexpr std::size_t kPageBytes = CacheModel::kPageLines * kCacheLineBytes;
 
 // Seeded random traces over a working set three times the capacity: reads
-// and writes, sub-line, line-straddling and multi-line extents, and a
-// flush_all half-way and about every 4 x capacity accesses, so the cache
-// fills, evicts and refills. Every call must classify exactly as the reference.
-void run_differential(const HwCostModel& hw, std::uint64_t seed,
-                      int accesses) {
-  CacheModel cache{hw};
-  ReferenceLru reference{hw};
+// and writes, sub-line, line-straddling and multi-line extents (up to
+// `long_bytes`), and a flush_all half-way and about every 4 x capacity
+// accesses, so the cache fills, evicts and refills. Every call must classify
+// exactly as the reference.
+void run_differential(const HwCostModel& hw, std::uint64_t seed, int accesses,
+                      std::size_t long_bytes = 16 * kCacheLineBytes) {
+  Differential models{hw};
   Xoshiro256 rng(seed);
   const std::uint64_t lines = hw.cache_bytes / kCacheLineBytes;
   const std::uint64_t span_bytes = 3 * lines * kCacheLineBytes;
@@ -214,8 +256,7 @@ void run_differential(const HwCostModel& hw, std::uint64_t seed,
   bool filled = false;
   for (int i = 0; i < accesses; ++i) {
     if (rng.below(4 * lines) == 0 || i == accesses / 2) {
-      cache.flush_all();
-      reference.flush_all();
+      ASSERT_TRUE(models.flush_all()) << "access " << i;
       ++flushes;
     } else {
       const bool read = rng.below(5) < 3;
@@ -223,30 +264,17 @@ void run_differential(const HwCostModel& hw, std::uint64_t seed,
       // long runs of whole lines.
       const std::size_t bytes =
           rng.below(8) == 0
-              ? static_cast<std::size_t>(rng.below(16 * kCacheLineBytes + 1))
+              ? static_cast<std::size_t>(rng.below(long_bytes + 1))
               : static_cast<std::size_t>(1 + rng.below(kCacheLineBytes));
       const std::uintptr_t addr = 0x40000 + rng.below(span_bytes);
-      if (read) {
-        expect_same(cache.touch_read(addr, bytes),
-                    reference.touch_read(addr, bytes));
-      } else {
-        expect_same(cache.touch_write(addr, bytes),
-                    reference.touch_write(addr, bytes));
-      }
+      ASSERT_TRUE(models.touch(read, addr, bytes)) << "access " << i;
     }
-    ASSERT_EQ(cache.resident_lines(), reference.resident_lines()) << i;
-    ASSERT_EQ(cache.stats().hits, reference.stats().hits) << i;
-    ASSERT_EQ(cache.stats().misses, reference.stats().misses) << i;
-    ASSERT_EQ(cache.stats().writebacks, reference.stats().writebacks) << i;
-    ASSERT_EQ(cache.stats().uncached_writes,
-              reference.stats().uncached_writes)
-        << i;
-    filled = filled || cache.resident_lines() == lines;
+    filled = filled || models.cache().resident_lines() == lines;
   }
   // The trace exercised what it claims to: full-cache eviction (of dirty
   // lines too) and flushes mid-trace.
   EXPECT_TRUE(filled);
-  EXPECT_GT(cache.stats().writebacks, 0u);
+  EXPECT_GT(models.cache().stats().writebacks, 0u);
   EXPECT_GT(flushes, 0);
 }
 
@@ -258,6 +286,65 @@ TEST(Cache, MatchesReferenceLruOnTinyCache) {
 TEST(Cache, MatchesReferenceLruOnDefaultCache) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed)
     run_differential(HwCostModel{}, seed, 80000);
+}
+
+TEST(Cache, MatchesReferenceLruWithExtentsSpanningPages) {
+  // Long extents of up to three pages, on a cache of a few pages and on the
+  // default one: a touch looks up several pages, and fills and evicts lines
+  // of more than one page within itself.
+  HwCostModel few_pages;
+  few_pages.cache_bytes = 4 * kPageBytes;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_differential(few_pages, seed, 20000, 3 * kPageBytes);
+    run_differential(HwCostModel{}, seed, 20000, 3 * kPageBytes);
+  }
+}
+
+TEST(Cache, MatchesReferenceLruOnSparsePages) {
+  // One line per page over four times as many pages as the cache has
+  // lines: nearly every miss creates a page and every eviction frees one,
+  // so pages are recycled through the free list every few accesses.
+  for (const HwCostModel& hw : {tiny_cache(), HwCostModel{}}) {
+    Differential models{hw};
+    Xoshiro256 rng(7);
+    const std::uint64_t pages = 4 * hw.cache_bytes / kCacheLineBytes;
+    for (int i = 0; i < 60000; ++i) {
+      const std::uintptr_t addr =
+          0x40000000 + rng.below(pages) * kPageBytes + 3 * kCacheLineBytes;
+      ASSERT_TRUE(models.touch(rng.below(5) < 3, addr, kCacheLineBytes))
+          << "access " << i;
+    }
+    EXPECT_EQ(models.cache().resident_lines(), hw.cache_bytes / kCacheLineBytes);
+    EXPECT_GT(models.cache().stats().hits, 0u);
+    EXPECT_GT(models.cache().stats().writebacks, 0u);
+  }
+}
+
+TEST(Cache, FillEvictingTheLastLineOfItsOwnPage) {
+  // The 8-line cache holds line 0 of page A (dirty, least recently used)
+  // and seven lines of page B. Reading lines 1..3 of page A: the first fill
+  // evicts line 0, the last resident line of the very page being filled,
+  // within the same touch, and page A must survive it.
+  const std::uintptr_t page_a = 0x100000;
+  const std::uintptr_t page_b = page_a + 4 * kPageBytes;
+  Differential models{tiny_cache()};
+  ASSERT_TRUE(models.touch(true, page_a, kCacheLineBytes));
+  ASSERT_TRUE(models.touch(false, page_a, kCacheLineBytes));
+  ASSERT_TRUE(models.touch(true, page_b, 7 * kCacheLineBytes));
+  ASSERT_TRUE(models.touch(true, page_a + kCacheLineBytes,
+                           3 * kCacheLineBytes));
+  const CacheStats& stats = models.cache().stats();
+  EXPECT_EQ(stats.misses, 1u + 7u + 3u);
+  EXPECT_EQ(stats.writebacks, 1u);  // line 0 of page A, dirty
+  // Lines 1..3 of page A hit, line 0 misses, and the page takes later
+  // fills.
+  ASSERT_TRUE(models.touch(true, page_a + kCacheLineBytes,
+                           3 * kCacheLineBytes));
+  EXPECT_EQ(stats.hits, 1u + 3u);
+  ASSERT_TRUE(models.touch(true, page_a, kCacheLineBytes));
+  EXPECT_EQ(stats.misses, 1u + 7u + 3u + 1u);
+  ASSERT_TRUE(models.touch(true, page_a, 8 * kCacheLineBytes));
+  EXPECT_EQ(models.cache().resident_lines(), 8u);
 }
 
 }  // namespace

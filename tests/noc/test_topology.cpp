@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace scc::noc {
 namespace {
 
@@ -88,7 +91,8 @@ TEST(Topology, RouteLengthEqualsHops) {
 TEST(Topology, RouteIsXThenY) {
   const Topology t;
   // Core 0 (0,0) -> core 47 (5,3): first 5 X-links, then 3 Y-links.
-  const auto links = t.route(0, 47);
+  std::vector<LinkId> links;
+  for (const std::uint32_t link : t.route(0, 47)) links.push_back(t.link(link));
   ASSERT_EQ(links.size(), 8u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_NE(links[static_cast<std::size_t>(i)].from.x,
@@ -112,6 +116,33 @@ TEST(Topology, RouteIsAViewIntoOneTable) {
       EXPECT_EQ(t.route(a, b).data(), t.route(a, b).data());
       EXPECT_EQ(t.route(a, b).data(), t.route(a ^ 1, b ^ 1).data());
       EXPECT_EQ(t.route(a, b).size(), t.route(a ^ 1, b ^ 1).size());
+    }
+  }
+}
+
+TEST(Topology, LinkIsLinkIndexInverse) {
+  const Topology t(3, 2, 2);
+  std::size_t links = 0;
+  for (TileId tile = 0; tile < t.num_tiles(); ++tile) {
+    const TileCoord from = t.coord_of_tile(tile);
+    for (const TileCoord to : {TileCoord{from.x + 1, from.y},
+                               TileCoord{from.x - 1, from.y},
+                               TileCoord{from.x, from.y + 1},
+                               TileCoord{from.x, from.y - 1}}) {
+      if (to.x < 0 || to.x >= 3 || to.y < 0 || to.y >= 2) continue;
+      const std::size_t index = t.link_index({from, to});
+      ASSERT_LT(index, t.num_links());
+      EXPECT_EQ(t.link(index), (LinkId{from, to}));
+      ++links;
+    }
+  }
+  EXPECT_EQ(links, 2u * (2 * 2 + 3 * 1));  // both directions of 7 channels
+  // Every route entry names a link of the mesh.
+  for (int a = 0; a < t.num_cores(); ++a) {
+    for (int b = 0; b < t.num_cores(); ++b) {
+      for (const std::uint32_t link : t.route(a, b)) {
+        EXPECT_EQ(t.link_index(t.link(link)), link);
+      }
     }
   }
 }
