@@ -26,7 +26,9 @@ enum class Action { kTranslate, kInsert, kDelete };
 /// Per-core application state. Every core tracks the global alive bitmap
 /// (updated deterministically from the shared RNG stream and the shared
 /// accept/reject decisions); only the owner holds particle coordinates.
-/// Each core has `slots` particle slots (see run_app).
+/// Each core has `slots` particle slots (see run_app). `f_local` and
+/// `evaluations` hold this core's last structure-factor evaluation; they
+/// stay valid (`factors_fresh`) until one of its own slots changes.
 struct CoreState {
   CoreState(const AppParams& params, const KSpace& basis, int p, int slots)
       : local(params.model, slots),
@@ -70,6 +72,8 @@ struct CoreState {
   std::vector<std::vector<bool>> alive;
   Xoshiro256 rng;  // identical stream on every core
   std::vector<std::complex<double>> f_local;
+  std::uint64_t evaluations = 0;
+  bool factors_fresh = false;
   std::vector<std::complex<double>> f_total;
   aligned_vector<double> flat_in;
   aligned_vector<double> flat_out;
@@ -82,12 +86,17 @@ struct CoreState {
   SimTime finish_time;
 };
 
-/// Algorithm 2: local structure factors + global Allreduce + energy.
+/// Algorithm 2: local structure factors + global Allreduce + energy. The
+/// host recomputes a core's factors only after its own particles changed
+/// and otherwise reuses the last ones, which are the same bytes; the core
+/// is charged the full evaluation either way, as on the SCC.
 sim::Task<double> long_en(machine::CoreApi& api, const AppParams& params,
                           Comm& comm, CoreState& st) {
-  std::uint64_t evaluations = 0;
-  st.local.structure_factors(*st.kspace, st.f_local, evaluations);
-  co_await api.compute(evaluations * params.eval_cycles);
+  if (!st.factors_fresh) {
+    st.local.structure_factors(*st.kspace, st.f_local, st.evaluations);
+    st.factors_fresh = true;
+  }
+  co_await api.compute(st.evaluations * params.eval_cycles);
   for (std::size_t k = 0; k < st.f_local.size(); ++k) {
     st.flat_in[2 * k] = st.f_local[k].real();
     st.flat_in[2 * k + 1] = st.f_local[k].imag();
@@ -232,6 +241,7 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
       } else {
         st.local.slot(slot) = probe_new;
       }
+      st.factors_fresh = false;
     }
     auto alive_ref = [&]() -> std::vector<bool>::reference {
       return st.alive[static_cast<std::size_t>(owner)]
@@ -261,7 +271,10 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
       st.en_total = en_new;
       ++st.accepted;
     } else {
-      if (is_owner) st.local.slot(slot) = saved;  // RestoreConfig
+      if (is_owner) {
+        st.local.slot(slot) = saved;  // RestoreConfig
+        st.factors_fresh = false;
+      }
       alive_ref() = alive_before;
     }
 

@@ -6,7 +6,10 @@
 //   - short-range energy is updated incrementally (scalar Allreduce);
 //   - long-range energy is recomputed in Fourier space after every move:
 //     each core accumulates its local structure factors, then a 552-double
-//     Allreduce produces the global ones (Algorithm 2, line 14);
+//     Allreduce produces the global ones (Algorithm 2, line 14). The host
+//     reuses a core's factors while its particles are unchanged (a move
+//     changes one core's at most); the simulated core is charged the full
+//     evaluation each time, so every simulated result is the same;
 //   - the moved particle's state is broadcast from its owner
 //     (BroadcastUpdate, Algorithm 1 line 13).
 //

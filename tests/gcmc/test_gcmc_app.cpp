@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string_view>
 
 namespace scc::gcmc {
 namespace {
@@ -91,6 +94,43 @@ TEST(GcmcApp, PhysicsIndependentOfCommunicationStack) {
     EXPECT_EQ(r.accepted, blocking.accepted) << harness::variant_name(v);
     EXPECT_EQ(r.final_particles, blocking.final_particles)
         << harness::variant_name(v);
+  }
+}
+
+TEST(GcmcApp, TrajectoryIsPinned) {
+  // Exact results of tiny_app() on the 8-core mesh. The other tests here
+  // compare runs with each other, so a fault that moves every variant the
+  // same way (such as a core reusing its structure factors after its own
+  // particles changed) passes them; it does not pass these values.
+  struct Pin {
+    harness::PaperVariant variant;
+    std::uint64_t runtime_fs;
+    std::uint64_t compute_fs;  // Phase::kCompute summed over the cores
+  };
+  constexpr Pin kPins[] = {
+      {harness::PaperVariant::kRckmpi, 7'605'361'307'322, 8'594'258'911'326},
+      {harness::PaperVariant::kBlocking, 5'994'451'153'476, 8'377'212'006'404},
+      {harness::PaperVariant::kIrcce, 5'135'471'098'218, 8'377'212'006'404},
+      {harness::PaperVariant::kLightweight, 3'931'430'722'924,
+       8'377'212'006'404},
+      {harness::PaperVariant::kLwBalanced, 3'913'971'632'758,
+       8'377'212'006'642},
+      {harness::PaperVariant::kMpb, 3'065'679'626'899, 8'337'407'128'706},
+  };
+  for (const Pin& pin : kPins) {
+    const std::string_view name = harness::variant_name(pin.variant);
+    const AppResult r = run_app(tiny_app(), pin.variant, mesh8());
+    EXPECT_EQ(r.runtime.femtoseconds(), pin.runtime_fs) << name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.final_energy),
+              0xc12ed26d7f98e5c5u)
+        << name;
+    EXPECT_EQ(r.accepted, 7) << name;
+    EXPECT_EQ(r.attempted, 8) << name;
+    EXPECT_EQ(r.final_particles, 18) << name;
+    SimTime compute;
+    for (const auto& profile : r.profiles)
+      compute += profile.get(machine::Phase::kCompute);
+    EXPECT_EQ(compute.femtoseconds(), pin.compute_fs) << name;
   }
 }
 
