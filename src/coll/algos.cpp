@@ -87,7 +87,7 @@ sim::Task<> fold(Stack& stack, std::span<double> mine,
   auto& api = stack.api();
   const int rank = stack.rank();
   co_await stack.round_gate();
-  co_await api.overhead(api.cost().sw.coll_round);
+  co_await api.overhead(mem::sw::coll_round);
   if (rank % 2 == 1) {
     co_await stack.send(as_b(cspan(mine)), rank - 1);
   } else {
@@ -102,7 +102,7 @@ sim::Task<> unfold(Stack& stack, std::span<double> data) {
   auto& api = stack.api();
   const int rank = stack.rank();
   co_await stack.round_gate();
-  co_await api.overhead(api.cost().sw.coll_round);
+  co_await api.overhead(mem::sw::coll_round);
   if (rank % 2 == 0) {
     co_await stack.send(as_b(cspan(data)), rank + 1);
   } else {
@@ -205,7 +205,7 @@ sim::Task<> allgather_bruck(Stack& stack, std::span<const double> contribution,
   co_await charged_copy(api, contribution, work.subspan(0, n));
   for (int d = 1; d < p; d <<= 1) {
     co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
     const auto cnt = static_cast<std::size_t>(std::min(d, p - d));
     co_await stack.exchange_shift(
         as_b(cspan(work.subspan(0, cnt * n))),
@@ -244,7 +244,7 @@ sim::Task<> allgather_recursive_doubling(Stack& stack,
   if (f.rep) {
     for (int mask = 1; mask < f.m; mask <<= 1) {
       co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+      co_await api.overhead(mem::sw::coll_round);
       const int mybase = (f.vrank / mask) * mask;
       const int pbase = mybase ^ mask;
       const int partner = vstart(f, f.vrank ^ mask);
@@ -284,7 +284,7 @@ sim::Task<int> reduce_scatter_recursive_halving(Stack& stack,
     int hi = f.m;
     for (int mask = f.m >> 1; mask >= 1; mask >>= 1) {
       co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
       const int partner = vstart(f, f.vrank ^ mask);
       int keep_lo = lo;
       int keep_hi = lo + mask;
@@ -330,7 +330,7 @@ sim::Task<> allreduce_recursive_doubling(Stack& stack,
   if (f.rep) {
     for (int mask = 1; mask < f.m; mask <<= 1) {
       co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
       const int partner = vstart(f, f.vrank ^ mask);
       co_await stack.exchange_pair(as_b(cspan(out)), as_b(tmp), partner);
       co_await rcce::apply_reduce(api, tmp, out, op);
@@ -359,7 +359,7 @@ sim::Task<> alltoall_bruck(Stack& stack, std::span<const double> sendbuf,
   // rounds work[i] holds the block from source (rank - i) mod p.
   for (int d = 1; d < p; d <<= 1) {
     co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
     std::size_t cnt = 0;
     for (int j = d; j < p; ++j) {
       if ((j & d) != 0) ++cnt;

@@ -30,7 +30,7 @@ sim::Task<> ring_reduce_scatter(Stack& stack, std::span<double> work,
   std::span<double> tmp = stack.scratch(max_count, 0);
   for (int r = 0; r < p - 1; ++r) {
     co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
     const Block& sb = blocks[static_cast<std::size_t>((rank - r + p) % p)];
     const Block& rb = blocks[static_cast<std::size_t>((rank - r - 1 + p) % p)];
     std::span<double> recv_tmp = tmp.subspan(0, rb.count);
@@ -55,7 +55,7 @@ sim::Task<> ring_allgather(Stack& stack, std::span<double> data, int off,
   const int left = (rank + p - 1) % p;
   for (int r = 0; r < p - 1; ++r) {
     co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
     const Block sb = block_of(((rank + off - r) % p + p) % p);
     const Block rb = block_of(((rank + off - r - 1) % p + p) % p);
     co_await stack.exchange(as_b(std::span<const double>(
@@ -153,7 +153,7 @@ sim::Task<> allgather(Stack& stack, std::span<const double> contribution,
     algo = select_algo(CollKind::kAllgather, n, p, stack.prims());
   }
   SCC_EXPECTS(algo_valid_for(CollKind::kAllgather, algo));
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (algo == Algo::kBruck) {
     co_await allgather_bruck(stack, contribution, gathered);
     co_return;
@@ -182,7 +182,7 @@ sim::Task<> alltoall(Stack& stack, std::span<const double> sendbuf,
     algo = select_algo(CollKind::kAlltoall, n, p, stack.prims());
   }
   SCC_EXPECTS(algo_valid_for(CollKind::kAlltoall, algo));
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (algo == Algo::kBruck) {
     co_await alltoall_bruck(stack, sendbuf, recvbuf);
     co_return;
@@ -193,7 +193,7 @@ sim::Task<> alltoall(Stack& stack, std::span<const double> sendbuf,
   // its own block locally.
   for (int r = 0; r < p; ++r) {
     co_await stack.round_gate();
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
     const int partner = ((r - rank) % p + p) % p;
     const auto soff = static_cast<std::size_t>(partner) * n;
     const auto roff = static_cast<std::size_t>(partner) * n;
@@ -218,7 +218,7 @@ sim::Task<int> reduce_scatter(Stack& stack, std::span<const double> in,
     algo = select_algo(CollKind::kReduceScatter, in.size(), p, stack.prims());
   }
   SCC_EXPECTS(algo_valid_for(CollKind::kReduceScatter, algo));
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (algo == Algo::kRecursiveHalving) {
     co_return co_await reduce_scatter_recursive_halving(stack, in, out, op,
                                                         policy);
@@ -241,7 +241,7 @@ sim::Task<> reduce(Stack& stack, std::span<const double> in,
   // vector: charged_copy and the linear-gather recvs below write
   // out[b.offset, b.offset+b.count) for every block.
   SCC_EXPECTS(rank != root || out.size() == in.size());
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (p == 1) {
     co_await charged_copy(api, in, out);
     co_return;
@@ -286,7 +286,7 @@ sim::Task<> allreduce(Stack& stack, std::span<const double> in,
     algo = select_algo(CollKind::kAllreduce, in.size(), p, stack.prims());
   }
   SCC_EXPECTS(algo_valid_for(CollKind::kAllreduce, algo));
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (algo == Algo::kRecursiveDoubling) {
     co_await allreduce_recursive_doubling(stack, in, out, op);
     co_return;
@@ -311,7 +311,7 @@ sim::Task<> broadcast(Stack& stack, std::span<double> data, int root,
   auto& api = stack.api();
   const int p = stack.num_cores();
   SCC_EXPECTS(root >= 0 && root < p);
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (p == 1) co_return;
   if (data.size() < kBcastScatterThreshold ||
       data.size() < static_cast<std::size_t>(p)) {
@@ -341,7 +341,7 @@ sim::Task<> scatter(Stack& stack, std::span<const double> send,
   const std::size_t n = recv.size();
   SCC_EXPECTS(root >= 0 && root < p);
   SCC_EXPECTS(rank != root || send.size() == n * static_cast<std::size_t>(p));
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (p == 1) {
     co_await charged_copy(api, send.first(n), recv);
     co_return;
@@ -372,7 +372,7 @@ sim::Task<> gather(Stack& stack, std::span<const double> send,
   const std::size_t n = send.size();
   SCC_EXPECTS(root >= 0 && root < p);
   SCC_EXPECTS(rank != root || recv.size() == n * static_cast<std::size_t>(p));
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (p == 1) {
     co_await charged_copy(api, send, recv.first(n));
     co_return;
@@ -431,7 +431,7 @@ sim::Task<> allgatherv(Stack& stack, std::span<const double> contribution,
     offset += counts[static_cast<std::size_t>(i)];
   }
   SCC_EXPECTS(gathered.size() == offset);
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   const Block& mine = blocks[static_cast<std::size_t>(rank)];
   co_await charged_copy(api, contribution,
                         gathered.subspan(mine.offset, mine.count));
@@ -441,7 +441,7 @@ sim::Task<> allgatherv(Stack& stack, std::span<const double> contribution,
 }
 
 sim::Task<> barrier(Stack& stack) {
-  co_await stack.api().overhead(stack.api().cost().sw.coll_call);
+  co_await stack.api().overhead(mem::sw::coll_call);
   co_await stack.barrier();
 }
 

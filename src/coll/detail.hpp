@@ -28,7 +28,7 @@ inline sim::Task<> charged_copy(machine::CoreApi& api,
   if (src.empty()) co_return;
   co_await api.priv_read(src.data(), src.size_bytes());
   std::copy(src.begin(), src.end(), dst.begin());
-  co_await api.compute(src.size() * api.cost().sw.copy_cycles_per_element);
+  co_await api.compute(src.size() * mem::sw::copy_cycles_per_element);
   co_await api.priv_write(dst.data(), dst.size_bytes());
 }
 

@@ -72,7 +72,7 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
   const int rank = api.rank();
   const int left = (rank + p - 1) % p;
   SCC_EXPECTS(in.size() == out.size());
-  co_await api.overhead(api.cost().sw.coll_call);
+  co_await api.overhead(mem::sw::coll_call);
   if (p == 1) {
     std::copy(in.begin(), in.end(), out.begin());
     co_await api.priv_read(in.data(), in.size_bytes());
@@ -87,7 +87,7 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
 
   // --- prime: stage my block `rank` into local buffer 0 -----------------
   {
-    co_await api.overhead(api.cost().sw.coll_round);
+    co_await api.overhead(mem::sw::coll_round);
     const Block& b = blocks[static_cast<std::size_t>(rank)];
     co_await acquire_local_buffer(0);
     co_await api.priv_read(in.data() + b.offset, b.count * sizeof(double));
@@ -99,7 +99,7 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
 
   // --- ReduceScatter rounds (Fig. 8) -------------------------------------
   for (int round = 1; round <= p - 1; ++round) {
-    co_await api.overhead(api.cost().sw.coll_round + api.cost().sw.mpb_round);
+    co_await api.overhead(mem::sw::coll_round + mem::sw::mpb_round);
     const int cur = round % 2;
     const int prev = (round - 1) % 2;
     const Block& b = blocks[static_cast<std::size_t>((rank - round + p) % p)];
@@ -114,7 +114,7 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
     co_await api.priv_read(in.data() + b.offset, b.count * sizeof(double));
     rcce::reduce_into(std::span<double>(scratch.data(), b.count),
                       in.subspan(b.offset, b.count), op);
-    co_await api.compute(b.count * api.cost().sw.reduce_cycles_per_element);
+    co_await api.compute(b.count * mem::sw::reduce_cycles_per_element);
     // ... and the result lands directly in the local MPB, word by word
     // (the expensive step while the arbiter-bug workaround is active).
     co_await api.mpb_word_charge(rank, b.count * sizeof(double),
@@ -134,7 +134,7 @@ sim::Task<> MpbAllreduce::run(std::span<const double> in,
 
   // --- Allgather rounds: forward reduced blocks through the MPBs ---------
   for (int round = 1; round <= p - 1; ++round) {
-    co_await api.overhead(api.cost().sw.coll_round + api.cost().sw.mpb_round);
+    co_await api.overhead(mem::sw::coll_round + mem::sw::mpb_round);
     const int g_round = p - 1 + round;
     const int cur = g_round % 2;
     const int prev = (g_round - 1) % 2;

@@ -12,8 +12,9 @@ sim::Task<> Stack::coop_wait_lwnb(bool pending_recv, bool pending_send) {
     if (pending_recv && co_await lwnb_->test_recv()) pending_recv = false;
     if (pending_send && co_await lwnb_->test_send()) pending_send = false;
     if (!pending_recv && !pending_send) co_return;
-    co_await api.charge(machine::Phase::kFlagWait,
-                        api.cost().hw.core_clock().cycles(rcce::kPollCycles));
+    co_await api.charge(
+        machine::Phase::kFlagWait,
+        mem::HwCostModel::core_clock().cycles(rcce::kPollCycles));
     co_await round_gate();
   }
 }

@@ -63,12 +63,11 @@ class Stack {
   /// they differ only in its per-call (issue, complete) cycles.
   Stack(machine::CoreApi& api, const rcce::Layout& layout, Prims prims)
       : rcce_(api, layout), prims_(prims) {
-    const auto& sw = api.cost().sw;
     if (prims == Prims::kIrcce) {
-      lwnb_.emplace(rcce_, sw.ircce_issue, sw.ircce_complete);
+      lwnb_.emplace(rcce_, mem::sw::ircce_issue, mem::sw::ircce_complete);
     }
     if (prims == Prims::kLightweight) {
-      lwnb_.emplace(rcce_, sw.lwnb_issue, sw.lwnb_complete);
+      lwnb_.emplace(rcce_, mem::sw::lwnb_issue, mem::sw::lwnb_complete);
     }
   }
 

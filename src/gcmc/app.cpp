@@ -31,7 +31,7 @@ enum class Action { kTranslate, kInsert, kDelete };
 /// stay valid (`factors_fresh`) until one of its own slots changes.
 struct CoreState {
   CoreState(const AppParams& params, const KSpace& basis, int p, int slots)
-      : local(params.model, slots),
+      : local(slots),
         alive(static_cast<std::size_t>(p),
               std::vector<bool>(static_cast<std::size_t>(slots), false)),
         rng(params.seed),
@@ -96,7 +96,7 @@ sim::Task<double> long_en(machine::CoreApi& api, const AppParams& params,
     st.local.structure_factors(*st.kspace, st.f_local, st.evaluations);
     st.factors_fresh = true;
   }
-  co_await api.compute(st.evaluations * params.eval_cycles);
+  co_await api.compute(st.evaluations * AppParams::eval_cycles);
   for (std::size_t k = 0; k < st.f_local.size(); ++k) {
     st.flat_in[2 * k] = st.f_local[k].real();
     st.flat_in[2 * k + 1] = st.f_local[k].imag();
@@ -107,17 +107,17 @@ sim::Task<double> long_en(machine::CoreApi& api, const AppParams& params,
   }
   const double energy = st.local.long_range_energy(*st.kspace, st.f_total);
   co_await api.compute(static_cast<std::uint64_t>(params.model.kmaxvecs) *
-                       params.energy_sum_cycles_per_k);
+                       AppParams::energy_sum_cycles_per_k);
   co_return energy;
 }
 
 /// Short-range energy of `probe` against everyone (scalar Allreduce).
-sim::Task<double> short_en(machine::CoreApi& api, const AppParams& params,
-                           Comm& comm, CoreState& st, const Particle& probe,
-                           int skip_slot_if_owner, bool is_owner) {
+sim::Task<double> short_en(machine::CoreApi& api, Comm& comm, CoreState& st,
+                           const Particle& probe, int skip_slot_if_owner,
+                           bool is_owner) {
   const LocalSystem::ShortRange sr =
       st.local.short_range(probe, is_owner ? skip_slot_if_owner : -1);
-  co_await api.compute(sr.pairs * params.lj_pair_cycles);
+  co_await api.compute(sr.pairs * AppParams::lj_pair_cycles);
   st.scalar_in[0] = sr.energy;
   co_await comm.run(Collective::kAllreduce, st.scalar_in, st.scalar_out);
   co_return st.scalar_out[0];
@@ -144,10 +144,8 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
   Comm comm(api, layout, variant, harness::split_of(variant));
   const int p = api.num_cores();
   const int self = api.rank();
-  const double box = params.model.box_length;
-  const double volume = box * box * box;
-  const double beta = params.model.beta;
-  const double mu = params.model.chemical_potential;
+  constexpr double volume = ModelParams::box_length *
+                            ModelParams::box_length * ModelParams::box_length;
 
   // --- initial configuration (deterministic, identical on all cores) -----
   for (int g = 0; g < params.particles_total; ++g) {
@@ -165,7 +163,7 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
   st.en_total = co_await long_en(api, params, comm, st);
 
   aligned_vector<double> bcast_buf(
-      static_cast<std::size_t>(params.model.atoms_per_particle) * 4 + 1);
+      static_cast<std::size_t>(ModelParams::atoms_per_particle) * 4 + 1);
 
   // --- Algorithm 1 main loop ---------------------------------------------
   for (int cycle = 0; cycle < params.cycles; ++cycle) {
@@ -196,7 +194,7 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
     // evaluate the short-range terms (not needed for insertions).
     Particle probe_old;
     probe_old.atoms.resize(
-        static_cast<std::size_t>(params.model.atoms_per_particle));
+        static_cast<std::size_t>(ModelParams::atoms_per_particle));
     if (action != Action::kInsert) {
       if (is_owner) pack_particle(st.local.slot(slot), st.en_total, bcast_buf);
       co_await comm.run(Collective::kBroadcast, {}, bcast_buf, owner);
@@ -212,8 +210,7 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
     // en_new = en_old - ShortEn(particle) - LongEn()   (Algorithm 1 line 5)
     double en_new = st.en_total;
     if (action != Action::kInsert) {
-      en_new -= co_await short_en(api, params, comm, st, probe_old, slot,
-                                  is_owner);
+      en_new -= co_await short_en(api, comm, st, probe_old, slot, is_owner);
     }
     en_new -= co_await long_en(api, params, comm, st);
 
@@ -224,8 +221,8 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
       probe_new = probe_old;
       Vec3 delta{};
       for (double& d : delta)
-        d = st.rng.uniform(-params.model.max_translation,
-                           params.model.max_translation);
+        d = st.rng.uniform(-ModelParams::max_translation,
+                           ModelParams::max_translation);
       for (Atom& a : probe_new.atoms)
         for (int d = 0; d < 3; ++d)
           a.pos[static_cast<std::size_t>(d)] += delta[static_cast<std::size_t>(d)];
@@ -252,19 +249,20 @@ sim::Task<> gcmc_core(machine::CoreApi& api,
 
     // en_new += ShortEn(particle) + LongEn()   (Algorithm 1 line 8)
     if (action != Action::kDelete) {
-      en_new += co_await short_en(api, params, comm, st, probe_new, slot,
-                                  is_owner);
+      en_new += co_await short_en(api, comm, st, probe_new, slot, is_owner);
     }
     en_new += co_await long_en(api, params, comm, st);
 
     // Metropolis / GCMC acceptance; the shared RNG keeps all cores in
     // agreement without communication.
     const double delta_e = en_new - st.en_total;
-    double acc = std::exp(-beta * delta_e);
+    double acc = std::exp(-ModelParams::beta * delta_e);
     if (action == Action::kInsert) {
-      acc *= volume / static_cast<double>(n_alive + 1) * std::exp(beta * mu);
+      acc *= volume / static_cast<double>(n_alive + 1) *
+             std::exp(ModelParams::beta * ModelParams::chemical_potential);
     } else if (action == Action::kDelete) {
-      acc *= static_cast<double>(n_alive) / volume * std::exp(-beta * mu);
+      acc *= static_cast<double>(n_alive) / volume *
+             std::exp(-ModelParams::beta * ModelParams::chemical_potential);
     }
     const bool accept = st.rng.uniform() < std::min(1.0, acc);
     if (accept) {

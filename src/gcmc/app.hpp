@@ -42,9 +42,9 @@ struct AppParams {
   std::uint64_t seed = 2012;
   /// Core cycles charged per (atom, k-vector) structure-factor evaluation
   /// (sin+cos+complex accumulate on a P54C).
-  std::uint32_t eval_cycles = 200;
-  std::uint32_t lj_pair_cycles = 60;
-  std::uint32_t energy_sum_cycles_per_k = 20;
+  static constexpr std::uint32_t eval_cycles = 200;
+  static constexpr std::uint32_t lj_pair_cycles = 60;
+  static constexpr std::uint32_t energy_sum_cycles_per_k = 20;
 };
 
 struct AppResult {

@@ -45,19 +45,18 @@ KSpace::KSpace(const ModelParams& params) {
     return a.n < b.n;
   });
   entries.resize(static_cast<std::size_t>(params.kmaxvecs));
-  const double scale = kTwoPi / params.box_length;
+  const double scale = kTwoPi / ModelParams::box_length;
   kvecs.reserve(entries.size());
   coeff.reserve(entries.size());
   for (const Entry& e : entries) {
     kvecs.push_back({scale * e.n[0], scale * e.n[1], scale * e.n[2]});
     const double k2 = scale * scale * static_cast<double>(e.n2);
-    coeff.push_back(std::exp(-params.ewald_eta * k2) / k2);
+    coeff.push_back(std::exp(-ModelParams::ewald_eta * k2) / k2);
   }
 }
 
-LocalSystem::LocalSystem(const ModelParams& params, int max_local_particles)
-    : params_(params),
-      particles_(static_cast<std::size_t>(max_local_particles)) {
+LocalSystem::LocalSystem(int max_local_particles)
+    : particles_(static_cast<std::size_t>(max_local_particles)) {
   SCC_EXPECTS(max_local_particles > 0);
 }
 
@@ -77,10 +76,10 @@ int LocalSystem::free_slot() const {
 Particle LocalSystem::make_particle(Xoshiro256& rng) const {
   Particle p;
   p.alive = true;
-  p.atoms.resize(static_cast<std::size_t>(params_.atoms_per_particle));
-  const Vec3 center{rng.uniform(0.0, params_.box_length),
-                    rng.uniform(0.0, params_.box_length),
-                    rng.uniform(0.0, params_.box_length)};
+  p.atoms.resize(static_cast<std::size_t>(ModelParams::atoms_per_particle));
+  const Vec3 center{rng.uniform(0.0, ModelParams::box_length),
+                    rng.uniform(0.0, ModelParams::box_length),
+                    rng.uniform(0.0, ModelParams::box_length)};
   double charge_sum = 0.0;
   for (std::size_t a = 0; a < p.atoms.size(); ++a) {
     Atom& atom = p.atoms[a];
@@ -99,8 +98,8 @@ Particle LocalSystem::make_particle(Xoshiro256& rng) const {
 LocalSystem::ShortRange LocalSystem::short_range(const Particle& probe,
                                                  int skip_slot) const {
   ShortRange result;
-  const double cutoff2 = params_.lj_cutoff * params_.lj_cutoff;
-  const double sigma2 = params_.lj_sigma * params_.lj_sigma;
+  constexpr double cutoff2 = ModelParams::lj_cutoff * ModelParams::lj_cutoff;
+  constexpr double sigma2 = ModelParams::lj_sigma * ModelParams::lj_sigma;
   for (std::size_t s = 0; s < particles_.size(); ++s) {
     if (static_cast<int>(s) == skip_slot) continue;
     const Particle& other = particles_[s];
@@ -111,14 +110,14 @@ LocalSystem::ShortRange LocalSystem::short_range(const Particle& probe,
         for (int d = 0; d < 3; ++d) {
           const double delta = min_image(
               a.pos[static_cast<std::size_t>(d)] - b.pos[static_cast<std::size_t>(d)],
-              params_.box_length);
+              ModelParams::box_length);
           r2 += delta * delta;
         }
         ++result.pairs;
         if (r2 >= cutoff2 || r2 == 0.0) continue;
         const double sr2 = sigma2 / r2;
         const double sr6 = sr2 * sr2 * sr2;
-        result.energy += 4.0 * params_.lj_epsilon * (sr6 * sr6 - sr6);
+        result.energy += 4.0 * ModelParams::lj_epsilon * (sr6 * sr6 - sr6);
       }
     }
   }
@@ -150,8 +149,8 @@ double LocalSystem::long_range_energy(
     const std::vector<std::complex<double>>& f_total) const {
   SCC_EXPECTS(f_total.size() == kspace.coeff.size());
   double energy = 0.0;
-  const double volume =
-      params_.box_length * params_.box_length * params_.box_length;
+  constexpr double volume = ModelParams::box_length *
+                            ModelParams::box_length * ModelParams::box_length;
   for (std::size_t k = 0; k < f_total.size(); ++k) {
     energy += kspace.coeff[k] / volume * std::norm(f_total[k]);
   }

@@ -34,20 +34,21 @@ struct Particle {
   bool alive = false;
 };
 
+/// The model's constants, and the one size runs vary.
 struct ModelParams {
-  double box_length = 12.0;
-  int atoms_per_particle = 3;
-  double lj_epsilon = 1.0;
-  double lj_sigma = 1.0;
-  double lj_cutoff = 3.0;
+  static constexpr double box_length = 12.0;
+  static constexpr int atoms_per_particle = 3;
+  static constexpr double lj_epsilon = 1.0;
+  static constexpr double lj_sigma = 1.0;
+  static constexpr double lj_cutoff = 3.0;
   /// Number of reciprocal-space vectors; the paper's run uses 276
   /// complex-valued coefficients (552 doubles through Allreduce).
   int kmaxvecs = 276;
   /// Ewald-style damping for the reciprocal-space coefficients.
-  double ewald_eta = 0.08;
-  double beta = 1.5;             // 1/kT
-  double chemical_potential = -1.0;
-  double max_translation = 0.4;
+  static constexpr double ewald_eta = 0.08;
+  static constexpr double beta = 1.5;  // 1/kT
+  static constexpr double chemical_potential = -1.0;
+  static constexpr double max_translation = 0.4;
 };
 
 /// Reciprocal-space basis: the first `kmaxvecs` nonzero integer vectors
@@ -63,9 +64,8 @@ struct KSpace {
 /// core needs (the particle currently being moved).
 class LocalSystem {
  public:
-  LocalSystem(const ModelParams& params, int max_local_particles);
+  explicit LocalSystem(int max_local_particles);
 
-  [[nodiscard]] const ModelParams& params() const { return params_; }
   [[nodiscard]] int capacity() const {
     return static_cast<int>(particles_.size());
   }
@@ -105,7 +105,6 @@ class LocalSystem {
       const std::vector<std::complex<double>>& f_total) const;
 
  private:
-  ModelParams params_;
   std::vector<Particle> particles_;
 };
 

@@ -10,7 +10,7 @@
 // The collectives never use what the general engine adds beyond that, so
 // iRCCE's generality is modelled by its per-call cost alone: the engine is
 // built with the (issue, complete) cycles of the rung it serves --
-// SwCostModel's ircce_* for the iRCCE variant, lwnb_* for the lightweight
+// mem::sw::ircce_* for the iRCCE variant, lwnb_* for the lightweight
 // one -- and runs the identical Fig. 3 flag handshake either way, so the
 // blocking and non-blocking layers are interchangeable correctness-wise;
 // only the software path length differs.

@@ -1,4 +1,6 @@
-// Machine-level configuration: topology shape + full cost model.
+// Machine-level configuration: topology shape + the cost model's
+// per-machine settings (the calibrated costs are constants, see
+// mem/cost_model.hpp).
 #pragma once
 
 #include <cstdint>

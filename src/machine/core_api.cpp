@@ -16,10 +16,6 @@ int CoreApi::num_cores() const { return machine_->num_cores(); }
 
 SimTime CoreApi::now() const { return engine_->now(); }
 
-const mem::CostModel& CoreApi::cost() const {
-  return machine_->config().cost;
-}
-
 sim::Engine::Sleep CoreApi::charge_impl(Phase phase, SimTime duration,
                                         std::string_view detail) {
   profile_.add(phase, duration);
@@ -54,7 +50,8 @@ Charge CoreApi::charge(Phase phase, SimTime duration) {
 }
 
 SimTime CoreApi::contention_delay(int from, int to, std::size_t bytes) {
-  if (!cost().hw.model_link_contention || from == to) return SimTime::zero();
+  if (!machine_->config().cost.hw.model_link_contention || from == to)
+    return SimTime::zero();
   return machine_->contention().occupy(from, to, mem::lines_for(bytes),
                                        engine_->now());
 }
@@ -144,7 +141,7 @@ FlagSetCharge CoreApi::flag_set(FlagRef ref, FlagValue value) {
   SimTime t =
       machine_->latency().mpb_line_access(rank_, ref.owner_core,
                                           /*is_read=*/false) +
-      machine_->latency().core_cycles(cost().sw.flag_op, rank_);
+      machine_->latency().core_cycles(mem::sw::flag_op, rank_);
   t += contention_delay(rank_, ref.owner_core, 1);
   // The deposit lands at the END of this charge; the "set c:i" detail lets
   // the blame engine pair a waiter's wakeup with the setting core (the
@@ -158,12 +155,7 @@ FlagSetCharge CoreApi::flag_set(FlagRef ref, FlagValue value) {
           {&machine_->flags(), ref, value}};
 }
 
-sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
-  auto& flags = machine_->flags();
-  const SimTime start = now();
-  while (flags.value(ref) != value) {
-    co_await flags.waiters(ref).wait();
-  }
+sim::Engine::Sleep CoreApi::flag_detected(FlagRef ref, SimTime start) {
   profile_.add(Phase::kFlagWait, now() - start);
   if (auto* trace = machine_->trace()) {
     trace->interval(rank_, phase_name(Phase::kFlagWait), start, now(),
@@ -174,8 +166,17 @@ sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
   const SimTime t =
       machine_->latency().mpb_line_access(rank_, ref.owner_core,
                                           /*is_read=*/true) +
-      machine_->latency().core_cycles(cost().sw.flag_op, rank_);
-  co_await charge_impl(Phase::kFlagWait, t);
+      machine_->latency().core_cycles(mem::sw::flag_op, rank_);
+  return charge_impl(Phase::kFlagWait, t);
+}
+
+sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
+  auto& flags = machine_->flags();
+  const SimTime start = now();
+  while (flags.value(ref) != value) {
+    co_await flags.waiters(ref).wait();
+  }
+  co_await flag_detected(ref, start);
 }
 
 sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
@@ -185,16 +186,7 @@ sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
   while (flags.value(ref) == last_seen) {
     co_await flags.waiters(ref).wait();
   }
-  profile_.add(Phase::kFlagWait, now() - start);
-  if (auto* trace = machine_->trace()) {
-    trace->interval(rank_, phase_name(Phase::kFlagWait), start, now(),
-                    strprintf("flag %d:%d", ref.owner_core, ref.index));
-  }
-  const SimTime t =
-      machine_->latency().mpb_line_access(rank_, ref.owner_core,
-                                          /*is_read=*/true) +
-      machine_->latency().core_cycles(cost().sw.flag_op, rank_);
-  co_await charge_impl(Phase::kFlagWait, t);
+  co_await flag_detected(ref, start);
   co_return machine_->flags().value(ref);
 }
 

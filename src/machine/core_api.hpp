@@ -94,7 +94,6 @@ class CoreApi {
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int num_cores() const;
   [[nodiscard]] SimTime now() const;
-  [[nodiscard]] const mem::CostModel& cost() const;
   [[nodiscard]] CoreProfile& profile() { return profile_; }
   [[nodiscard]] SccMachine& machine() { return *machine_; }
 
@@ -167,6 +166,10 @@ class CoreApi {
   /// tracing.
   [[nodiscard]] sim::Engine::Sleep charge_impl(Phase phase, SimTime duration,
                                                std::string_view detail = {});
+  /// The tail the flag waits share once the flag shows what they waited
+  /// for: records the wait since `start` (profile, traced interval) and
+  /// returns the charge of the read that detected the value.
+  [[nodiscard]] sim::Engine::Sleep flag_detected(FlagRef ref, SimTime start);
   /// Traffic and contention for a bulk or word-stream MPB access by this
   /// core to `mpb_owner`'s MPB, added to its latency `t`.
   [[nodiscard]] SimTime with_transfer(SimTime t, int mpb_owner,

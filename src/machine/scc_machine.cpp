@@ -15,9 +15,9 @@ SccMachine::SccMachine(SccConfig config)
       mpb_(topology_.num_cores()),
       flags_(engine_, topology_.num_cores(), config.flags_per_core),
       traffic_(topology_),
-      contention_(topology_, config_.cost.hw.mesh_clock(),
-                  config_.cost.hw.link_service_mesh_cycles_per_line,
-                  config_.cost.hw.mesh_cycles_per_hop),
+      contention_(topology_, mem::HwCostModel::mesh_clock(),
+                  mem::HwCostModel::link_service_mesh_cycles_per_line,
+                  mem::HwCostModel::mesh_cycles_per_hop),
       barrier_(engine_) {
   if (config_.perturb_seed) {
     engine_.enable_perturbation(sim::PerturbConfig{

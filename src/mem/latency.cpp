@@ -13,12 +13,14 @@ SimTime fractional_cycles(const Clock& clock, double cycles) {
   return SimTime{static_cast<std::uint64_t>(fs)};
 }
 
+using Hw = HwCostModel;
+
 }  // namespace
 
 LatencyCalculator::LatencyCalculator(const HwCostModel& hw,
                                      const noc::Topology& topo,
                                      const faults::FaultSpec& faults)
-    : hw_(&hw),
+    : mpb_bug_workaround_(hw.mpb_bug_workaround),
       topo_(&topo),
       tiles_(static_cast<std::size_t>(topo.num_tiles())),
       core_(static_cast<std::size_t>(topo.num_cores())),
@@ -33,25 +35,25 @@ LatencyCalculator::LatencyCalculator(const HwCostModel& hw,
     core_[static_cast<std::size_t>(f.core)].factor *= f.divisor;
   }
 
-  const Clock core_clk = hw.core_clock();
-  const Clock mesh = hw.mesh_clock();
+  constexpr Clock core_clk = Hw::core_clock();
+  constexpr Clock mesh = Hw::mesh_clock();
   // Local (same-tile) MPB. With the arbiter bug workaround, the access is
   // converted into a self-addressed packet: 45 core + 8 mesh cycles. The
   // self packet never leaves the tile's own router, so link faults don't
   // apply; the core-side cycles still stretch on a degraded core.
   const SimTime local_core = core_clk.cycles(
-      hw.mpb_bug_workaround ? hw.mpb_local_bug_core_cycles
-                            : hw.mpb_local_core_cycles);
+      hw.mpb_bug_workaround ? Hw::mpb_local_bug_core_cycles
+                            : Hw::mpb_local_core_cycles);
   const SimTime local_mesh = hw.mpb_bug_workaround
-                                 ? mesh.cycles(hw.mpb_local_bug_mesh_cycles)
+                                 ? mesh.cycles(Hw::mpb_local_bug_mesh_cycles)
                                  : SimTime::zero();
-  const SimTime remote_core = core_clk.cycles(hw.mpb_remote_core_cycles);
+  const SimTime remote_core = core_clk.cycles(Hw::mpb_remote_core_cycles);
   // The first missing line of an off-chip access pays the full latency.
   // The DRAM service itself runs on the memory controller's clock and is
   // unaffected by core-side degradation.
-  const SimTime dram_core = core_clk.cycles(hw.dram_core_cycles);
+  const SimTime dram_core = core_clk.cycles(Hw::dram_core_cycles);
   const SimTime dram_service =
-      hw.dram_clock().cycles(hw.dram_service_dram_cycles);
+      Hw::dram_clock().cycles(Hw::dram_service_dram_cycles);
   for (int core = 0; core < topo.num_cores(); ++core) {
     CoreTerms& c = core_[static_cast<std::size_t>(core)];
     c.tile = static_cast<std::size_t>(topo.tile_of(core));
@@ -59,39 +61,22 @@ LatencyCalculator::LatencyCalculator(const HwCostModel& hw,
     c.remote = scale_core(remote_core, core);
     c.dram = scale_core(dram_core, core) +
              fractional_cycles(mesh, topo.weighted_hops_to_mc(core) *
-                                         hw.dram_mesh_cycles_per_hop) +
+                                         Hw::dram_mesh_cycles_per_hop) +
              dram_service;
   }
 
-  // One line's mesh term over a route of `hops` weighted hops: [0] one way
-  // (a posted write), [1] the round trip (a read).
-  const auto mesh_terms = [&](double hops) {
-    return std::array<SimTime, 2>{
-        fractional_cycles(mesh, 1.0 * hops * hw.mesh_cycles_per_hop),
-        fractional_cycles(mesh, 2.0 * hops * hw.mesh_cycles_per_hop)};
-  };
-  // A route without slow links weighs exactly its hop count, and equal
-  // weights give equal terms, so those pairs share one conversion per hop
-  // count. A minimal route visits each tile at most once.
-  std::vector<std::array<SimTime, 2>> by_hops;
-  by_hops.reserve(tiles_);
+  // One line's mesh term per (tile, tile) pair: [0] one way (a posted
+  // write), [1] the round trip (a read). Any core of a tile stands for the
+  // tile.
   const int cores_per_tile = topo.cores_per_tile();
   for (std::size_t from = 0; from < tiles_; ++from) {
     for (std::size_t to = 0; to < tiles_; ++to) {
-      // Any core of a tile stands for the tile.
-      const int a = static_cast<int>(from) * cores_per_tile;
-      const int b = static_cast<int>(to) * cores_per_tile;
-      const double hops = topo.weighted_hops(a, b);
-      const auto count = static_cast<std::size_t>(topo.hops(a, b));
-      std::array<SimTime, 2>& terms = mesh_[from * tiles_ + to];
-      if (hops != static_cast<double>(count)) {
-        terms = mesh_terms(hops);
-        continue;
-      }
-      while (by_hops.size() <= count) {
-        by_hops.push_back(mesh_terms(static_cast<double>(by_hops.size())));
-      }
-      terms = by_hops[count];
+      const double hops =
+          topo.weighted_hops(static_cast<int>(from) * cores_per_tile,
+                             static_cast<int>(to) * cores_per_tile);
+      mesh_[from * tiles_ + to] = {
+          fractional_cycles(mesh, 1.0 * hops * Hw::mesh_cycles_per_hop),
+          fractional_cycles(mesh, 2.0 * hops * Hw::mesh_cycles_per_hop)};
     }
   }
 }
@@ -102,8 +87,8 @@ SimTime LatencyCalculator::mpb_bulk(int accessor, int mpb_owner,
   const std::uint64_t lines = lines_for(bytes);
   SimTime t = mpb_line_access(accessor, mpb_owner, is_read);
   if (lines > 1) {
-    t += scale_core(hw_->core_clock().cycles(
-                        (lines - 1) * hw_->mpb_pipelined_line_core_cycles),
+    t += scale_core(Hw::core_clock().cycles(
+                        (lines - 1) * Hw::mpb_pipelined_line_core_cycles),
                     accessor);
   }
   return t;
@@ -114,41 +99,41 @@ SimTime LatencyCalculator::mpb_word_stream(int accessor, int mpb_owner,
                                            bool is_read) const {
   if (bytes == 0) return SimTime::zero();
   const std::uint64_t words = (bytes + 3) / 4;  // 32-bit P54C words
-  const Clock core = hw_->core_clock();
-  const Clock mesh = hw_->mesh_clock();
+  constexpr Clock core = Hw::core_clock();
+  constexpr Clock mesh = Hw::mesh_clock();
   if (terms(accessor).tile == terms(mpb_owner).tile) {
-    if (hw_->mpb_bug_workaround) {
-      return scale_core(core.cycles(words * hw_->mpb_word_local_bug_core_cycles),
+    if (mpb_bug_workaround_) {
+      return scale_core(core.cycles(words * Hw::mpb_word_local_bug_core_cycles),
                         accessor) +
-             mesh.cycles(words * hw_->mpb_local_bug_mesh_cycles);
+             mesh.cycles(words * Hw::mpb_local_bug_mesh_cycles);
     }
-    return scale_core(core.cycles(words * hw_->mpb_word_local_core_cycles),
+    return scale_core(core.cycles(words * Hw::mpb_word_local_core_cycles),
                       accessor);
   }
   const double hops = topo_->weighted_hops(accessor, mpb_owner);
   const double directions = is_read ? 2.0 : 1.0;
-  return scale_core(core.cycles(words * hw_->mpb_word_remote_core_cycles),
+  return scale_core(core.cycles(words * Hw::mpb_word_remote_core_cycles),
                     accessor) +
          fractional_cycles(mesh, static_cast<double>(words) * directions *
-                                     hops * hw_->mesh_cycles_per_hop);
+                                     hops * Hw::mesh_cycles_per_hop);
 }
 
 SimTime LatencyCalculator::priv_access(int core,
                                        const CacheAccessResult& r) const {
-  const Clock core_clk = hw_->core_clock();
+  constexpr Clock core_clk = Hw::core_clock();
   SimTime t =
-      scale_core(core_clk.cycles(r.hits * hw_->cache_hit_core_cycles), core);
+      scale_core(core_clk.cycles(r.hits * Hw::cache_hit_core_cycles), core);
   const std::uint64_t dram_lines = r.misses + r.uncached_writes;
   if (dram_lines > 0) {
     // First missing line pays the full off-chip latency; the rest pipeline.
     t += terms(core).dram;
     t += scale_core(core_clk.cycles((dram_lines - 1) *
-                                    hw_->dram_pipelined_line_core_cycles),
+                                    Hw::dram_pipelined_line_core_cycles),
                     core);
   }
   // Dirty evictions drain through the write buffer in the background; they
   // only cost issue bandwidth at the core.
-  t += scale_core(core_clk.cycles(r.writebacks * hw_->cache_write_core_cycles),
+  t += scale_core(core_clk.cycles(r.writebacks * Hw::cache_write_core_cycles),
                   core);
   return t;
 }

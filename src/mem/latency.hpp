@@ -82,7 +82,7 @@ class LatencyCalculator {
   /// core's fault factor (straggler / DVFS). Exactly n core cycles when the
   /// core is healthy.
   [[nodiscard]] SimTime core_cycles(std::uint64_t n, int core) const {
-    return scale_core(hw_->core_clock().cycles(n), core);
+    return scale_core(HwCostModel::core_clock().cycles(n), core);
   }
 
  private:
@@ -103,7 +103,7 @@ class LatencyCalculator {
     return scaled(t, terms(core).factor);
   }
 
-  const HwCostModel* hw_;
+  bool mpb_bug_workaround_;
   const noc::Topology* topo_;
   std::size_t tiles_;
   std::vector<CoreTerms> core_;

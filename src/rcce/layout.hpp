@@ -33,6 +33,12 @@ namespace scc::rcce {
 
 class Layout {
  public:
+  /// The flags after sent/ready: one per dissemination-barrier round (room
+  /// for 2^14 cores; max_cores() needs 8), then the MPB-direct Allreduce's
+  /// filled and free flag per buffer.
+  static constexpr int kBarrierRounds = 14;
+  static constexpr int kMpbBuffers = 2;
+
   explicit Layout(int num_cores)
       : num_cores_(num_cores),
         payload_base_(flag_lines_bytes(num_cores)),
@@ -61,7 +67,7 @@ class Layout {
     SCC_EXPECTS(per_lane >= mem::kCacheLineBytes);
     l.payload_base_ = shared + static_cast<std::size_t>(which) * per_lane;
     l.payload_end_ = l.payload_base_ + per_lane;
-    l.flag_base_ = which * (2 * num_cores + 18);
+    l.flag_base_ = which * l.flags_needed();  // l's own flags start at 0
     return l;
   }
 
@@ -80,7 +86,7 @@ class Layout {
   }
   [[nodiscard]] machine::FlagRef barrier_flag(int at_core, int round) const {
     check_core(at_core);
-    SCC_EXPECTS(round >= 0 && round < 14);
+    SCC_EXPECTS(round >= 0 && round < kBarrierRounds);
     return {at_core, flag_base_ + 2 * num_cores_ + round};
   }
   /// Double-buffer handshake for the MPB-direct Allreduce: `filled` is set
@@ -88,18 +94,19 @@ class Layout {
   /// per flag either way.
   [[nodiscard]] machine::FlagRef mpb_filled_flag(int at_core, int buf) const {
     check_core(at_core);
-    SCC_EXPECTS(buf == 0 || buf == 1);
-    return {at_core, flag_base_ + 2 * num_cores_ + 14 + buf};
+    SCC_EXPECTS(buf >= 0 && buf < kMpbBuffers);
+    return {at_core, flag_base_ + 2 * num_cores_ + kBarrierRounds + buf};
   }
   [[nodiscard]] machine::FlagRef mpb_free_flag(int at_core, int buf) const {
     check_core(at_core);
-    SCC_EXPECTS(buf == 0 || buf == 1);
-    return {at_core, flag_base_ + 2 * num_cores_ + 16 + buf};
+    SCC_EXPECTS(buf >= 0 && buf < kMpbBuffers);
+    return {at_core,
+            flag_base_ + 2 * num_cores_ + kBarrierRounds + kMpbBuffers + buf};
   }
   /// Number of flag slots this layout requires per core (the one-past-the-
   /// end flag index, so a lane sublayout reports its own upper bound).
   [[nodiscard]] int flags_needed() const {
-    return flag_base_ + 2 * num_cores_ + 18;
+    return flag_base_ + 2 * num_cores_ + kBarrierRounds + 2 * kMpbBuffers;
   }
 
   // --- payload ------------------------------------------------------------

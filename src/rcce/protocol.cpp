@@ -15,7 +15,7 @@ sim::Task<> stage_and_signal(machine::CoreApi& api, const Layout& layout,
     // buffer.
     co_await api.mpb_put(layout.payload_addr(self, payload_offset), chunk);
     if (mem::has_partial_line(chunk.size())) {
-      co_await api.overhead(api.cost().sw.rcce_partial_line_call);
+      co_await api.overhead(mem::sw::rcce_partial_line_call);
     }
   }
   co_await api.flag_set(layout.sent_flag(dest, self), 1);
@@ -36,7 +36,7 @@ sim::Task<> await_and_fetch(machine::CoreApi& api, const Layout& layout,
   if (!chunk.empty()) {
     co_await api.mpb_get(layout.payload_addr(src, payload_offset), chunk);
     if (mem::has_partial_line(chunk.size())) {
-      co_await api.overhead(api.cost().sw.rcce_partial_line_call);
+      co_await api.overhead(mem::sw::rcce_partial_line_call);
     }
     // Store into the user buffer (cacheable private memory).
     co_await api.priv_write(chunk.data(), chunk.size());
@@ -87,7 +87,7 @@ sim::Task<> complete_exchange(machine::CoreApi& api, const Layout& layout,
     }
     if (!progressed) {
       co_await api.charge(machine::Phase::kFlagWait,
-                          api.cost().hw.core_clock().cycles(kPollCycles));
+                          mem::HwCostModel::core_clock().cycles(kPollCycles));
     }
   }
 }

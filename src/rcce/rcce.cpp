@@ -9,9 +9,9 @@ namespace scc::rcce {
 sim::Task<> Rcce::send(std::span<const std::byte> data, int dest) {
   SCC_EXPECTS(dest >= 0 && dest < num_cores());
   SCC_EXPECTS(dest != rank());
-  co_await api_->overhead(api_->cost().sw.rcce_send_call);
-  co_await api_->wait_poll(api_->cost().sw.rcce_wait_until_poll,
-                           api_->cost().sw.rcce_send_call);
+  co_await api_->overhead(mem::sw::rcce_send_call);
+  co_await api_->wait_poll(mem::sw::rcce_wait_until_poll,
+                           mem::sw::rcce_send_call);
   const std::size_t chunk_bytes = layout_->chunk_bytes();
   std::size_t done = 0;
   do {
@@ -25,9 +25,9 @@ sim::Task<> Rcce::send(std::span<const std::byte> data, int dest) {
 sim::Task<> Rcce::recv(std::span<std::byte> data, int src) {
   SCC_EXPECTS(src >= 0 && src < num_cores());
   SCC_EXPECTS(src != rank());
-  co_await api_->overhead(api_->cost().sw.rcce_recv_call);
-  co_await api_->wait_poll(api_->cost().sw.rcce_wait_until_poll,
-                           api_->cost().sw.rcce_recv_call);
+  co_await api_->overhead(mem::sw::rcce_recv_call);
+  co_await api_->wait_poll(mem::sw::rcce_wait_until_poll,
+                           mem::sw::rcce_recv_call);
   const std::size_t chunk_bytes = layout_->chunk_bytes();
   std::size_t done = 0;
   do {
@@ -86,7 +86,7 @@ sim::Task<> apply_reduce(machine::CoreApi& api, std::span<const double> value,
   co_await api.priv_read(value.data(), value.size_bytes());
   co_await api.priv_read(acc.data(), acc.size_bytes());
   reduce_into(acc, value, op);
-  co_await api.compute(value.size() * api.cost().sw.reduce_cycles_per_element);
+  co_await api.compute(value.size() * mem::sw::reduce_cycles_per_element);
   co_await api.priv_write(acc.data(), acc.size_bytes());
 }
 

@@ -149,7 +149,7 @@ sim::Task<> Channel::push_burst(int dest, std::span<const std::byte> payload,
   line_cursor += burst;
   co_await api_->flag_set(layout_->filled_flag(dest, rank()),
                           static_cast<std::uint8_t>(pair.lines_sent));
-  co_await api_->overhead(api_->cost().sw.mpi_packet);
+  co_await api_->overhead(mem::sw::mpi_packet);
 }
 
 sim::Task<PacketHeader> Channel::read_header(int src) {
@@ -174,7 +174,7 @@ sim::Task<PacketHeader> Channel::read_header(int src) {
   ++layout_->stats().credit_updates;
   co_await api_->flag_set(layout_->free_flag(src, rank()),
                           static_cast<std::uint8_t>(pair.lines_consumed));
-  co_await api_->overhead(api_->cost().sw.mpi_match_attempt);
+  co_await api_->overhead(mem::sw::mpi_match_attempt);
   co_return header;
 }
 
@@ -206,13 +206,13 @@ sim::Task<> Channel::drain_burst(int src, std::span<std::byte> data,
                             byte_cursor - chunk_begin);
   co_await api_->flag_set(layout_->free_flag(src, rank()),
                           static_cast<std::uint8_t>(pair.lines_consumed));
-  co_await api_->overhead(api_->cost().sw.mpi_packet);
+  co_await api_->overhead(mem::sw::mpi_packet);
 }
 
 sim::Task<> Channel::send(std::span<const std::byte> data, int dest,
                           int tag) {
   SCC_EXPECTS(dest >= 0 && dest < layout_->num_cores() && dest != rank());
-  co_await api_->overhead(api_->cost().sw.mpi_call);
+  co_await api_->overhead(mem::sw::mpi_call);
   auto& pair = tx_[static_cast<std::size_t>(dest)];
   const std::uint32_t total_lines =
       1 + static_cast<std::uint32_t>(mem::lines_for(data.size()));
@@ -233,7 +233,7 @@ sim::Task<> Channel::send(std::span<const std::byte> data, int dest,
 
 sim::Task<> Channel::recv(std::span<std::byte> data, int src, int tag) {
   SCC_EXPECTS(src >= 0 && src < layout_->num_cores() && src != rank());
-  co_await api_->overhead(api_->cost().sw.mpi_call);
+  co_await api_->overhead(mem::sw::mpi_call);
   const PacketHeader header = co_await read_header(src);
   SCC_EXPECTS(header.tag == tag);
   SCC_EXPECTS(header.bytes == data.size());
@@ -257,9 +257,8 @@ sim::Task<> Channel::sendrecv(std::span<const std::byte> sdata, int dest,
                               std::uint32_t call_overhead_cycles) {
   SCC_EXPECTS(dest >= 0 && dest < layout_->num_cores() && dest != rank());
   SCC_EXPECTS(src >= 0 && src < layout_->num_cores() && src != rank());
-  co_await api_->overhead(call_overhead_cycles != 0
-                              ? call_overhead_cycles
-                              : api_->cost().sw.mpi_call);
+  co_await api_->overhead(call_overhead_cycles != 0 ? call_overhead_cycles
+                                                   : mem::sw::mpi_call);
   const std::uint32_t send_total =
       1 + static_cast<std::uint32_t>(mem::lines_for(sdata.size()));
   std::uint32_t send_cursor = 0;
@@ -295,7 +294,7 @@ sim::Task<> Channel::sendrecv(std::span<const std::byte> sdata, int dest,
       ++layout_->stats().progress_polls;
       co_await api_->charge(
           machine::Phase::kFlagWait,
-          api_->cost().hw.core_clock().cycles(kDuplexPollCycles));
+          mem::HwCostModel::core_clock().cycles(kDuplexPollCycles));
     }
   }
 }

@@ -86,7 +86,7 @@ sim::Task<> ring_allgather_blocks(Mpi& mpi, std::span<double> data,
 
 sim::Task<> Mpi::bcast(std::span<double> data, int root) {
   auto& api = this->api();
-  co_await api.overhead(api.cost().sw.mpi_coll_call);
+  co_await api.overhead(mem::sw::mpi_coll_call);
   const int p = size();
   if (p > 1 && data.size() >= static_cast<std::size_t>(4 * p)) {
     // Long vectors (MPICH): binomial scatter + ring allgather of blocks.
@@ -147,7 +147,7 @@ sim::Task<> Mpi::reduce(std::span<const double> in, std::span<double> out,
                         ReduceOp op, int root) {
   auto& api = this->api();
   SCC_EXPECTS(in.size() == out.size());
-  co_await api.overhead(api.cost().sw.mpi_coll_call);
+  co_await api.overhead(mem::sw::mpi_coll_call);
   const int p = size();
   if (p == 1 || in.size() < static_cast<std::size_t>(p)) {
     // Short vectors: binomial tree.
@@ -220,7 +220,7 @@ sim::Task<> Mpi::allreduce(std::span<const double> in, std::span<double> out,
                            ReduceOp op) {
   auto& api = this->api();
   SCC_EXPECTS(in.size() == out.size());
-  co_await api.overhead(api.cost().sw.mpi_coll_call);
+  co_await api.overhead(mem::sw::mpi_coll_call);
   const int p = size();
   if (p > 1 && in.size() > kRecursiveDoublingMax &&
       in.size() >= static_cast<std::size_t>(p)) {
@@ -300,7 +300,7 @@ sim::Task<> Mpi::allgather(std::span<const double> contribution,
   const int p = size();
   const std::size_t n = contribution.size();
   SCC_EXPECTS(gathered.size() == n * static_cast<std::size_t>(p));
-  co_await api.overhead(api.cost().sw.mpi_coll_call);
+  co_await api.overhead(mem::sw::mpi_coll_call);
   std::copy(contribution.begin(), contribution.end(),
             gathered.begin() + static_cast<std::ptrdiff_t>(
                                    static_cast<std::size_t>(rank()) * n));
@@ -316,7 +316,7 @@ sim::Task<> Mpi::allgather(std::span<const double> contribution,
     co_await channel_.sendrecv(
         as_b(std::span<const double>(gathered.subspan(send_of * n, n))), right,
         as_b(gathered.subspan(recv_of * n, n)), left, kTagAllgather,
-        api.cost().sw.mpi_nb_call);
+        mem::sw::mpi_nb_call);
   }
 }
 
@@ -327,7 +327,7 @@ sim::Task<> Mpi::alltoall(std::span<const double> sendbuf,
   SCC_EXPECTS(sendbuf.size() == recvbuf.size());
   SCC_EXPECTS(sendbuf.size() % static_cast<std::size_t>(p) == 0);
   const std::size_t n = sendbuf.size() / static_cast<std::size_t>(p);
-  co_await api.overhead(api.cost().sw.mpi_coll_call);
+  co_await api.overhead(mem::sw::mpi_coll_call);
   for (int r = 0; r < p; ++r) {
     const int partner = ((r - rank()) % p + p) % p;
     const auto off = static_cast<std::size_t>(partner) * n;
@@ -340,7 +340,7 @@ sim::Task<> Mpi::alltoall(std::span<const double> sendbuf,
     }
     co_await channel_.sendrecv(as_b(sendbuf.subspan(off, n)), partner,
                                as_b(recvbuf.subspan(off, n)), partner,
-                               kTagAlltoall, api.cost().sw.mpi_nb_call);
+                               kTagAlltoall, mem::sw::mpi_nb_call);
   }
 }
 
@@ -348,7 +348,7 @@ sim::Task<int> Mpi::reduce_scatter(std::span<const double> in,
                                    std::span<double> out, ReduceOp op) {
   auto& api = this->api();
   SCC_EXPECTS(out.size() == in.size());
-  co_await api.overhead(api.cost().sw.mpi_coll_call);
+  co_await api.overhead(mem::sw::mpi_coll_call);
   const int p = size();
   if (p == 1) {
     std::copy(in.begin(), in.end(), out.begin());
@@ -368,7 +368,7 @@ sim::Task<int> Mpi::reduce_scatter(std::span<const double> in,
 
 sim::Task<> Mpi::barrier() {
   auto& api = this->api();
-  co_await api.overhead(api.cost().sw.mpi_coll_call);
+  co_await api.overhead(mem::sw::mpi_coll_call);
   const int p = size();
   for (int dist = 1; dist < p; dist *= 2) {
     const int to = (rank() + dist) % p;

@@ -15,7 +15,7 @@
 //   ReduceScatter  -- ring (bucket) algorithm
 //   Barrier        -- dissemination with zero-byte messages
 // The heavy per-message cost (MPI call entry, per-packet processing,
-// matching) comes from the channel + the SwCostModel's mpi_* constants.
+// matching) comes from the channel + the mem::sw::mpi_* constants.
 #pragma once
 
 #include <array>

@@ -151,66 +151,45 @@ void Engine::drain() {
   }
 }
 
-void Engine::run() {
+std::string Engine::drain_and_settle() {
   drain();
   // Diagnostic strings are assembled only here, after the event loop has
-  // fully drained, with one up-front reservation -- never inside drain().
+  // fully drained -- never inside drain().
   std::string stuck;
-  for (auto& root : roots_) {
-    if (trace_) {
-      trace_->instant(trace::kEnginePid, "tasks",
-                      root.task.done() ? "done" : "stuck", now_, root.name);
-    }
-    if (!root.task.done()) {
-      if (stuck.empty()) {
-        std::size_t bytes = 0;
-        for (const auto& r : roots_) bytes += r.name.size() + 2;
-        stuck.reserve(bytes);
-      } else {
-        stuck += ", ";
-      }
-      stuck += root.name;
-    }
-  }
-  if (!stuck.empty()) {
-    std::string msg;
-    msg.reserve(stuck.size() + 96);
-    msg += "simulation deadlock";
-    msg += perturb_ ? " [perturbation seed " +
-                          std::to_string(perturb_->seed) + "]"
-                    : " [perturbation off]";
-    msg += ": event queue empty but tasks still blocked: ";
-    msg += stuck;
-    throw std::runtime_error(msg);
-  }
-  // Capture the first failure, then clear roots_ BEFORE rethrowing: the
-  // exception_ptr keeps the exception alive past the frame destruction, and
-  // a throwing run() must leave the engine re-runnable, not holding dead
-  // coroutine frames.
   std::exception_ptr first;
-  for (auto& root : roots_)
-    if (!first) first = root.task.failure();
+  for (auto& root : roots_) {
+    const bool done = root.task.done();
+    if (trace_) {
+      trace_->instant(trace::kEnginePid, "tasks", done ? "done" : "stuck",
+                      now_, root.name);
+    }
+    if (!done) {
+      if (!stuck.empty()) stuck += ", ";
+      stuck += root.name;
+    } else if (!first) {
+      first = root.task.failure();
+    }
+  }
+  // Clear roots_ BEFORE rethrowing: the exception_ptr keeps the exception
+  // alive past the frame destruction, and every exit must leave the engine
+  // re-runnable, not holding dead or stuck coroutine frames.
   roots_.clear();
   if (first) std::rethrow_exception(first);
+  return stuck;
 }
 
-bool Engine::run_detect_deadlock() {
-  drain();
-  bool all_done = true;
-  std::exception_ptr first;
-  for (auto& root : roots_) {
-    if (!root.task.done()) {
-      all_done = false;
-      continue;
-    }
-    // Tasks that *did* complete may have failed; a stuck sibling must not
-    // swallow that (deadlock + exception is a double fault, and the
-    // exception names the actual bug).
-    if (!first) first = root.task.failure();
-  }
-  roots_.clear();
-  if (first) std::rethrow_exception(first);
-  return all_done;
+void Engine::run() {
+  const std::string stuck = drain_and_settle();
+  if (stuck.empty()) return;
+  std::string msg = "simulation deadlock";
+  msg += perturb_ ? " [perturbation seed " +
+                        std::to_string(perturb_->seed) + "]"
+                  : " [perturbation off]";
+  msg += ": event queue empty but tasks still blocked: ";
+  msg += stuck;
+  throw std::runtime_error(msg);
 }
+
+bool Engine::run_detect_deadlock() { return drain_and_settle().empty(); }
 
 }  // namespace scc::sim

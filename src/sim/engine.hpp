@@ -148,18 +148,18 @@ class Engine {
   /// `name` appears in deadlock diagnostics.
   void spawn(Task<> task, std::string name);
 
-  /// Runs until the event queue drains. Throws std::runtime_error if any
-  /// root task is still unfinished then (deadlock), listing the stuck tasks
-  /// and the perturbation seed when perturbation is active; rethrows the
-  /// first root-task exception, if any.
+  /// Runs until the event queue drains, then releases every root task. A
+  /// root task that completed *with an exception* is a failure, not a
+  /// deadlock: the first such exception (in spawn order) is rethrown even
+  /// when other roots are stuck -- deadlock plus exception is a double
+  /// fault, and the exception is the more specific diagnosis. Otherwise
+  /// throws std::runtime_error if any root task is still unfinished
+  /// (deadlock), listing the stuck tasks and the perturbation seed when
+  /// perturbation is active.
   void run();
 
   /// Like run() but returns false instead of throwing when root tasks are
-  /// deadlocked (used by tests that *expect* deadlock). A root task that
-  /// completed *with an exception* is a failure, not a deadlock: the first
-  /// such exception (in spawn order) is rethrown even when other roots are
-  /// stuck -- deadlock plus exception is a double fault, and the exception
-  /// is the more specific diagnosis.
+  /// deadlocked (used by tests that *expect* deadlock).
   [[nodiscard]] bool run_detect_deadlock();
 
   [[nodiscard]] std::uint64_t events_processed() const {
@@ -205,6 +205,11 @@ class Engine {
   /// Processes every queued event (run() is drain() plus deadlock
   /// diagnostics and root-exception rethrow).
   void drain();
+  /// drain(), then the root scan run() and run_detect_deadlock() share:
+  /// traces each root's done/stuck instant, clears roots_, rethrows the
+  /// first root exception in spawn order, and otherwise returns the stuck
+  /// roots' names ("" when every root finished).
+  [[nodiscard]] std::string drain_and_settle();
   void dispatch(Event ev);
   void push_event(SimTime when, std::uintptr_t payload);
   void fire_probe(SimTime limit);

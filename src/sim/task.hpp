@@ -121,14 +121,6 @@ class [[nodiscard]] Task {
     return handle_;
   }
 
-  /// Result extraction after completion (root tasks driven by the engine).
-  [[nodiscard]] T& result() {
-    SCC_EXPECTS(done());
-    auto& promise = handle_.promise();
-    if (promise.exception) std::rethrow_exception(promise.exception);
-    return *promise.value;
-  }
-
  private:
   explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
   void destroy() {

@@ -49,13 +49,12 @@ TEST(KSpace, CoefficientsPositiveAndDecayingInMagnitude) {
 }
 
 TEST(LocalSystem, MakeParticleIsNeutral) {
-  const ModelParams m = tiny_model();
-  LocalSystem sys(m, 4);
+  LocalSystem sys(4);
   Xoshiro256 rng(3);
   for (int i = 0; i < 20; ++i) {
     const Particle p = sys.make_particle(rng);
     EXPECT_TRUE(p.alive);
-    EXPECT_EQ(static_cast<int>(p.atoms.size()), m.atoms_per_particle);
+    EXPECT_EQ(static_cast<int>(p.atoms.size()), ModelParams::atoms_per_particle);
     double q = 0.0;
     for (const Atom& a : p.atoms) q += a.charge;
     EXPECT_NEAR(q, 0.0, 1e-12);
@@ -63,7 +62,7 @@ TEST(LocalSystem, MakeParticleIsNeutral) {
 }
 
 TEST(LocalSystem, AliveCountAndFreeSlots) {
-  LocalSystem sys(tiny_model(), 3);
+  LocalSystem sys(3);
   EXPECT_EQ(sys.alive_count(), 0);
   EXPECT_EQ(sys.free_slot(), 0);
   Xoshiro256 rng(1);
@@ -76,7 +75,7 @@ TEST(LocalSystem, AliveCountAndFreeSlots) {
 }
 
 TEST(LocalSystem, ShortRangeZeroWhenEmpty) {
-  LocalSystem sys(tiny_model(), 4);
+  LocalSystem sys(4);
   Xoshiro256 rng(1);
   const Particle probe = sys.make_particle(rng);
   const auto sr = sys.short_range(probe, -1);
@@ -85,7 +84,7 @@ TEST(LocalSystem, ShortRangeZeroWhenEmpty) {
 }
 
 TEST(LocalSystem, ShortRangeSkipsOwnSlot) {
-  LocalSystem sys(tiny_model(), 4);
+  LocalSystem sys(4);
   Xoshiro256 rng(1);
   sys.slot(0) = sys.make_particle(rng);
   const Particle& probe = sys.slot(0);
@@ -96,20 +95,19 @@ TEST(LocalSystem, ShortRangeSkipsOwnSlot) {
 }
 
 TEST(LocalSystem, ShortRangePairCountIsAtomProduct) {
-  const ModelParams m = tiny_model();
-  LocalSystem sys(m, 4);
+  LocalSystem sys(4);
   Xoshiro256 rng(2);
   sys.slot(0) = sys.make_particle(rng);
   sys.slot(1) = sys.make_particle(rng);
   const Particle probe = sys.make_particle(rng);
   const auto sr = sys.short_range(probe, -1);
-  EXPECT_EQ(sr.pairs, static_cast<std::uint64_t>(m.atoms_per_particle) *
-                          static_cast<std::uint64_t>(2 * m.atoms_per_particle));
+  constexpr auto atoms =
+      static_cast<std::uint64_t>(ModelParams::atoms_per_particle);
+  EXPECT_EQ(sr.pairs, atoms * 2 * atoms);
 }
 
 TEST(LocalSystem, LennardJonesRepulsiveAtShortDistance) {
-  ModelParams m = tiny_model();
-  LocalSystem sys(m, 2);
+  LocalSystem sys(2);
   // Two single-point "particles" placed very close.
   Particle a;
   a.alive = true;
@@ -123,27 +121,25 @@ TEST(LocalSystem, LennardJonesRepulsiveAtShortDistance) {
   Particle c;
   c.alive = true;
   c.atoms = {Atom{{1.0, 1.0, 1.0 + std::pow(2.0, 1.0 / 6.0)}, 0.0}};
-  EXPECT_NEAR(sys.short_range(c, -1).energy, -m.lj_epsilon, 1e-9);
+  EXPECT_NEAR(sys.short_range(c, -1).energy, -ModelParams::lj_epsilon, 1e-9);
 }
 
 TEST(LocalSystem, MinimumImageWrapsBox) {
-  ModelParams m = tiny_model();
-  LocalSystem sys(m, 2);
+  LocalSystem sys(2);
   Particle a;
   a.alive = true;
   a.atoms = {Atom{{0.2, 6.0, 6.0}, 0.0}};
   sys.slot(0) = a;
   Particle near_far_edge;
   near_far_edge.alive = true;
-  near_far_edge.atoms = {Atom{{m.box_length - 0.2, 6.0, 6.0}, 0.0}};
+  near_far_edge.atoms = {Atom{{ModelParams::box_length - 0.2, 6.0, 6.0}, 0.0}};
   // Across the boundary the distance is 0.4, well inside the core.
   EXPECT_GT(sys.short_range(near_far_edge, -1).energy, 0.0);
 }
 
 TEST(LocalSystem, StructureFactorsMatchDirectSum) {
-  const ModelParams m = tiny_model();
-  const KSpace kspace(m);
-  LocalSystem sys(m, 3);
+  const KSpace kspace(tiny_model());
+  LocalSystem sys(3);
   Xoshiro256 rng(4);
   sys.slot(0) = sys.make_particle(rng);
   sys.slot(2) = sys.make_particle(rng);
@@ -170,9 +166,8 @@ TEST(LocalSystem, StructureFactorsMatchDirectSum) {
 }
 
 TEST(LocalSystem, LongRangeEnergyNonNegativeForRealFactors) {
-  const ModelParams m = tiny_model();
-  const KSpace kspace(m);
-  const LocalSystem sys(m, 1);
+  const KSpace kspace(tiny_model());
+  const LocalSystem sys(1);
   std::vector<std::complex<double>> f(kspace.kvecs.size(), {1.0, -2.0});
   // |F|^2 weighted by positive coefficients -> strictly positive.
   EXPECT_GT(sys.long_range_energy(kspace, f), 0.0);

@@ -182,7 +182,7 @@ TEST(TimingPins, SpotlightAllreduceWork) {
   const RunResult r = run_collective(spec);
   EXPECT_EQ(r.events, 85'444u);
   EXPECT_EQ(frames_allocated() - frames0, 56'784u);
-  EXPECT_EQ(tl_heap_allocs - heap0, 810u);
+  EXPECT_EQ(tl_heap_allocs - heap0, 809u);
 }
 
 TEST(TimingPins, CacheHeavyAlltoallHeap) {
@@ -199,7 +199,7 @@ TEST(TimingPins, CacheHeavyAlltoallHeap) {
   const std::uint64_t heap0 = tl_heap_allocs;
   const RunResult r = run_collective(spec);
   EXPECT_EQ(r.events, 39'290u);
-  EXPECT_EQ(tl_heap_allocs - heap0, 1'724u);
+  EXPECT_EQ(tl_heap_allocs - heap0, 1'723u);
 }
 
 TEST(TimingPins, SerialAllreduceSweepFrames) {

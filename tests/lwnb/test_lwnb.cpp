@@ -26,8 +26,7 @@ std::vector<std::byte> pattern(std::size_t n, int seed) {
 
 /// The engine at the lightweight rung's per-call cost.
 Lwnb lightweight(rcce::Rcce& rcce) {
-  const auto& sw = rcce.api().cost().sw;
-  return Lwnb(rcce, sw.lwnb_issue, sw.lwnb_complete);
+  return Lwnb(rcce, mem::sw::lwnb_issue, mem::sw::lwnb_complete);
 }
 
 sim::Task<> send_side(machine::CoreApi& api, const rcce::Layout* layout,
@@ -221,14 +220,14 @@ TEST(Lwnb, LessSoftwareOverheadThanIrcce) {
   const SimTime ircce = ring_round_overhead(coll::Prims::kIrcce);
   const SimTime lw = ring_round_overhead(coll::Prims::kLightweight);
   machine::SccMachine machine(small_config());
-  const auto& sw = machine.config().cost.sw;
+  namespace sw = mem::sw;
   const auto calls = [&](std::uint32_t issue, std::uint32_t complete) {
     return (machine.latency().core_cycles(issue, 0) +
             machine.latency().core_cycles(complete, 0)) *
            2;
   };
-  EXPECT_EQ((ircce + calls(sw.lwnb_issue, sw.lwnb_complete)).femtoseconds(),
-            (lw + calls(sw.ircce_issue, sw.ircce_complete)).femtoseconds());
+  EXPECT_EQ((ircce + calls(sw::lwnb_issue, sw::lwnb_complete)).femtoseconds(),
+            (lw + calls(sw::ircce_issue, sw::ircce_complete)).femtoseconds());
   EXPECT_LT(lw, ircce);
 }
 

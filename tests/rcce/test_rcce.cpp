@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "machine/scc_machine.hpp"
@@ -38,6 +40,23 @@ TEST(Layout, PaperVectorsFitOneChunk) {
   EXPECT_GE(layout.chunk_bytes(), 700u * sizeof(double));
 }
 
+/// Every flag index `layout` hands out at `core`, in no particular order.
+std::vector<int> all_flag_indices(const Layout& layout, int core) {
+  std::vector<int> indices;
+  for (int from = 0; from < layout.num_cores(); ++from) {
+    indices.push_back(layout.sent_flag(core, from).index);
+    indices.push_back(layout.ready_flag(core, from).index);
+  }
+  for (int round = 0; round < Layout::kBarrierRounds; ++round) {
+    indices.push_back(layout.barrier_flag(core, round).index);
+  }
+  for (int buf = 0; buf < Layout::kMpbBuffers; ++buf) {
+    indices.push_back(layout.mpb_filled_flag(core, buf).index);
+    indices.push_back(layout.mpb_free_flag(core, buf).index);
+  }
+  return indices;
+}
+
 TEST(Layout, FlagRefsDisjoint) {
   const Layout layout(8);
   EXPECT_NE(layout.sent_flag(1, 2).index, layout.ready_flag(1, 2).index);
@@ -45,6 +64,36 @@ TEST(Layout, FlagRefsDisjoint) {
   EXPECT_NE(layout.barrier_flag(0, 0).index, layout.ready_flag(0, 7).index);
   EXPECT_NE(layout.mpb_filled_flag(0, 0).index,
             layout.mpb_free_flag(0, 0).index);
+
+  // Lane L of N owns exactly the flags [L*F, (L+1)*F), F being the plain
+  // layout's flags_needed(), and a payload cut no other lane touches.
+  for (const int p : {2, 5, 48, 255}) {
+    const int f = Layout(p).flags_needed();
+    for (const int lanes : {1, 2, 4}) {
+      // A lane needs at least one payload line (255 cores leave one line).
+      const std::size_t payload =
+          mem::kMpbBytesPerCore - Layout(p).payload_offset();
+      if (payload / static_cast<std::size_t>(lanes) < mem::kCacheLineBytes) {
+        EXPECT_DEATH((void)Layout::lane(p, lanes - 1, lanes), "precondition");
+        continue;
+      }
+      std::size_t cut_end = Layout(p).payload_offset();
+      for (int which = 0; which < lanes; ++which) {
+        SCOPED_TRACE(::testing::Message()
+                     << "p=" << p << " lane " << which << " of " << lanes);
+        const Layout lane = Layout::lane(p, which, lanes);
+        std::vector<int> indices = all_flag_indices(lane, p - 1);
+        std::sort(indices.begin(), indices.end());
+        std::vector<int> owned(static_cast<std::size_t>(f));
+        std::iota(owned.begin(), owned.end(), which * f);
+        EXPECT_EQ(indices, owned);
+        EXPECT_EQ(lane.flags_needed(), (which + 1) * f);
+        EXPECT_GE(lane.payload_offset(), cut_end);
+        cut_end = lane.payload_offset() + lane.payload_bytes();
+        EXPECT_LE(cut_end, mem::kMpbBytesPerCore);
+      }
+    }
+  }
 }
 
 sim::Task<> sender(machine::CoreApi& api, const Layout* layout,

@@ -278,6 +278,34 @@ TEST(Engine, RunDetectDeadlockSurfacesRootExceptionOverDeadlock) {
   }
 }
 
+TEST(Engine, RunSurfacesRootExceptionOverDeadlock) {
+  // run() settles its roots like run_detect_deadlock(): on the same double
+  // fault it rethrows the root exception, not the deadlock report.
+  Engine engine;
+  WaitQueue queue(engine);
+  engine.spawn(waits_forever(&queue), "stuck");
+  engine.spawn(throws_after(&engine, SimTime{5}, "root boom"), "thrower");
+  try {
+    engine.run();
+    FAIL() << "expected the root exception to surface";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "root boom");
+  }
+}
+
+TEST(Engine, RunsAgainAfterDeadlock) {
+  // A deadlocked run() releases its stuck roots, so the next run() reports
+  // only its own tasks.
+  Engine engine;
+  WaitQueue queue(engine);
+  engine.spawn(waits_forever(&queue), "stuck");
+  EXPECT_THROW(engine.run(), std::runtime_error);
+  std::vector<int> order;
+  engine.spawn(sleep_then_record(&engine, SimTime{5}, 1, &order), "ok");
+  EXPECT_NO_THROW(engine.run());
+  EXPECT_EQ(order, std::vector<int>{1});
+}
+
 TEST(Engine, RunDetectDeadlockRethrowsFirstRootExceptionInSpawnOrder) {
   Engine engine;
   engine.spawn(throws_after(&engine, SimTime{9}, "second spawned"), "late");
