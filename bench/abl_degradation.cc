@@ -21,12 +21,12 @@
 // fault scenario moved a measured crossover past the Selector.
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_support.hpp"
 #include "common/cli.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
@@ -217,12 +217,7 @@ int main(int argc, char** argv) {
     std::printf("\nselector still measured-best in %d/%zu cells\n", picks_ok,
                 cell);
 
-    std::filesystem::create_directories("bench_results");
-    table.write_csv_file("bench_results/abl_degradation.csv");
-    table.write_json_file("bench_results/abl_degradation.json",
-                          "abl_degradation");
-    std::cout << "series written to bench_results/abl_degradation.csv and "
-                 "bench_results/abl_degradation.json\n";
+    bench::write_table("abl_degradation", table);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "abl_degradation: %s\n", e.what());

@@ -11,7 +11,9 @@
 # Sizes the 8 KB MPB cannot hold are usage errors too: a mesh with more
 # cores than the RCCE layout has flag lines for, an RCKMPI mesh too large
 # for two-line peer rings, and MPB-direct Allreduce blocks that cannot be
-# double-buffered.
+# double-buffered. perturb_soak must reject a round count below 1, a
+# negative --delay-fs and a pinned --collective that lacks the pinned
+# --algo.
 #
 # Required -D variables: BINARIES (target binaries, space-separated), FIG9
 # (target binary), WORK_DIR (scratch working directory).
@@ -85,6 +87,9 @@ expect_usage_error("${binary}" --out=x.html --reps=4294967296)
 expect_usage_error("${binary}" --out=x.html --warmup=4294967295)
 binary_path(perturb_soak binary)
 expect_usage_error("${binary}" --seeds=4294967296)
+expect_usage_error("${binary}" --rounds=-3)
+expect_usage_error("${binary}" --delay-fs=-7)
+expect_usage_error("${binary}" --collective=reducescatter --algo=bruck)
 binary_path(topology_explorer binary)
 expect_usage_error("${binary}" --from-core=48)
 binary_path(cg_solver binary)

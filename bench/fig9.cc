@@ -85,14 +85,14 @@ Options parse_options(const scc::CliFlags& flags) {
   Options opt;
   opt.figure = strprintf("fig9%c_%s", panel->letter, name.c_str());
   harness::SweepSpec& sweep = opt.sweep;
-  sweep.collective = panel->collective;
+  sweep.run.collective = panel->collective;
   sweep.from = static_cast<std::size_t>(flags.get_int_in("from", 500, 0));
   sweep.to = static_cast<std::size_t>(flags.get_int_in("to", 700, 0));
   sweep.step = static_cast<std::size_t>(
       flags.get_positive_int("step", panel->default_step));
-  sweep.repetitions = flags.get_positive_int("reps", 2);
-  sweep.warmup = 1;
-  sweep.verify = false;
+  sweep.run.repetitions = flags.get_positive_int("reps", 2);
+  sweep.run.warmup = 1;
+  sweep.run.verify = false;
   sweep.jobs = exec::jobs_flag(flags);
   if (sweep.to < sweep.from) {
     throw std::runtime_error(strprintf("--to=%zu is below --from=%zu",
@@ -101,13 +101,13 @@ Options parse_options(const scc::CliFlags& flags) {
   opt.metrics_path = flags.get("metrics", "");
   if (flags.has("metrics") && opt.metrics_path.empty())
     throw std::runtime_error("--metrics= needs a path");
-  sweep.collect_metrics = !opt.metrics_path.empty();
+  sweep.run.collect_metrics = !opt.metrics_path.empty();
   opt.hist = flags.get_bool("hist", false);
   opt.blame = flags.get_bool("blame", false);
   if (flags.has("algo")) {
     const std::string algo_name = flags.get("algo", "");
-    sweep.algo = coll::parse_algo(algo_name);
-    if (!sweep.algo)
+    sweep.run.algo = coll::parse_algo(algo_name);
+    if (!sweep.run.algo)
       throw std::runtime_error("unknown --algo '" + algo_name + "'");
   }
   for (const std::string& unknown : flags.unconsumed())
@@ -117,7 +117,7 @@ Options parse_options(const scc::CliFlags& flags) {
   // limiting one.
   const std::size_t largest =
       sweep.from + (sweep.to - sweep.from) / sweep.step * sweep.step;
-  for (const PaperVariant v : harness::variants_for(sweep.collective))
+  for (const PaperVariant v : harness::variants_for(sweep.run.collective))
     harness::check_spec(harness::cell_spec(sweep, v, largest));
   return opt;
 }
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
 
   harness::SweepResult result = harness::run_sweep(opt.sweep);
   std::cout << "=== " << opt.figure << " ("
-            << harness::collective_name(opt.sweep.collective)
+            << harness::collective_name(opt.sweep.run.collective)
             << ", 48 cores; latency in virtual microseconds) ===\n";
   const Table table = result.to_table();
   table.print(std::cout);

@@ -17,9 +17,9 @@
 //
 // Rounds whose collective has algorithm variants (coll/algos.hpp) sample
 // the algorithm dimension too -- paper default, each implemented variant,
-// or the auto Selector -- unless --algo pins one; the chosen algorithm is
-// part of the round's deterministic (master-seed, round) draw and appears
-// in the configuration line.
+// or the auto Selector -- unless --algo pins one for the collectives that
+// implement it; the chosen algorithm is part of the round's deterministic
+// (master-seed, round) draw and appears in the configuration line.
 //
 // The fault dimension (src/faults) is sampled the same way: about a third
 // of the rounds degrade the machine with 1-2 random clauses (stragglers,
@@ -127,7 +127,7 @@ scc::faults::FaultSpec sample_faults(scc::Xoshiro256& rng, int tiles_x,
 int main(int argc, char** argv) {
   try {
     const auto flags = scc::CliFlags::parse(argc, argv);
-    const auto rounds = flags.get_int("rounds", 20);
+    const long rounds = flags.get_positive_int("rounds", 20);
     const int seeds_per_config = flags.get_int_in("seeds", 16, 1);
     const auto master_seed =
         static_cast<std::uint64_t>(flags.get_int("master-seed", 1));
@@ -156,8 +156,9 @@ int main(int argc, char** argv) {
     // 1 simulated second; any useful jitter is a handful of ~1.9e6 fs core
     // cycles, and unbounded values would overflow SimTime arithmetic.
     constexpr long kMaxDelayFs = 1'000'000'000'000'000;
-    if (fixed_delay_fs > kMaxDelayFs) {
-      std::fprintf(stderr, "--delay-fs must be <= %ld\n", kMaxDelayFs);
+    if ((flags.has("delay-fs") && fixed_delay_fs < 0) ||
+        fixed_delay_fs > kMaxDelayFs) {
+      std::fprintf(stderr, "--delay-fs must be in [0, %ld]\n", kMaxDelayFs);
       return 2;
     }
     std::optional<Collective> fixed_collective;
@@ -176,6 +177,18 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown algorithm '%s'\n", algo_flag.c_str());
         return 2;
       }
+    }
+    // Whether collective `c` implements the pinned --algo (auto: every
+    // collective with an algorithm dimension).
+    const auto implements_algo = [&fixed_algo](Collective c) {
+      const auto kind = scc::harness::algo_kind(c);
+      return kind && (*fixed_algo == scc::coll::Algo::kAuto ||
+                      scc::coll::algo_valid_for(*kind, *fixed_algo));
+    };
+    if (fixed_collective && fixed_algo && !implements_algo(*fixed_collective)) {
+      std::fprintf(stderr, "--algo=%s is not implemented for %s\n",
+                   algo_flag.c_str(), collective_flag.c_str());
+      return 2;
     }
     // --faults pins the fault dimension for every round ('' = always
     // healthy); without it the dimension is sampled per round below.
@@ -207,64 +220,61 @@ int main(int argc, char** argv) {
       // alone, independent of how many rounds preceded it.
       scc::Xoshiro256 rng(master_seed + static_cast<std::uint64_t>(round));
       scc::harness::ConformanceSpec spec;
-      spec.collective = fixed_collective
-                            ? *fixed_collective
-                            : scc::harness::kAllCollectives[rng.below(
-                                  scc::harness::kAllCollectives.size())];
+      scc::harness::RunSpec& run = spec.run;
+      scc::machine::SccConfig& config = run.config;
+      run.collective = fixed_collective
+                           ? *fixed_collective
+                           : scc::harness::kAllCollectives[rng.below(
+                                 scc::harness::kAllCollectives.size())];
       const MeshShape mesh = kMeshes[rng.below(std::size(kMeshes))];
-      spec.tiles_x = mesh.x;
-      spec.tiles_y = mesh.y;
-      spec.elements = 1 + rng.below(static_cast<std::uint64_t>(max_elements));
-      spec.split = rng.below(2) == 0 ? scc::coll::SplitPolicy::kStandard
-                                     : scc::coll::SplitPolicy::kBalanced;
-      spec.engine_seed = rng();
+      config.tiles_x = mesh.x;
+      config.tiles_y = mesh.y;
+      run.elements = 1 + rng.below(static_cast<std::uint64_t>(max_elements));
+      run.split_override = rng.below(2) == 0
+                               ? scc::coll::SplitPolicy::kStandard
+                               : scc::coll::SplitPolicy::kBalanced;
+      run.seed = rng();
       spec.perturb_seed_base = rng();
       spec.perturb_seeds = seeds_per_config;
       // A third of the rounds inject event delays up to ~10 core cycles
       // (1 core cycle = 1,876,173 fs) unless a fixed jitter was requested.
-      spec.max_delay_fs =
+      config.perturb_max_delay_fs =
           fixed_delay_fs >= 0
               ? static_cast<std::uint64_t>(fixed_delay_fs)
               : (rng.below(3) == 0 ? 1'876'173ULL * (1 + rng.below(10)) : 0);
-      spec.model_contention = rng.below(3) == 0;
-      // Fault dimension: pinned, or sampled on ~1/3 of the rounds.
+      config.cost.hw.model_link_contention = rng.below(3) == 0;
+      // Fault dimension: pinned (run_conformance rejects a spec that does
+      // not fit the round's mesh), or sampled on ~1/3 of the rounds.
       if (fixed_faults) {
-        spec.faults = *fixed_faults;
+        config.faults = *fixed_faults;
       } else if (rng.below(3) == 0) {
-        spec.faults = sample_faults(rng, mesh.x, mesh.y,
-                                    mesh.x * mesh.y * spec.cores_per_tile);
-      }
-      if (!spec.faults.empty()) {
-        if (const auto err = scc::noc::Topology::check(
-                spec.tiles_x, spec.tiles_y, spec.cores_per_tile,
-                spec.faults)) {
-          if (fixed_faults) {
-            std::fprintf(stderr, "--faults: %s\n", err->c_str());
-            return 2;
-          }
-          spec.faults = {};  // unlucky draw: run the round healthy
-        }
+        config.faults =
+            sample_faults(rng, mesh.x, mesh.y, config.num_cores());
+        if (scc::noc::Topology::check(config.tiles_x, config.tiles_y,
+                                      config.cores_per_tile, config.faults))
+          config.faults = {};  // unlucky draw: run the round healthy
       }
       // Algorithm dimension (only for collectives that have one): pick 0 =
       // paper default (no override), 1..k = the implemented variants, k+1 =
-      // the auto Selector.
-      if (const auto kind = scc::harness::algo_kind(spec.collective)) {
+      // the auto Selector. A pinned --algo applies where it is implemented
+      // and draws nothing, so the other dimensions stay as sampled.
+      if (const auto kind = scc::harness::algo_kind(run.collective)) {
         if (fixed_algo) {
-          spec.algo = fixed_algo;
+          if (implements_algo(run.collective)) run.algo = fixed_algo;
         } else {
           const auto& algos = scc::coll::algos_for(*kind);
           const std::uint64_t pick = rng.below(algos.size() + 2);
           if (pick == algos.size() + 1) {
-            spec.algo = scc::coll::Algo::kAuto;
+            run.algo = scc::coll::Algo::kAuto;
           } else if (pick >= 1) {
-            spec.algo = algos[pick - 1];
+            run.algo = algos[pick - 1];
           }
         }
       }
       // Non-blocking cells on a third of the rounds (drawn last so the
       // other dimensions of a given master seed are unchanged).
       spec.check_nbc = rng.below(3) == 0;
-      spec.trace = recorder ? &*recorder : nullptr;
+      run.trace = recorder ? &*recorder : nullptr;
       spec.jobs = jobs;
 
       const scc::harness::ConformanceReport report =

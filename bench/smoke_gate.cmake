@@ -8,7 +8,8 @@
 # Required -D variables: BINARY (target binary), ARGS (the binary's
 # arguments, space-separated; may be empty), RESULT (the JSON file name
 # under WORK_DIR/bench_results), BASELINE (committed JSON), WORK_DIR
-# (scratch; bench_results/ is written inside).
+# (scratch; bench_results/ is created inside first, for binaries that are
+# told to write there but do not create it themselves).
 foreach(var BINARY ARGS RESULT BASELINE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "smoke_gate.cmake needs -D${var}=...")
@@ -17,7 +18,7 @@ endforeach()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 
 set(current "${WORK_DIR}/bench_results/${RESULT}")
-file(MAKE_DIRECTORY "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}/bench_results")
 file(REMOVE "${current}")  # a stale file from an earlier run must not pass
 execute_process(
   COMMAND "${BINARY}" ${args}

@@ -17,12 +17,12 @@
 // re-commit the baseline.
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_support.hpp"
 #include "common/cli.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
@@ -142,12 +142,7 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
 
-    std::filesystem::create_directories("bench_results");
-    table.write_csv_file("bench_results/tab_algo_select.csv");
-    table.write_json_file("bench_results/tab_algo_select.json",
-                          "tab_algo_select");
-    std::cout << "\nseries written to bench_results/tab_algo_select.csv and "
-                 "bench_results/tab_algo_select.json\n";
+    bench::write_table("tab_algo_select", table);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tab_algo_select: %s\n", e.what());

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     spec.from = static_cast<std::size_t>(flags.get_int_in("from", 500, 0));
     spec.to = static_cast<std::size_t>(flags.get_int_in("to", 700, 0));
     spec.step = static_cast<std::size_t>(flags.get_positive_int("step", 16));
-    spec.repetitions = flags.get_positive_int("reps", 2);
+    spec.run.repetitions = flags.get_positive_int("reps", 2);
     spec.jobs = scc::exec::jobs_flag(flags);
     for (const std::string& name : flags.unconsumed())
       throw std::runtime_error("unknown flag --" + name);
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tab_speedups: %s\n", e.what());
     return 2;
   }
-  spec.warmup = 1;
-  spec.verify = false;
+  spec.run.warmup = 1;
+  spec.run.verify = false;
 
   const Collective collectives[] = {
       Collective::kAllgather, Collective::kAlltoall,
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       Collective::kAllreduce};
   SweepResult results[6];
   for (int i = 0; i < 6; ++i) {
-    spec.collective = collectives[i];
+    spec.run.collective = collectives[i];
     results[i] = scc::harness::run_sweep(spec);
   }
 

@@ -1,8 +1,7 @@
 #include "harness/conformance.hpp"
 
 #include <algorithm>
-#include <iterator>
-#include <stdexcept>
+#include <exception>
 #include <vector>
 
 #include "common/string_util.hpp"
@@ -15,44 +14,28 @@ namespace {
 /// The concrete algorithm every run of this configuration uses, or nullopt
 /// for the paper default. kAuto is resolved here, once, prims-independently
 /// (with the lightweight layer's selector inputs), so the three stacks run
-/// the same schedule and their full output buffers stay comparable.
-std::optional<coll::Algo> resolved_algo(const ConformanceSpec& spec) {
-  if (!spec.algo) return std::nullopt;
-  if (*spec.algo != coll::Algo::kAuto) return spec.algo;
-  const auto kind = algo_kind(spec.collective);
-  if (!kind) {
-    throw std::runtime_error(strprintf(
-        "%s has no algorithm variants",
-        std::string(collective_name(spec.collective)).c_str()));
-  }
-  const int p = spec.tiles_x * spec.tiles_y * spec.cores_per_tile;
-  return coll::select_algo(*kind, spec.elements, p,
+/// the same schedule and their full output buffers stay comparable; on a
+/// collective without algorithms it stays kAuto, which check_spec rejects.
+std::optional<coll::Algo> resolved_algo(const RunSpec& run) {
+  const auto kind = algo_kind(run.collective);
+  if (run.algo != coll::Algo::kAuto || !kind) return run.algo;
+  return coll::select_algo(*kind, run.elements, run.config.num_cores(),
                            coll::Prims::kLightweight);
 }
 
-RunSpec base_run_spec(const ConformanceSpec& spec, PaperVariant variant,
-                      std::optional<coll::Algo> algo) {
-  RunSpec run;
-  run.collective = spec.collective;
-  run.variant = variant;
-  run.elements = spec.elements;
-  run.repetitions = spec.repetitions;
-  run.warmup = spec.warmup;
-  run.seed = spec.engine_seed;
-  run.verify = true;  // every run is also checked against the serial model
-  run.capture_outputs = true;
+/// The baseline RunSpec of one cell: `run` plus what the matrix owns.
+RunSpec cell_run(const RunSpec& run, PaperVariant variant,
+                 int nbc_lanes = 0) {
+  RunSpec cell = run;
+  cell.variant = variant;
+  cell.nbc_lanes = nbc_lanes;
+  cell.verify = true;  // every run is also checked against the serial model
+  cell.capture_outputs = true;
   // Snapshot every run: the seed-invariant (volume-type) half of each
   // perturbed run's metrics is diffed against its cell's baseline.
-  run.collect_metrics = true;
-  run.split_override = spec.split;
-  run.algo = algo;
-  run.trace = spec.trace;
-  run.config.tiles_x = spec.tiles_x;
-  run.config.tiles_y = spec.tiles_y;
-  run.config.cores_per_tile = spec.cores_per_tile;
-  run.config.cost.hw.model_link_contention = spec.model_contention;
-  run.config.faults = spec.faults;
-  return run;
+  cell.collect_metrics = true;
+  cell.config.perturb_seed.reset();  // set on the perturbed replays only
+  return cell;
 }
 
 /// Collectives whose full output buffers are value-deterministic across
@@ -79,16 +62,15 @@ struct Cell {
   bool cross_check;
 };
 
-std::vector<Cell> build_cells(const ConformanceSpec& spec,
-                              std::optional<coll::Algo> algo) {
+/// The cells of a matrix over `run`, whose algorithm is already resolved.
+std::vector<Cell> build_cells(const RunSpec& run, bool check_nbc) {
   // One cell per message-passing stack, named after it (coll::kAllPrims).
   constexpr PaperVariant kStacks[] = {PaperVariant::kBlocking,
                                       PaperVariant::kIrcce,
                                       PaperVariant::kLightweight};
   std::vector<Cell> cells;
   for (const PaperVariant v : kStacks) {
-    cells.push_back(Cell{std::string(variant_name(v)),
-                         base_run_spec(spec, v, algo),
+    cells.push_back(Cell{std::string(variant_name(v)), cell_run(run, v),
                          /*cross_check=*/true});
   }
   // RCKMPI joins as a fourth cell when the collective has an MPI
@@ -96,20 +78,17 @@ std::vector<Cell> build_cells(const ConformanceSpec& spec,
   // schedules). Its outputs join the cross-stack diff only for the value-
   // deterministic collectives: Reduce and ReduceScatter leave schedule-
   // dependent garbage outside the owned regions.
-  const std::vector<PaperVariant> plotted = variants_for(spec.collective);
-  if (!algo &&
+  const std::vector<PaperVariant> plotted = variants_for(run.collective);
+  if (!run.algo &&
       std::find(plotted.begin(), plotted.end(), PaperVariant::kRckmpi) !=
           plotted.end()) {
-    cells.push_back(Cell{"rckmpi",
-                         base_run_spec(spec, PaperVariant::kRckmpi,
-                                       std::nullopt),
-                         value_deterministic(spec.collective)});
+    cells.push_back(Cell{"rckmpi", cell_run(run, PaperVariant::kRckmpi),
+                         value_deterministic(run.collective)});
   }
-  if (spec.check_nbc && nbc_supported(spec.collective)) {
+  if (check_nbc && nbc_supported(run.collective)) {
     for (const PaperVariant v : kStacks) {
-      RunSpec run = base_run_spec(spec, v, algo);
-      run.nbc_lanes = 1;
-      cells.push_back(Cell{std::string(variant_name(v)) + "-nbc", run,
+      cells.push_back(Cell{std::string(variant_name(v)) + "-nbc",
+                           cell_run(run, v, /*nbc_lanes=*/1),
                            /*cross_check=*/true});
     }
   }
@@ -154,31 +133,38 @@ std::string ConformanceReport::summary() const {
 }
 
 ConformanceReport run_conformance(const ConformanceSpec& spec) {
+  RunSpec run = spec.run;
+  run.algo = resolved_algo(spec.run);
+  const machine::SccConfig& config = run.config;
   SCC_EXPECTS(spec.perturb_seeds >= 1);
-  SCC_EXPECTS(spec.tiles_x >= 1 && spec.tiles_y >= 1);
-  SCC_EXPECTS(spec.cores_per_tile >= 1);
+  SCC_EXPECTS(config.tiles_x >= 1 && config.tiles_y >= 1);
+  SCC_EXPECTS(config.cores_per_tile >= 1);
   SCC_EXPECTS(spec.jobs >= 0);
-  const std::optional<coll::Algo> algo = resolved_algo(spec);
+  const std::vector<Cell> cells = build_cells(run, spec.check_nbc);
+  // A bad spec is harness misuse, not a protocol failure: reject it before
+  // anything is simulated.
+  for (const Cell& cell : cells) check_spec(cell.run);
 
   ConformanceReport report;
   // The mesh's "x<cores_per_tile>" and the " algo=" suffix only appear for
   // non-default values, keeping historical configuration lines unchanged.
   report.configuration = strprintf(
       "%s n=%zu mesh=%dx%d%s split=%s delay=%llufs",
-      std::string(collective_name(spec.collective)).c_str(), spec.elements,
-      spec.tiles_x, spec.tiles_y,
-      spec.cores_per_tile == 2
+      std::string(collective_name(run.collective)).c_str(), run.elements,
+      config.tiles_x, config.tiles_y,
+      config.cores_per_tile == 2
           ? ""
-          : strprintf("x%d", spec.cores_per_tile).c_str(),
-      spec.split == coll::SplitPolicy::kBalanced ? "balanced" : "standard",
-      static_cast<unsigned long long>(spec.max_delay_fs));
-  if (algo) {
-    report.configuration +=
-        strprintf(" algo=%s", std::string(coll::algo_name(*algo)).c_str());
+          : strprintf("x%d", config.cores_per_tile).c_str(),
+      run.split_override == coll::SplitPolicy::kBalanced ? "balanced"
+                                                         : "standard",
+      static_cast<unsigned long long>(config.perturb_max_delay_fs));
+  if (run.algo) {
+    report.configuration += strprintf(
+        " algo=%s", std::string(coll::algo_name(*run.algo)).c_str());
   }
-  if (!spec.faults.empty()) {
+  if (!config.faults.empty()) {
     report.configuration +=
-        strprintf(" faults=%s", spec.faults.to_string().c_str());
+        strprintf(" faults=%s", config.faults.to_string().c_str());
   }
 
   // Execution phase: the whole cell x (1 baseline + K perturbed) matrix
@@ -190,23 +176,21 @@ ConformanceReport run_conformance(const ConformanceSpec& spec) {
     std::optional<RunResult> result;
     std::string error;
   };
-  const std::vector<Cell> cells = build_cells(spec, algo);
   const std::size_t runs_per_stack =
       1 + static_cast<std::size_t>(spec.perturb_seeds);
   const std::size_t stacks = cells.size();
   const auto job_spec = [&](std::size_t job) {
     const std::size_t r = job % runs_per_stack;
-    RunSpec run = cells[job / runs_per_stack].run;
+    RunSpec job_run = cells[job / runs_per_stack].run;
     if (r > 0) {
-      run.config.perturb_seed =
+      job_run.config.perturb_seed =
           spec.perturb_seed_base + static_cast<std::uint64_t>(r - 1);
-      run.config.perturb_max_delay_fs = spec.max_delay_fs;
     }
-    return run;
+    return job_run;
   };
   // A shared trace recorder serializes; jobs=1 preserves the serial run
   // scope order (cell-major, baseline before seeds) exactly.
-  const int jobs = spec.trace != nullptr ? 1 : spec.jobs;
+  const int jobs = run.trace != nullptr ? 1 : spec.jobs;
   const std::vector<Outcome> outcomes = exec::parallel_map<Outcome>(
       stacks * runs_per_stack, jobs, [&](std::size_t job) {
         Outcome out;
@@ -234,7 +218,7 @@ ConformanceReport run_conformance(const ConformanceSpec& spec) {
     const auto record = [&](std::optional<std::uint64_t> perturb_seed,
                             std::string what) {
       report.failures.push_back(ConformanceFailure{
-          stack_name, spec.engine_seed, perturb_seed, std::move(what)});
+          stack_name, run.seed, perturb_seed, std::move(what)});
     };
 
     const Outcome& base_out = outcomes[s * runs_per_stack];

@@ -18,7 +18,8 @@
 //      high-water marks, flag deposits and per-link window counts are
 //      properties of the algorithm, not of the schedule, so they must be
 //      identical across perturbation seeds (time-type counters like queue
-//      delays and poll counts may legitimately drift);
+//      delays and poll counts may legitimately drift; RCKMPI's credit-
+//      bounded bursts make its flag deposits and link windows time-type);
 //   3. absence of deadlock: a perturbed interleaving that wedges the
 //      protocol is reported, not hung (the engine detects queue drain).
 //
@@ -38,48 +39,38 @@
 namespace scc::harness {
 
 struct ConformanceSpec {
-  Collective collective = Collective::kAllreduce;
-  std::size_t elements = 96;
-  int tiles_x = 2;  // mesh shape; cores = tiles_x * tiles_y * 2
-  int tiles_y = 2;
-  coll::SplitPolicy split = coll::SplitPolicy::kBalanced;
-  /// Cores per tile (cores = tiles_x * tiles_y * cores_per_tile). The SCC's
-  /// value is 2; 1 enables odd core counts for the algorithm-variant grid.
-  int cores_per_tile = 2;
-  /// Algorithm override for the collectives with variants (coll/algos.hpp).
-  /// Unset = the paper's algorithm. Algo::kAuto is resolved *once*, from
-  /// (collective, n, p) with the lightweight prims, so all three stacks run
-  /// the same algorithm -- the full-buffer diff in check (1) requires the
-  /// same schedule per cell (different algorithms leave different, equally
-  /// valid garbage outside the owned ReduceScatter block).
-  std::optional<coll::Algo> algo;
-  /// Seeds the input data and the engine's deterministic base trace.
-  std::uint64_t engine_seed = 42;
+  /// The configuration every cell runs: a cell is a copy of `run` whose
+  /// `variant`, `verify`, `capture_outputs`, `collect_metrics` and
+  /// `nbc_lanes` the matrix sets itself, as it sets `config.perturb_seed`
+  /// on the perturbed replays only. `seed` is the failure records'
+  /// engine_seed; a nonzero `config.perturb_max_delay_fs` adds uniform
+  /// random event delays in [0, max] fs to the perturbed replays;
+  /// `config.faults` may change timings and schedules, never results; a
+  /// non-null `trace` records every run as its own run scope and forces
+  /// serial execution. Algo::kAuto is resolved *once*, from (collective,
+  /// n, p) with the lightweight prims, so all three stacks run the same
+  /// algorithm: the full-buffer diff in check (1) needs one schedule per
+  /// cell (algorithms leave different, equally valid garbage outside the
+  /// owned ReduceScatter block). Default: 96 elements on a 2x2 mesh,
+  /// balanced split, one measured repetition, no warmup.
+  RunSpec run = [] {
+    RunSpec r;
+    r.elements = 96;
+    r.repetitions = 1;
+    r.warmup = 0;
+    r.split_override = coll::SplitPolicy::kBalanced;
+    r.config.tiles_x = r.config.tiles_y = 2;
+    return r;
+  }();
   /// Number of perturbation seeds per stack (K). The seeds used are
   /// perturb_seed_base .. perturb_seed_base + K - 1.
   int perturb_seeds = 16;
   std::uint64_t perturb_seed_base = 1;
-  /// When nonzero, perturbed runs also inject uniform random event delays
-  /// in [0, max_delay_fs] femtoseconds (stresses timing assumptions, not
-  /// just equal-time ordering).
-  std::uint64_t max_delay_fs = 0;
-  bool model_contention = false;
-  /// Injected machine degradation (src/faults): every run of the matrix --
-  /// all three stacks, baseline and perturbed -- simulates on the same
-  /// degraded machine, so faults may change timings and schedules but
-  /// never results. Empty = healthy machine (historical behavior).
-  faults::FaultSpec faults;
-  int repetitions = 1;
-  int warmup = 0;
-  /// When non-null, every run (baselines and perturbed replays) is traced
-  /// into this recorder, each as its own run scope -- useful to visually
-  /// compare the interleaving a failing perturbation seed produced.
-  trace::Recorder* trace = nullptr;
   /// Host worker threads for the stack x (baseline + K seeds) matrix: 1 =
   /// serial, 0 = exec::default_jobs(). Every run simulates on its own
   /// machine; verdicts are derived in a deterministic merge pass in spec
   /// order, so the report (runs, failures, summary) is identical for every
-  /// jobs value. A non-null `trace` recorder forces serial execution.
+  /// jobs value.
   int jobs = 1;
   /// Adds one non-blocking cell per RCCE stack (RunSpec::nbc_lanes = 1)
   /// for the collectives with an i*() entry point (coll/nbc.hpp). One lane
@@ -126,8 +117,9 @@ struct ConformanceReport {
 };
 
 /// Runs the full differential check for one configuration. Throws only on
-/// harness misuse (bad spec); protocol failures -- mismatches, deadlocks,
-/// traffic drift -- are collected in the report.
+/// harness misuse: a cell check_spec rejects (checked before anything is
+/// simulated); protocol failures -- mismatches, deadlocks, traffic drift --
+/// are collected in the report.
 [[nodiscard]] ConformanceReport run_conformance(const ConformanceSpec& spec);
 
 }  // namespace scc::harness

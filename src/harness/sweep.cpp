@@ -59,18 +59,10 @@ Table SweepResult::to_table() const {
 
 RunSpec cell_spec(const SweepSpec& spec, PaperVariant variant,
                   std::size_t elements) {
-  RunSpec run;
-  run.collective = spec.collective;
+  RunSpec run = spec.run;
   run.variant = variant;
   run.elements = elements;
-  run.repetitions = spec.repetitions;
-  run.warmup = spec.warmup;
-  run.seed = spec.seed;
-  run.verify = spec.verify;
-  run.trace = spec.trace;
-  run.config = spec.config;
-  run.collect_metrics = spec.collect_metrics;
-  if (stack_based(variant)) run.algo = spec.algo;
+  if (!stack_based(variant)) run.algo.reset();
   return run;
 }
 
@@ -79,7 +71,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
   SCC_EXPECTS(spec.step >= 1);
   SCC_EXPECTS(spec.jobs >= 0);
   SweepResult result;
-  result.variants = spec.variants.empty() ? variants_for(spec.collective)
+  result.variants = spec.variants.empty() ? variants_for(spec.run.collective)
                                           : spec.variants;
 
   // Flatten the (size x variant) grid into one job list; every cell is an
@@ -92,7 +84,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
 
   // A shared recorder is mutated by every traced run: serialize then, so
   // the trace stream keeps its deterministic serial order.
-  const int jobs = spec.trace != nullptr ? 1 : spec.jobs;
+  const int jobs = spec.run.trace != nullptr ? 1 : spec.jobs;
   const std::vector<RunResult> cells = exec::parallel_map<RunResult>(
       sizes.size() * stride, jobs,
       [&](std::size_t job) {

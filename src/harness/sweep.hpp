@@ -3,8 +3,8 @@
 // statistics from it.
 #pragma once
 
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -14,33 +14,23 @@
 namespace scc::harness {
 
 struct SweepSpec {
-  Collective collective = Collective::kAllreduce;
+  /// What every (size, variant) cell runs: a copy of `run` with `variant`
+  /// and `elements` set and, on the RCKMPI and MPB-direct variants (their
+  /// own schedules, which a panel compares an override against), `algo`
+  /// dropped. A non-null `run.trace` records each cell as its own run
+  /// scope; `run.collect_metrics` fills SweepResult::metrics.
+  RunSpec run;
   std::size_t from = 500;
   std::size_t to = 700;
   std::size_t step = 4;
-  int repetitions = 3;
-  int warmup = 1;
-  std::uint64_t seed = 42;
-  bool verify = true;  // verify every point (slower; benches verify once)
-  machine::SccConfig config = machine::SccConfig::paper_default();
-  /// Empty = the paper's variant set for this collective.
+  /// Empty = the paper's variant set for run.collective.
   std::vector<PaperVariant> variants;
-  /// Algorithm override (RunSpec::algo) for the Stack-based variants;
-  /// RCKMPI and the MPB-direct path have no algorithm dimension and keep
-  /// their own schedule, so a panel compares the override against them.
-  /// Unset = the paper's algorithm.
-  std::optional<coll::Algo> algo;
-  /// When non-null, every (size, variant) run is traced into this recorder
-  /// as its own run scope (one trace file can hold the whole sweep).
-  trace::Recorder* trace = nullptr;
-  /// When true, SweepResult::metrics holds every point's counter snapshot,
-  /// each under the prefix "point/<elements>/<variant>/".
-  bool collect_metrics = false;
   /// Host worker threads for the (size x variant) grid: 1 = serial, 0 =
   /// exec::default_jobs(). Each grid cell simulates on its own machine and
   /// results are merged in spec order, so the output -- tables, CSV bytes,
   /// absorbed metrics -- is identical for every jobs value. A non-null
-  /// `trace` recorder is shared mutable state and forces serial execution.
+  /// `run.trace` recorder is shared mutable state and forces serial
+  /// execution.
   int jobs = 1;
 };
 
@@ -52,7 +42,7 @@ struct SweepPoint {
 struct SweepResult {
   std::vector<PaperVariant> variants;
   std::vector<SweepPoint> points;
-  /// All points' snapshots (when SweepSpec::collect_metrics), prefixed
+  /// All points' snapshots (when SweepSpec::run.collect_metrics), prefixed
   /// "point/<elements>/<variant>/".
   metrics::MetricsRegistry metrics;
   /// Per-variant tail-latency histogram over EVERY measured repetition of

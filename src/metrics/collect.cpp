@@ -1,5 +1,8 @@
 #include "metrics/collect.hpp"
 
+#include <map>
+#include <string>
+
 #include "common/string_util.hpp"
 
 namespace scc::metrics {
@@ -145,6 +148,15 @@ void collect_channel(const rckmpi::ChannelStats& stats,
           kVariant);
   out.set("rckmpi/progress_polls", stats.progress_polls, Unit::kCount,
           kVariant);
+  // The channel moves a message in credit-bounded bursts, each one MPB
+  // charge (one window per crossed link) and one filled/free flag set, and
+  // burst sizes follow when credits come back: time-type in RCKMPI runs.
+  const std::map<std::string, Metric> filed = out.entries();
+  for (const auto& [path, metric] : filed) {
+    if (path == "flags/sets" ||
+        (path.starts_with("noc/link/") && path.ends_with("/windows")))
+      out.set(path, metric.value, metric.unit, kVariant);
+  }
 }
 
 }  // namespace scc::metrics

@@ -16,8 +16,9 @@ namespace scc::metrics {
 /// themselves. Non-const: the accessors are non-const; nothing is mutated.
 void collect_machine(machine::SccMachine& machine, MetricsRegistry& out);
 
-/// Snapshots the RCKMPI transport counters (only meaningful for MPI runs;
-/// harmless zeros otherwise) under "rckmpi/...".
+/// Snapshots the RCKMPI transport counters under "rckmpi/..." and re-files
+/// collect_machine's flag sets and link windows as time-type, since the
+/// channel's credit-bounded bursts set them. For RCKMPI runs only.
 void collect_channel(const rckmpi::ChannelStats& stats, MetricsRegistry& out);
 
 /// Registers the standard machine flight-recorder columns on `sampler`

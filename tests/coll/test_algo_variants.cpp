@@ -178,12 +178,12 @@ class AlgoConformance : public ::testing::TestWithParam<ConfCase> {};
 TEST_P(AlgoConformance, IdenticalAcrossStacksAndSeeds) {
   const ConfCase& c = GetParam();
   harness::ConformanceSpec spec;
-  spec.collective = c.collective;
-  spec.algo = c.algo;
-  spec.elements = c.n;
-  spec.tiles_x = c.tiles_x;
-  spec.tiles_y = c.tiles_y;
-  spec.cores_per_tile = c.cores_per_tile;
+  spec.run.collective = c.collective;
+  spec.run.algo = c.algo;
+  spec.run.elements = c.n;
+  spec.run.config.tiles_x = c.tiles_x;
+  spec.run.config.tiles_y = c.tiles_y;
+  spec.run.config.cores_per_tile = c.cores_per_tile;
   spec.perturb_seeds = 16;
   spec.jobs = 0;  // fan the stack x seed matrix out; report is jobs-invariant
   const harness::ConformanceReport report = harness::run_conformance(spec);
@@ -220,11 +220,11 @@ INSTANTIATE_TEST_SUITE_P(Cells, AlgoConformance,
 // progression). Perturbed, because the bug was an ordering bug.
 TEST(AlgoConformance, MultiChunkBruckExchange) {
   harness::ConformanceSpec spec;
-  spec.collective = Collective::kAllgather;
-  spec.algo = Algo::kBruck;
-  spec.elements = 64;
-  spec.tiles_x = 4;
-  spec.tiles_y = 4;
+  spec.run.collective = Collective::kAllgather;
+  spec.run.algo = Algo::kBruck;
+  spec.run.elements = 64;
+  spec.run.config.tiles_x = 4;
+  spec.run.config.tiles_y = 4;
   spec.perturb_seeds = 4;
   spec.jobs = 0;
   const harness::ConformanceReport report = harness::run_conformance(spec);

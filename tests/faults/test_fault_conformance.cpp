@@ -41,13 +41,13 @@ class FaultConformance : public ::testing::TestWithParam<FaultCase> {};
 TEST_P(FaultConformance, AllStacksAgreeOnTheDegradedMachine) {
   const FaultCase& c = GetParam();
   ConformanceSpec spec;
-  spec.collective = c.collective;
-  spec.elements = c.elements;
-  spec.tiles_x = 2;
-  spec.tiles_y = 2;
+  spec.run.collective = c.collective;
+  spec.run.elements = c.elements;
+  spec.run.config.tiles_x = 2;
+  spec.run.config.tiles_y = 2;
   spec.perturb_seeds = 16;
-  spec.max_delay_fs = c.max_delay_fs;
-  spec.faults = faults::FaultSpec::parse(c.faults);
+  spec.run.config.perturb_max_delay_fs = c.max_delay_fs;
+  spec.run.config.faults = faults::FaultSpec::parse(c.faults);
   const ConformanceReport report = run_conformance(spec);
   // Three RCCE stacks + the RCKMPI cell (every case here has an MPI
   // counterpart), baseline + 16 perturbation seeds each.
@@ -67,13 +67,14 @@ TEST(FaultConformance, SelectorResolvesOnceUnderFaults) {
   // per cell (it is blind to faults by design), and every stack runs that
   // same algorithm on the same degraded machine.
   ConformanceSpec spec;
-  spec.collective = Collective::kAllreduce;
-  spec.elements = 96;
-  spec.tiles_x = 2;
-  spec.tiles_y = 2;
-  spec.algo = coll::Algo::kAuto;
+  spec.run.collective = Collective::kAllreduce;
+  spec.run.elements = 96;
+  spec.run.config.tiles_x = 2;
+  spec.run.config.tiles_y = 2;
+  spec.run.algo = coll::Algo::kAuto;
   spec.perturb_seeds = 16;
-  spec.faults = faults::FaultSpec::parse("straggler:0x4;deadlink:0,0-0,1");
+  spec.run.config.faults =
+      faults::FaultSpec::parse("straggler:0x4;deadlink:0,0-0,1");
   const ConformanceReport report = run_conformance(spec);
   EXPECT_TRUE(report.passed()) << report.summary();
 }

@@ -157,13 +157,13 @@ TEST(Runner, RejectsFaultsTheMeshCannotHave) {
 
 TEST(Sweep, ProducesOnePointPerSize) {
   SweepSpec spec;
-  spec.collective = Collective::kAllreduce;
+  spec.run.collective = Collective::kAllreduce;
   spec.from = 60;
   spec.to = 72;
   spec.step = 4;
-  spec.repetitions = 1;
-  spec.warmup = 1;
-  spec.config = mesh8();
+  spec.run.repetitions = 1;
+  spec.run.warmup = 1;
+  spec.run.config = mesh8();
   spec.variants = {PaperVariant::kBlocking, PaperVariant::kLightweight};
   const SweepResult r = run_sweep(spec);
   ASSERT_EQ(r.points.size(), 4u);  // 60, 64, 68, 72
@@ -177,13 +177,13 @@ TEST(Sweep, ProducesOnePointPerSize) {
 
 TEST(Sweep, SpeedupStatistics) {
   SweepSpec spec;
-  spec.collective = Collective::kAllreduce;
+  spec.run.collective = Collective::kAllreduce;
   spec.from = 60;
   spec.to = 68;
   spec.step = 4;
-  spec.repetitions = 1;
-  spec.warmup = 1;
-  spec.config = mesh8();
+  spec.run.repetitions = 1;
+  spec.run.warmup = 1;
+  spec.run.config = mesh8();
   spec.variants = {PaperVariant::kBlocking, PaperVariant::kLightweight};
   const SweepResult r = run_sweep(spec);
   const double mean = r.mean_speedup_vs_blocking(PaperVariant::kLightweight);
@@ -197,12 +197,12 @@ TEST(Sweep, SpeedupStatistics) {
 
 TEST(Sweep, TableHasVariantColumns) {
   SweepSpec spec;
-  spec.collective = Collective::kReduce;
+  spec.run.collective = Collective::kReduce;
   spec.from = 64;
   spec.to = 64;
-  spec.repetitions = 1;
-  spec.warmup = 0;
-  spec.config = mesh8();
+  spec.run.repetitions = 1;
+  spec.run.warmup = 0;
+  spec.run.config = mesh8();
   spec.variants = {PaperVariant::kBlocking};
   const SweepResult r = run_sweep(spec);
   const Table table = r.to_table();
@@ -210,21 +210,21 @@ TEST(Sweep, TableHasVariantColumns) {
   EXPECT_EQ(table.rows(), 1u);
 }
 
-// SweepSpec::algo reaches the Stack-based variants only: RCKMPI and the
+// SweepSpec::run.algo reaches the Stack-based variants only: RCKMPI and the
 // MPB-direct Allreduce keep their own schedule (RunSpec::algo rejects
 // them), so a panel compares the override against them.
 TEST(Sweep, AlgoOverrideSkipsRckmpiAndMpb) {
   SweepSpec spec;
-  spec.collective = Collective::kAllreduce;
+  spec.run.collective = Collective::kAllreduce;
   spec.from = 64;
   spec.to = 64;
-  spec.repetitions = 1;
-  spec.warmup = 1;
-  spec.config = mesh8();
+  spec.run.repetitions = 1;
+  spec.run.warmup = 1;
+  spec.run.config = mesh8();
   spec.variants = {PaperVariant::kRckmpi, PaperVariant::kLightweight,
                    PaperVariant::kMpb};
   const SweepResult plain = run_sweep(spec);
-  spec.algo = coll::Algo::kRecursiveDoubling;
+  spec.run.algo = coll::Algo::kRecursiveDoubling;
   const SweepResult overridden = run_sweep(spec);
 
   RunSpec lightweight;

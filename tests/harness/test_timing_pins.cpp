@@ -204,13 +204,13 @@ TEST(TimingPins, CacheHeavyAlltoallHeap) {
 
 TEST(TimingPins, SerialAllreduceSweepFrames) {
   SweepSpec sweep;
-  sweep.collective = Collective::kAllreduce;
+  sweep.run.collective = Collective::kAllreduce;
   sweep.from = 540;
   sweep.to = 580;
   sweep.step = 20;
-  sweep.repetitions = 1;
-  sweep.warmup = 1;
-  sweep.verify = false;
+  sweep.run.repetitions = 1;
+  sweep.run.warmup = 1;
+  sweep.run.verify = false;
   sweep.jobs = 1;
   const std::uint64_t frames0 = frames_allocated();
   (void)run_sweep(sweep);

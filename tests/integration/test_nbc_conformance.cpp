@@ -136,11 +136,11 @@ TEST(NbcConformance, SixteenSeedMatrixPasses) {
   };
   for (const Case& c : cases) {
     harness::ConformanceSpec spec;
-    spec.collective = c.collective;
-    spec.elements = c.elements;
-    spec.split = c.split;
+    spec.run.collective = c.collective;
+    spec.run.elements = c.elements;
+    spec.run.split_override = c.split;
     spec.perturb_seeds = 16;
-    spec.max_delay_fs = c.max_delay_fs;
+    spec.run.config.perturb_max_delay_fs = c.max_delay_fs;
     spec.check_nbc = true;
     const harness::ConformanceReport report = harness::run_conformance(spec);
     // 3 RCCE stacks + rckmpi + 3 nbc cells, each (1 baseline + 16 seeds).
@@ -158,8 +158,8 @@ TEST(NbcConformance, SixteenSeedMatrixPasses) {
 // when asked -- the matrix silently stays at the blocking stacks.
 TEST(NbcConformance, UnsupportedCollectiveGetsNoNbcCells) {
   harness::ConformanceSpec spec;
-  spec.collective = Collective::kReduceScatter;
-  spec.elements = 24;
+  spec.run.collective = Collective::kReduceScatter;
+  spec.run.elements = 24;
   spec.perturb_seeds = 2;
   spec.check_nbc = true;
   const harness::ConformanceReport report = harness::run_conformance(spec);
@@ -174,9 +174,9 @@ TEST(NbcConformance, UnsupportedCollectiveGetsNoNbcCells) {
 // sequencing bug shows up as a result mismatch or traffic drift.
 TEST(NbcConformance, RckmpiSequenceWraparoundUnderTraffic) {
   harness::ConformanceSpec spec;
-  spec.collective = Collective::kAlltoall;
-  spec.elements = 512;
-  spec.repetitions = 3;
+  spec.run.collective = Collective::kAlltoall;
+  spec.run.elements = 512;
+  spec.run.repetitions = 3;
   spec.perturb_seeds = 2;
   spec.check_nbc = true;
   const harness::ConformanceReport report = harness::run_conformance(spec);

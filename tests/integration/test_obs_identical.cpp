@@ -63,12 +63,12 @@ TEST(ObsIdentical, SamplingChangesNoSimulatedResultByte) {
 TEST(ObsIdentical, SweepHistogramsAreByteIdenticalAcrossJobs) {
   const auto run = [](int jobs) {
     SweepSpec spec;
-    spec.collective = Collective::kAllreduce;
+    spec.run.collective = Collective::kAllreduce;
     spec.from = 64;
     spec.to = 96;
     spec.step = 16;
-    spec.repetitions = 2;
-    spec.warmup = 0;
+    spec.run.repetitions = 2;
+    spec.run.warmup = 0;
     spec.jobs = jobs;
     return run_sweep(spec);
   };
@@ -96,8 +96,8 @@ TEST(ObsIdentical, SweepHistogramsAreByteIdenticalAcrossJobs) {
 TEST(ObsIdentical, ConformanceHistogramsAreByteIdenticalAcrossJobs) {
   const auto run = [](int jobs) {
     ConformanceSpec spec;
-    spec.collective = Collective::kAllreduce;
-    spec.elements = 64;
+    spec.run.collective = Collective::kAllreduce;
+    spec.run.elements = 64;
     spec.perturb_seeds = 4;
     spec.jobs = jobs;
     return run_conformance(spec);

@@ -34,14 +34,14 @@ std::string metrics_json_of(const metrics::MetricsRegistry& registry) {
 
 SweepSpec small_sweep(int jobs) {
   SweepSpec spec;
-  spec.collective = Collective::kAllreduce;
+  spec.run.collective = Collective::kAllreduce;
   spec.from = 48;
   spec.to = 96;
   spec.step = 24;
-  spec.repetitions = 1;
-  spec.warmup = 0;
-  spec.verify = false;
-  spec.collect_metrics = true;
+  spec.run.repetitions = 1;
+  spec.run.warmup = 0;
+  spec.run.verify = false;
+  spec.run.collect_metrics = true;
   spec.jobs = jobs;
   return spec;
 }
@@ -71,10 +71,10 @@ TEST(ParallelIdentical, SweepAutoJobsMatchesSerial) {
 
 ConformanceSpec small_conformance(int jobs) {
   ConformanceSpec spec;
-  spec.collective = Collective::kAllreduce;
-  spec.elements = 48;
-  spec.tiles_x = 2;
-  spec.tiles_y = 1;
+  spec.run.collective = Collective::kAllreduce;
+  spec.run.elements = 48;
+  spec.run.config.tiles_x = 2;
+  spec.run.config.tiles_y = 1;
   spec.perturb_seeds = 4;
   spec.jobs = jobs;
   return spec;

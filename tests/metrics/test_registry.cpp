@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "harness/runner.hpp"
 #include "machine/scc_machine.hpp"
 #include "metrics/collect.hpp"
 
@@ -117,6 +118,40 @@ TEST(Collect, PinsColdFootprintMissCountsForKnownSweep) {
   EXPECT_TRUE(reg.find("core/0/cache/misses")->invariant);
   // Reads only: no dirty lines, no writebacks.
   EXPECT_EQ(reg.value_or("core/0/cache/writebacks"), 0u);
+}
+
+// The RCKMPI channel moves each message in bursts bounded by its
+// flow-control credits, one flag set and one window per crossed link per
+// burst, so those two counters are time-type in RCKMPI runs only.
+TEST(Collect, FlagSetsAndLinkWindowsAreTimeTypeForRckmpiOnly) {
+  harness::RunSpec spec;
+  spec.collective = harness::Collective::kAlltoall;
+  spec.elements = 100;
+  spec.repetitions = 1;
+  spec.warmup = 0;
+  spec.collect_metrics = true;
+  spec.config.tiles_x = 3;
+  spec.config.tiles_y = 2;
+  spec.config.cost.hw.model_link_contention = true;
+  for (const harness::PaperVariant v :
+       {harness::PaperVariant::kRckmpi, harness::PaperVariant::kLightweight}) {
+    spec.variant = v;
+    const harness::RunResult r = harness::run_collective(spec);
+    ASSERT_TRUE(r.metrics.has_value());
+    const bool rckmpi = v == harness::PaperVariant::kRckmpi;
+    int windows = 0;
+    for (const auto& [path, metric] : r.metrics->entries()) {
+      if (path == "flags/sets" ||
+          (path.starts_with("noc/link/") && path.ends_with("/windows"))) {
+        EXPECT_EQ(metric.invariant, !rckmpi) << path;
+        windows += path.ends_with("/windows") ? 1 : 0;
+      }
+    }
+    EXPECT_GT(windows, 0);
+    ASSERT_NE(r.metrics->find("flags/sets"), nullptr);
+    ASSERT_NE(r.metrics->find("noc/lines_sent"), nullptr);
+    EXPECT_TRUE(r.metrics->find("noc/lines_sent")->invariant);
+  }
 }
 
 }  // namespace

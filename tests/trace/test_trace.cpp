@@ -357,17 +357,17 @@ TEST(Trace, LinkWindowsRecordedWithContention) {
 TEST(Trace, SweepProducesOneRunScopePerPoint) {
   Recorder rec;
   harness::SweepSpec spec;
-  spec.collective = harness::Collective::kAllreduce;
+  spec.run.collective = harness::Collective::kAllreduce;
   spec.from = 32;
   spec.to = 64;
   spec.step = 32;
-  spec.repetitions = 1;
-  spec.warmup = 0;
-  spec.config.tiles_x = 2;
-  spec.config.tiles_y = 2;
+  spec.run.repetitions = 1;
+  spec.run.warmup = 0;
+  spec.run.config.tiles_x = 2;
+  spec.run.config.tiles_y = 2;
   spec.variants = {harness::PaperVariant::kBlocking,
                    harness::PaperVariant::kLightweight};
-  spec.trace = &rec;
+  spec.run.trace = &rec;
   static_cast<void>(harness::run_sweep(spec));
   // 2 sizes x 2 variants = 4 run scopes after the implicit run 0.
   ASSERT_EQ(rec.run_labels().size(), 5u);
